@@ -373,17 +373,37 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
     def col_eps(eps):
         return np.where(fixed, 1.0, scale * eps)
 
+    # (j, exponent) factor lists, fixed at construction: edge k multiplies
+    # the states of the edges it shares a row (check) or column (bit) with,
+    # less one copy of itself; the energies multiply whole rows and columns.
+    # The lists keep edge order, so every product is formed in the order of
+    # a scan over all edge pairs and the maps stay bit-identical to it.
+    e = [int(v) for v in expo]
+
+    def excluding_self(group):
+        lists = []
+        for k in range(d):
+            exps = [(j, e[j] - (j == k)) for j in range(d) if group[j] == group[k]]
+            lists.append([(j, ex) for j, ex in exps if ex > 0])
+        return lists
+
+    check_factors = excluding_self(row)
+    bit_factors = excluding_self(col)
+    row_factors = [[(j, e[j]) for j in range(d) if row[j] == i] for i in range(H.shape[0])]
+    col_factors = [[(i, e[i]) for i in range(d) if col[i] == j] for j in range(n_cols)]
+
+    def power(z, j, ex):
+        # z ** 1 is z; skipping the call saves a pass on the common exponent
+        return z[..., j] if ex == 1 else z[..., j] ** ex
+
     def check_update(x):
         x = np.asarray(x, dtype=float)
         om = 1.0 - x
         out = np.empty_like(x)
-        for k in range(d):
-            acc = np.ones(x.shape[:-1])
-            for j in range(d):
-                if row[j] == row[k]:
-                    ex = expo[j] - (1 if j == k else 0)
-                    if ex > 0:
-                        acc = acc * om[..., j] ** ex
+        for k, factors in enumerate(check_factors):
+            acc = 1.0
+            for j, ex in factors:
+                acc = acc * power(om, j, ex)
             out[..., k] = 1.0 - acc
         return out
 
@@ -391,13 +411,10 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         y = np.asarray(y, dtype=float)
         ce = col_eps(eps)
         out = np.empty_like(y)
-        for k in range(d):
-            acc = np.full(y.shape[:-1], ce[col[k]])
-            for j in range(d):
-                if col[j] == col[k]:
-                    ex = expo[j] - (1 if j == k else 0)
-                    if ex > 0:
-                        acc = acc * y[..., j] ** ex
+        for k, factors in enumerate(bit_factors):
+            acc = ce[col[k]]
+            for j, ex in factors:
+                acc = acc * power(y, j, ex)
             out[..., k] = acc
         return out
 
@@ -405,11 +422,10 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         x = np.asarray(x, dtype=float)
         ce = col_eps(eps)
         out = np.zeros(x.shape[:-1])
-        for j in range(n_cols):
-            acc = np.full(x.shape[:-1], ce[j])
-            for i in range(d):
-                if col[i] == j:
-                    acc = acc * x[..., i] ** expo[i]
+        for j, factors in enumerate(col_factors):
+            acc = ce[j]
+            for i, ex in factors:
+                acc = acc * power(x, i, ex)
             out = out + acc
         return out
 
@@ -417,11 +433,10 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         x = np.asarray(x, dtype=float)
         om = 1.0 - x
         out = np.einsum("...k,k->...", x, expo.astype(float))
-        for i in range(H.shape[0]):
-            acc = np.ones(x.shape[:-1])
-            for j in range(d):
-                if row[j] == i:
-                    acc = acc * om[..., j] ** expo[j]
+        for factors in row_factors:
+            acc = 1.0
+            for j, ex in factors:
+                acc = acc * power(om, j, ex)
             out = out - (1.0 - acc)
         return out
 

@@ -179,14 +179,27 @@ def _newton_batch(sys, X0, eps, res_tol=1e-12, max_iter=NEWTON_MAX_ITER, fd_h=1e
 
 
 def _cluster(points: np.ndarray, residuals: np.ndarray, radius: float) -> np.ndarray:
-    """Greedy sup-norm clustering, keeping the best-converged representative."""
-    order = np.argsort(residuals, kind="stable")
+    """Greedy sup-norm clustering, keeping the best-converged representative.
+
+    In residual order, a point is kept unless it lies within radius of a point
+    kept before it. Each kept point removes its neighbours among the later
+    points in one vectorised pass.
+    """
+    pts = points[np.argsort(residuals, kind="stable")]
+    m = len(pts)
+    alive = np.ones(m, bool)
+    diff = np.empty_like(pts)
+    dist = np.empty(m)
     kept = []
-    for i in order:
-        p = points[i]
-        if all(np.max(np.abs(p - q)) > radius for q in kept):
-            kept.append(p)
-    return np.array(kept) if kept else np.empty((0, points.shape[-1]))
+    for i in range(m):
+        if not alive[i]:
+            continue
+        kept.append(i)
+        rest = slice(i + 1, m)
+        buf = np.subtract(pts[rest], pts[i], out=diff[rest])
+        np.abs(buf, out=buf)
+        alive[rest] &= np.max(buf, axis=-1, out=dist[rest]) > radius
+    return pts[kept]
 
 
 def _make_record(sys, x, eps, tol=FP_RESIDUAL_TOL) -> Optional[FixedPointRecord]:
@@ -244,9 +257,13 @@ def fixed_points(sys: SystemDefinition, eps: float, tol: float = FP_RESIDUAL_TOL
         axes = [np.linspace(0.0, 1.0, per_axis)] * sys.d
         mesh = np.meshgrid(*axes, indexing="ij")
         seeds = np.stack([m.ravel() for m in mesh], axis=-1)[:max_seeds]
-        cands, _, _, _, _ = iterate_batch(sys, seeds, eps, tol=iter_tol, max_iter=max_iter)
+        cands, it, conv, _, _ = iterate_batch(sys, seeds, eps, tol=iter_tol, max_iter=max_iter)
         cands = np.concatenate([cands, ones_lim[None, :]], axis=0)
         res = _residual_sup(sys, cands, eps)
+        if not conv:
+            log.debug("fixed_points: %d of %d lattice rows still moving after %d iterations "
+                      "(%s, eps=%g)", np.count_nonzero(res[:-1] > iter_tol), len(seeds), it,
+                      "period-2 cycles" if it < max_iter else "budget exhausted", eps)
     good = (res <= tol) & (np.max(np.abs(cands), axis=-1) > 1e-7)
     pts = _cluster(cands[good], res[good], cluster_radius)
     records = []

@@ -27,6 +27,8 @@ OVERSHOOT_TOL = 1e-14
 MONO_SLACK = 1e-12
 DEFAULT_ITER_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
+# steps between period-2 cycle checks in the batch iteration
+CYCLE_CHECK_EVERY = 64
 
 
 def componentwise_leq(a: np.ndarray, b: np.ndarray, slack: float = 0.0) -> bool:
@@ -139,6 +141,12 @@ def _iterate_batch_numpy(sys, X, eps, tol, max_iter, keep_path=False):
     n = X.shape[0]
     dirs = np.zeros(n, np.int8)
     mono = np.ones(n, bool)
+    cycled = np.zeros(n, bool)
+    any_cycled = False
+    # period-2 detection: row sums two steps before a check, then the rows
+    # a check suspects, their iterates at the check, and when to confirm them
+    fingerprint = suspects = snapshot = None
+    confirm_at = -1
     path = [X.copy()] if keep_path else None
     it = 0
     converged = False
@@ -155,8 +163,24 @@ def _iterate_batch_numpy(sys, X, eps, tol, max_iter, keep_path=False):
         it += 1
         if keep_path:
             path.append(X.copy())
+        if it % CYCLE_CHECK_EVERY == CYCLE_CHECK_EVERY - 2:
+            fingerprint = X.sum(axis=-1)
+        elif it % CYCLE_CHECK_EVERY == 0:
+            moved = np.max(np.abs(delta), axis=-1) > tol
+            suspects = np.flatnonzero(moved & ~cycled & (X.sum(axis=-1) == fingerprint))
+            snapshot = X[suspects]
+            confirm_at = it + 2
+        elif it == confirm_at:
+            # back where it was two steps ago, and not at a fixed point
+            back = np.all(X[suspects] == snapshot, axis=-1)
+            moving = np.max(np.abs(delta[suspects]), axis=-1) > tol
+            cycled[suspects[back & moving]] = True
+            any_cycled = bool(cycled.any())
+            suspects = snapshot = None
+        if any_cycled:
+            delta[cycled] = 0.0
         if np.max(np.abs(delta)) <= tol:
-            converged = True
+            converged = not any_cycled
             break
     return X, it, converged, dirs, mono, path
 
@@ -168,6 +192,19 @@ def iterate_batch(sys: SystemDefinition, X, eps: float, tol: float = DEFAULT_ITE
     Returns (limits, iterations, converged, dirs, mono) where dirs holds the
     per-row first-step direction (+1 up, -1 down, 0 neither) and mono whether
     the iterate sequence stayed componentwise monotone along that direction.
+
+    A row in an exact period-2 cycle never meets the sup-norm test, so it
+    would hold the whole batch until max_iter. Every CYCLE_CHECK_EVERY steps
+    (at step t) the rows that moved by more than tol on the last step and
+    whose row sum equals their row sum at step t-2 become suspects; a suspect
+    whose iterate at step t+2 equals, bit for bit, its iterate at step t is
+    in a period-2 cycle and stays in it. Cycled rows no longer count in the
+    convergence test, the batch stops once every other row has converged,
+    and converged is then False. Iterates are never altered: every returned
+    row is the plain recursion's iterate after the returned number of steps,
+    so a batch without cycles gives the same limits, iteration count, dirs
+    and mono as a loop without the check. The compiled lane (kernels.py) has
+    no cycle exit.
     """
     if sys.kernel is not None and kernels.enabled():
         Xk = np.ascontiguousarray(np.clip(np.asarray(X, float), 0.0, 1.0))
@@ -182,7 +219,12 @@ _DIR_NAME = {1: "up", -1: "down", 0: "none"}
 
 def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_ITER_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, keep_path: bool = False) -> IterationResult:
-    """Run the recursion from x0 until the sup-norm step change drops below tol."""
+    """Run the recursion from x0 until the sup-norm step change drops below tol.
+
+    A start in an exact period-2 cycle stops early with converged False (the
+    rule is in iterate_batch); iterations < max_iter tells it from a spent
+    budget.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     if keep_path or sys.kernel is None or not kernels.enabled():
         X, it, conv, dirs, mono, path = _iterate_batch_numpy(
@@ -192,7 +234,9 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
     else:
         X, it, conv, dirs, mono = iterate_batch(sys, x0, eps, tol, max_iter)
         path_arr = None
-    if not conv:
+    if not conv and it < max_iter:
+        log.warning("iterate_limit: period-2 cycle after %d iterations (eps=%g)", it, eps)
+    elif not conv:
         log.warning("iterate_limit: no convergence after %d iterations (eps=%g)", it, eps)
     return IterationResult(
         limit=X[0],

@@ -21,6 +21,12 @@ def sys36():
 
 
 @pytest.fixture(scope="session")
+def lift36():
+    """The same (3,6) ensemble lifted to the 2x4 protograph (d=8)."""
+    return st.make_protograph(st.ProtographSpec(H=np.array([[1, 2, 1, 2], [2, 1, 2, 1]])))
+
+
+@pytest.fixture(scope="session")
 def emac36(lam36, rho36):
     return st.make_emac(lam36, rho36, lam36, rho36)
 

@@ -166,3 +166,91 @@ def test_trial_entropy_scales(sw_half, emac36, sys36):
     assert sw_half.trial_entropy_scale == pytest.approx(2.0)
     assert emac36.trial_entropy_scale == 1.0
     assert sys36.trial_entropy_scale is None
+
+
+def _edge_pair_protograph_maps(spec):
+    """The d^2 edge-pair loops of the protograph maps, kept as the reference."""
+    H = spec.H
+    rows, cols = np.nonzero(H)
+    expo = H[rows, cols].astype(np.int64)
+    d = len(rows)
+    n_cols = H.shape[1]
+    fixed = np.zeros(n_cols, dtype=bool)
+    for j in spec.punctured_columns:
+        fixed[j] = True
+
+    def col_eps(eps):
+        return np.where(fixed, 1.0, np.asarray(spec.node_scale, float) * eps)
+
+    def check_update(x):
+        om = 1.0 - x
+        out = np.empty_like(x)
+        for k in range(d):
+            acc = np.ones(x.shape[:-1])
+            for j in range(d):
+                if rows[j] == rows[k]:
+                    ex = expo[j] - (1 if j == k else 0)
+                    if ex > 0:
+                        acc = acc * om[..., j] ** ex
+            out[..., k] = 1.0 - acc
+        return out
+
+    def bit_update(y, eps):
+        ce = col_eps(eps)
+        out = np.empty_like(y)
+        for k in range(d):
+            acc = np.full(y.shape[:-1], ce[cols[k]])
+            for j in range(d):
+                if cols[j] == cols[k]:
+                    ex = expo[j] - (1 if j == k else 0)
+                    if ex > 0:
+                        acc = acc * y[..., j] ** ex
+            out[..., k] = acc
+        return out
+
+    def bit_energy(x, eps):
+        ce = col_eps(eps)
+        out = np.zeros(x.shape[:-1])
+        for j in range(n_cols):
+            acc = np.full(x.shape[:-1], ce[j])
+            for i in range(d):
+                if cols[i] == j:
+                    acc = acc * x[..., i] ** expo[i]
+            out = out + acc
+        return out
+
+    def check_energy(x):
+        om = 1.0 - x
+        out = np.einsum("...k,k->...", x, expo.astype(float))
+        for i in range(H.shape[0]):
+            acc = np.ones(x.shape[:-1])
+            for j in range(d):
+                if rows[j] == i:
+                    acc = acc * om[..., j] ** expo[j]
+            out = out - (1.0 - acc)
+        return out
+
+    return check_update, bit_update, check_energy, bit_energy
+
+
+@pytest.mark.parametrize("spec", [
+    st.ProtographSpec(H=np.array([[3, 3]])),
+    st.ProtographSpec(H=np.array([[1, 2, 1, 2], [2, 1, 2, 1]])),
+    st.ProtographSpec(H=np.ones((3, 6), dtype=int)),
+    st.ProtographSpec(H=np.array([[1, 3, 2, 0], [2, 1, 1, 4]]), node_scale=[1.0, 0.5, 0.8, 0.3],
+                      punctured_columns=frozenset({1})),
+], ids=["3x3", "lift-2x4", "ones-3x6", "scaled-punctured"])
+@pytest.mark.parametrize("n", [1, 6561])
+def test_protograph_maps_bit_exact_against_edge_pair_loops(spec, n):
+    sys = st.make_protograph(spec)
+    ref_g, ref_f, ref_G, ref_F = _edge_pair_protograph_maps(spec)
+    rng = np.random.default_rng(n)
+    X = rng.random((n, sys.d))
+    X[rng.random((n, sys.d)) < 0.1] = 0.0
+    X[rng.random((n, sys.d)) < 0.1] = 1.0
+    for x in (X, X[0]):
+        assert np.array_equal(sys.check_update(x), ref_g(x))
+        assert np.array_equal(sys.check_energy(x), ref_G(x))
+        for eps in (0.0, 0.4294, 1.0):
+            assert np.array_equal(sys.bit_update(x, eps), ref_f(x, eps))
+            assert np.array_equal(sys.bit_energy(x, eps), ref_F(x, eps))

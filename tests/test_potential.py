@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saturate as st
-from saturate.potential import check_jacobian
+from saturate.potential import CLUSTER_RADIUS, _cluster, check_jacobian
 
 from scalar_oracle import (
     LAM_36,
@@ -228,3 +228,43 @@ def test_threshold_report_validates(sys36):
     assert rep.enumeration == "heuristic"
     assert len(rep.energy_gap_curve) == 3
     rep.validate()
+
+
+def _greedy_loop_cluster(points, residuals, radius):
+    """The greedy clustering loop before vectorisation, kept as the reference."""
+    order = np.argsort(residuals, kind="stable")
+    kept = []
+    for i in order:
+        p = points[i]
+        if all(np.max(np.abs(p - q)) > radius for q in kept):
+            kept.append(p)
+    return np.array(kept) if kept else np.empty((0, points.shape[-1]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_matches_greedy_loop(seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 4
+    centres = rng.random((8, d))
+    picks = rng.integers(0, len(centres), 300)
+    # offsets on the scale of the radius make chains of near-duplicates whose
+    # clustering depends on the greedy order; a few exact copies and repeated
+    # residuals exercise the stable tie-break
+    pts = centres[picks] + rng.uniform(-1.5, 1.5, (300, d)) * CLUSTER_RADIUS
+    pts[::17] = centres[picks[::17]]
+    res = rng.integers(0, 5, 300) * 1e-12
+    got = _cluster(pts, res, CLUSTER_RADIUS)
+    want = _greedy_loop_cluster(pts, res, CLUSTER_RADIUS)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert len(got) > len(centres)  # the radius-scale offsets do split clusters
+
+
+def test_cluster_empty():
+    assert _cluster(np.empty((0, 3)), np.empty(0), CLUSTER_RADIUS).shape == (0, 3)
+
+
+def test_thresholds_invariant_under_lifting(sys36, lift36):
+    # (3,6) as [[3, 3]] and as the 2x4 lift [[1,2,1,2],[2,1,2,1]] is one ensemble
+    tol = 1e-4
+    for threshold in (st.bp_threshold, st.potential_threshold):
+        assert abs(threshold(sys36, tol=tol) - threshold(lift36, tol=tol)) <= 2 * tol

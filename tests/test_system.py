@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 import saturate as st
-from saturate.system import _step_raw
+from saturate.system import (
+    CYCLE_CHECK_EVERY,
+    DEFAULT_ITER_TOL,
+    DEFAULT_MAX_ITER,
+    MONO_SLACK,
+    _classify_direction,
+    _step_raw,
+    iterate_batch,
+)
 
 from scalar_oracle import LAM_36, RHO_36, de_limit
 
@@ -162,3 +170,84 @@ def test_verify_admissible_smoothness_note(sys36):
 def test_verify_admissible_rejects_zero_samples(sys36):
     with pytest.raises(ValueError):
         st.verify_admissible(sys36, n_samples=0)
+
+
+def _plain_iterate_batch(sys, X, eps, tol, max_iter):
+    """The batch loop without the period-2 exit, kept as the reference."""
+    X = np.clip(np.asarray(X, dtype=float), 0.0, 1.0).copy()
+    n = X.shape[0]
+    dirs = np.zeros(n, np.int8)
+    mono = np.ones(n, bool)
+    it = 0
+    converged = False
+    while it < max_iter:
+        Xn = _step_raw(sys, X, eps)
+        delta = Xn - X
+        if it == 0:
+            dirs = _classify_direction(delta)
+        else:
+            bad_up = (dirs == 1) & np.any(delta < -MONO_SLACK, axis=-1)
+            bad_down = (dirs == -1) & np.any(delta > MONO_SLACK, axis=-1)
+            mono &= ~(bad_up | bad_down)
+        X = Xn
+        it += 1
+        if np.max(np.abs(delta)) <= tol:
+            converged = True
+            break
+    return X, it, converged, dirs, mono
+
+
+def _lattice(d, per_axis=3):
+    mesh = np.meshgrid(*[np.linspace(0.0, 1.0, per_axis)] * d, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def test_unit_seeds_of_lift_exit_on_period_two_cycle(lift36, caplog):
+    # at eps=1 every unit seed of the lifted (3,6) protograph alternates
+    # between two 0/1 vectors forever
+    for k in range(lift36.d):
+        caplog.clear()
+        res = st.iterate_limit(lift36, np.eye(lift36.d)[k], 1.0)
+        assert not res.converged
+        assert res.iterations <= 2 * CYCLE_CHECK_EVERY
+        assert f"period-2 cycle after {res.iterations} iterations" in caplog.text
+        assert np.array_equal(st.step(lift36, st.step(lift36, res.limit, 1.0), 1.0), res.limit)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.47])
+def test_lattice_batch_matches_plain_loop(lift36, eps):
+    seeds = _lattice(lift36.d)
+    X, it, conv, dirs, mono = iterate_batch(lift36, seeds, eps)
+    # iterates are never altered, so the reference run for the same number of
+    # steps ends bit for bit where the cycle exit stopped
+    Xr, itr, convr, dirsr, monor = _plain_iterate_batch(
+        lift36, seeds, eps, DEFAULT_ITER_TOL, DEFAULT_MAX_ITER if eps < 1.0 else it
+    )
+    assert np.array_equal(X, Xr)
+    assert np.array_equal(dirs, dirsr)
+    assert np.array_equal(mono, monor)
+    assert it == itr
+    if eps == 1.0:
+        assert not conv and not convr
+        assert it <= 2 * CYCLE_CHECK_EVERY
+    else:
+        assert conv and convr
+
+
+def _rotation(d):
+    """x -> x shifted by one coordinate: period d, row sums never change."""
+
+    def zero(x, *_):
+        return np.zeros(np.shape(x)[:-1])
+
+    return st.SystemDefinition(d=d, weights=np.ones(d), bit_update=lambda y, eps: np.roll(y, 1, -1),
+                               check_update=lambda x: x, bit_energy=zero, check_energy=zero)
+
+
+def test_cycle_exit_needs_exact_return_not_just_equal_row_sums():
+    # period 3: every check suspects the row by its sum, no confirmation holds
+    _, it, conv, _, _ = iterate_batch(_rotation(3), np.eye(3)[:1], 1.0, max_iter=5 * CYCLE_CHECK_EVERY)
+    assert not conv and it == 5 * CYCLE_CHECK_EVERY
+    # period 2: confirmed at the first check
+    _, it, conv, _, _ = iterate_batch(_rotation(2), np.eye(2)[:1], 1.0)
+    assert not conv and it == CYCLE_CHECK_EVERY + 2
