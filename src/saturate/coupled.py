@@ -19,6 +19,7 @@ from . import kernels
 from .potential import (
     BISECT_TOL,
     ZERO_TOL,
+    _per_probe,
     _threshold_bisect,
     check_jacobian,
     energy_gap,
@@ -468,4 +469,4 @@ def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BIS
                                zero_tol=zero_tol)
         return rep.converged and rep.is_zero
 
-    return _threshold_bisect(dies, tol, "coupled_bp_threshold")
+    return _threshold_bisect(_per_probe(dies), tol, "coupled_bp_threshold")

@@ -2,7 +2,9 @@
 
 Each factory returns a SystemDefinition with closed-form energies whose
 gradients reproduce the update maps (checked by verify_admissible), plus a
-compiled-kernel parameterization where the structure allows one.
+compiled-kernel parameterization where the structure allows one. Every
+bit_update and bit_energy takes eps as a scalar or as an array that
+broadcasts against x.shape[:-1], one channel parameter per row.
 """
 
 from __future__ import annotations
@@ -87,11 +89,8 @@ class TablePath:
         object.__setattr__(self, "eps1", e1)
         object.__setattr__(self, "eps2", e2)
 
-    def __call__(self, eps: float):
-        return (
-            float(np.interp(eps, self.knots, self.eps1)),
-            float(np.interp(eps, self.knots, self.eps2)),
-        )
+    def __call__(self, eps):
+        return np.interp(eps, self.knots, self.eps1), np.interp(eps, self.knots, self.eps2)
 
     def describe(self) -> str:
         return f"table with {len(self.knots)} knots"
@@ -371,7 +370,8 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         fixed[j] = True
 
     def col_eps(eps):
-        return np.where(fixed, 1.0, scale * eps)
+        # trailing column axis, so a per-row eps array gives per-row channels
+        return np.where(fixed, 1.0, scale * np.asarray(eps)[..., None])
 
     # (j, exponent) factor lists, fixed at construction: edge k multiplies
     # the states of the edges it shares a row (check) or column (bit) with,
@@ -412,7 +412,7 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         ce = col_eps(eps)
         out = np.empty_like(y)
         for k, factors in enumerate(bit_factors):
-            acc = ce[col[k]]
+            acc = ce[..., col[k]]
             for j, ex in factors:
                 acc = acc * power(y, j, ex)
             out[..., k] = acc
@@ -423,7 +423,7 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         ce = col_eps(eps)
         out = np.zeros(x.shape[:-1])
         for j, factors in enumerate(col_factors):
-            acc = ce[j]
+            acc = ce[..., j]
             for i, ex in factors:
                 acc = acc * power(x, i, ex)
             out = out + acc

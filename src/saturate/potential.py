@@ -28,6 +28,9 @@ BISECT_TOL = 1e-6
 BISECT_MAX_HALVINGS = 60
 NEWTON_DAMPING = 0.5
 NEWTON_MAX_ITER = 50
+# bisection levels that one batched bp_threshold pass probes (2**5 - 1 = 31
+# eps rows per pass)
+BP_BISECT_DEPTH = 5
 
 
 def potential(sys: SystemDefinition, x, eps: float):
@@ -90,36 +93,98 @@ def potential_quadrature(sys: SystemDefinition, x, eps: float, n_nodes: int = 64
 # ---------------------------------------------------------------------------
 
 
+def _subtree_midpoints(lo: float, hi: float, levels: int, tol: float) -> list:
+    """Every midpoint the bisection of [lo, hi] can visit in its next levels halvings."""
+    if levels <= 0 or hi - lo <= tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    return ([mid] + _subtree_midpoints(lo, mid, levels - 1, tol)
+            + _subtree_midpoints(mid, hi, levels - 1, tol))
+
+
 def _threshold_bisect(true_below, tol: float, name: str,
-                      max_halvings: int = BISECT_MAX_HALVINGS) -> float:
-    """Bisect [0,1] for the edge of a predicate that holds below a threshold."""
-    if true_below(1.0):
+                      max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1) -> float:
+    """Bisect [0,1] for the edge of a predicate that holds below a threshold.
+
+    true_below maps a 1-d array of eps values to a bool array of verdicts.
+    With depth 1 it sees one eps per call: 1.0, then 1e-9, then each
+    midpoint in turn. With depth > 1 one call evaluates every midpoint of
+    the next depth bisection levels (2**depth - 1 of them, fewer where the
+    tol or max_halvings stop prunes the tree), and the first call also holds
+    1.0 and 1e-9. The walk below is the one-probe loop, looking its verdicts
+    up in the last call, so for a predicate that depends on eps alone the
+    result is the same float at every depth.
+    """
+
+    def probe(eps_values):
+        # sorted(set()) rather than np.unique, which imports numpy.ma (about
+        # 0.6 MB of resident memory) on first use
+        eps = np.array(sorted(set(eps_values)), dtype=float)
+        return dict(zip(eps.tolist(), np.asarray(true_below(eps), dtype=bool).tolist()))
+
+    lo, hi = 1e-9, 1.0
+    if depth > 1:
+        verdict = probe([1.0, lo] + _subtree_midpoints(lo, hi, min(depth, max_halvings), tol))
+        levels_left = depth  # levels of the last call's subtree the walk has not used
+    else:
+        verdict, levels_left = probe([1.0]), 0
+    if verdict[1.0]:
         return 1.0
-    if not true_below(1e-9):
+    if depth == 1:
+        verdict = probe([lo])
+    if not verdict[lo]:
         log.warning("%s: predicate already fails as eps -> 0+ (degenerate)", name)
         return 0.0
-    lo, hi = 1e-9, 1.0
-    for _ in range(max_halvings):
+    for i in range(max_halvings):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if true_below(mid):
+        if levels_left == 0:
+            verdict = probe(_subtree_midpoints(lo, hi, min(depth, max_halvings - i), tol))
+            levels_left = depth
+        levels_left -= 1
+        if verdict[mid]:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
+def _per_probe(holds):
+    """The array predicate of _threshold_bisect from a one-eps predicate."""
+    return lambda eps: np.array([holds(float(e)) for e in eps], dtype=bool)
+
+
 def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
                  zero_tol: float = ZERO_TOL, iter_tol: float = DEFAULT_ITER_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest eps at which the recursion from all-ones collapses to zero."""
+    """Largest eps at which the recursion from all-ones collapses to zero.
 
-    def dies(eps: float) -> bool:
-        res = iterate_limit(sys, sys.ones(), eps, tol=iter_tol, max_iter=max_iter)
-        return bool(np.max(res.limit) < zero_tol)
+    A probe collapses when its limit has max below zero_tol. Each pass of
+    the bisection iterates one all-ones row per probe eps in one batch (eps
+    is the per-row batch axis) and covers BP_BISECT_DEPTH levels of the
+    bisection tree. The batch stops together, so a row may run past the step
+    at which it would have stopped alone; from all-ones an admissible
+    recursion is componentwise non-increasing, so those steps only move it
+    closer to its limit. A verdict could differ from the one-probe loop's
+    only if a row's step change fell below iter_tol while its max was still
+    at least zero_tol and the extra steps then took it below zero_tol.
+    A pass that ends with rows still moving (iteration budget spent, or
+    rows in period-2 cycles) logs a warning naming their eps; such a row
+    counts as not collapsing unless its max is already below zero_tol.
+    """
 
-    return _threshold_bisect(dies, tol, "bp_threshold")
+    def dies(eps: np.ndarray) -> np.ndarray:
+        X, it, conv, _, _ = iterate_batch(sys, np.ones((len(eps), sys.d)), eps, iter_tol, max_iter)
+        if not conv:
+            moving = np.max(np.abs(_step_raw(sys, X, eps) - X), axis=-1) > iter_tol
+            log.warning("bp_threshold: %d of %d probes still moving after %d iterations (%s): "
+                        "eps = %s", np.count_nonzero(moving), len(eps), it,
+                        "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
+                        ", ".join(f"{e:.9g}" for e in eps[moving]))
+        return np.max(X, axis=-1) < zero_tol
+
+    return _threshold_bisect(dies, tol, "bp_threshold", depth=BP_BISECT_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +354,7 @@ def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL, **kwargs
     def nonneg(eps: float) -> bool:
         return energy_gap(sys, eps, **kwargs) >= 0.0
 
-    return _threshold_bisect(nonneg, tol, "potential_threshold")
+    return _threshold_bisect(_per_probe(nonneg), tol, "potential_threshold")
 
 
 def epsilon_of_x(sys: SystemDefinition, x, tol: float = FP_RESIDUAL_TOL) -> Optional[float]:
@@ -351,7 +416,7 @@ def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL, **kwargs) 
             qmin = min(qmin, q)
         return qmin >= 0.0
 
-    return _threshold_bisect(no_negative_q, tol, "maxwell_threshold")
+    return _threshold_bisect(_per_probe(no_negative_q), tol, "maxwell_threshold")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ reproduce the maps through a positive diagonal weight vector:
     d/dx check_energy(x)    = check_update(x)    * weights
 
 The recursion is x <- bit_update(check_update(x); eps). All evaluators are
-batch-aware: they accept arrays of shape (..., d) and broadcast a scalar eps.
+batch-aware: they accept arrays of shape (..., d), and eps is either a scalar
+shared by every row or an array that broadcasts against x.shape[:-1], giving
+each row its own channel parameter.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ class SystemDefinition:
 
     d: int
     weights: np.ndarray
-    bit_update: Callable[[np.ndarray, float], np.ndarray]
+    # eps is a float or an array broadcasting against x.shape[:-1]
+    bit_update: Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
     check_update: Callable[[np.ndarray], np.ndarray]
-    bit_energy: Callable[[np.ndarray, float], np.ndarray]
+    bit_energy: Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
     check_energy: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     path_description: str = "eps"
@@ -103,23 +106,33 @@ class IterationResult:
     path: Optional[np.ndarray] = None  # iterates, only when requested
 
 
-def _step_raw(sys: SystemDefinition, x: np.ndarray, eps: float) -> np.ndarray:
+def _step_raw(sys: SystemDefinition, x: np.ndarray, eps) -> np.ndarray:
     """One recursion step without validation; clamps rounding overshoot."""
     return np.clip(sys.bit_update(sys.check_update(x), eps), 0.0, 1.0)
 
 
-def step(sys: SystemDefinition, x, eps: float) -> np.ndarray:
+def step(sys: SystemDefinition, x, eps) -> np.ndarray:
     """One recursion step with domain validation.
 
-    Raises if the inputs leave [0,1] or the un-clamped update leaves
-    [0,1]^d by more than rounding noise, which signals a broken system.
+    eps is a scalar or an array of per-row channel parameters that
+    broadcasts against x.shape[:-1] without enlarging it. Raises if the
+    inputs leave [0,1] or the un-clamped update leaves [0,1]^d by more than
+    rounding noise, which signals a broken system.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != sys.d:
         raise ValueError(f"state has dimension {x.shape[-1]}, system has {sys.d}")
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("state outside [0,1]^d")
-    if not 0.0 <= eps <= 1.0:
+    eps_arr = np.asarray(eps, dtype=float)
+    try:
+        fits = np.broadcast_shapes(eps_arr.shape, x.shape[:-1]) == x.shape[:-1]
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"eps of shape {eps_arr.shape} does not broadcast against "
+                         f"the batch shape {x.shape[:-1]}")
+    if not np.all((eps_arr >= 0.0) & (eps_arr <= 1.0)):
         raise ValueError("eps outside [0,1]")
     raw = sys.bit_update(sys.check_update(x), eps)
     if np.min(raw) < -OVERSHOOT_TOL or np.max(raw) > 1.0 + OVERSHOOT_TOL:
@@ -185,13 +198,21 @@ def _iterate_batch_numpy(sys, X, eps, tol, max_iter, keep_path=False):
     return X, it, converged, dirs, mono, path
 
 
-def iterate_batch(sys: SystemDefinition, X, eps: float, tol: float = DEFAULT_ITER_TOL,
+def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
                   max_iter: int = DEFAULT_MAX_ITER):
     """Iterate each row of X to the recursion limit.
 
     Returns (limits, iterations, converged, dirs, mono) where dirs holds the
     per-row first-step direction (+1 up, -1 down, 0 neither) and mono whether
     the iterate sequence stayed componentwise monotone along that direction.
+
+    eps is a scalar or an array of per-row channel parameters broadcasting
+    against X.shape[:-1]. The stop rule is the same either way: the whole
+    batch stops together, once the sup-norm change over all rows not in a
+    period-2 cycle drops to tol, so a row may run past the step at which it
+    would have stopped alone. From all-ones the iterates of an admissible
+    system are componentwise non-increasing, so those extra steps only bring
+    such a row closer to its limit.
 
     A row in an exact period-2 cycle never meets the sup-norm test, so it
     would hold the whole batch until max_iter. Every CYCLE_CHECK_EVERY steps
@@ -204,9 +225,10 @@ def iterate_batch(sys: SystemDefinition, X, eps: float, tol: float = DEFAULT_ITE
     row is the plain recursion's iterate after the returned number of steps,
     so a batch without cycles gives the same limits, iteration count, dirs
     and mono as a loop without the check. The compiled lane (kernels.py) has
-    no cycle exit.
+    no cycle exit and takes a scalar eps only; an eps array runs the numpy
+    loop.
     """
-    if sys.kernel is not None and kernels.enabled():
+    if sys.kernel is not None and kernels.enabled() and np.ndim(eps) == 0:
         Xk = np.ascontiguousarray(np.clip(np.asarray(X, float), 0.0, 1.0))
         it, conv, dirs, mono = kernels.batch_limit(sys.kernel, Xk, eps, tol, max_iter)
         return Xk, it, conv, dirs, mono

@@ -158,6 +158,36 @@ def test_emac_swap_symmetry(emac36):
             assert np.max(np.abs(a - b[::-1])) < 1e-14
 
 
+def test_bit_maps_broadcast_per_row_eps(lam36, rho36, sw_half, emac36):
+    def sw(path):
+        return st.make_slepian_wolf(
+            st.SlepianWolfParams(lam36, rho36, lam36, rho36, gamma=0.2, p=0.5, path=path))
+
+    systems = [
+        st.make_protograph(st.ProtographSpec(H=np.array([[1, 3, 2, 0], [2, 1, 1, 4]]),
+                                             node_scale=[1.0, 0.5, 0.8, 0.3],
+                                             punctured_columns=frozenset({1}))),
+        sw_half,  # diagonal path
+        sw(st.ScaledPath(theta=0.3)),
+        sw(st.TablePath(knots=[0.0, 0.5, 1.0], eps1=[0.0, 0.4, 1.0], eps2=[0.0, 0.6, 1.0])),
+        emac36,
+    ]
+    rng = np.random.default_rng(8)
+    n = 40
+    e = rng.random(n)
+    e[:4] = (0.0, 0.5, 1.0, 0.25)
+    for sys in systems:
+        Y = rng.random((n, sys.d))
+        Y[rng.random((n, sys.d)) < 0.1] = 0.0
+        f, F = sys.bit_update(Y, e), sys.bit_energy(Y, e)
+        assert np.array_equal(f, np.stack([sys.bit_update(Y[i], float(e[i])) for i in range(n)]))
+        assert np.array_equal(F, np.array([sys.bit_energy(Y[i], float(e[i])) for i in range(n)]))
+        # a (k, m) batch with eps of shape (k, m)
+        Y3, e3 = Y.reshape(8, 5, sys.d), e.reshape(8, 5)
+        assert np.array_equal(sys.bit_update(Y3, e3), f.reshape(8, 5, sys.d))
+        assert np.array_equal(sys.bit_energy(Y3, e3), F.reshape(8, 5))
+
+
 def test_sw_gamma_zero_bp_matches_scalar(sw_free, thresholds36):
     assert st.bp_threshold(sw_free) == pytest.approx(thresholds36["bp"], abs=1e-6)
 

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 import saturate as st
-from saturate.potential import CLUSTER_RADIUS, _cluster, check_jacobian
+from saturate.potential import (
+    BISECT_MAX_HALVINGS,
+    BP_BISECT_DEPTH,
+    CLUSTER_RADIUS,
+    ZERO_TOL,
+    _cluster,
+    _threshold_bisect,
+    check_jacobian,
+)
+from saturate.system import DEFAULT_MAX_ITER
 
 from scalar_oracle import (
     LAM_36,
@@ -78,6 +87,105 @@ def test_bp_threshold_converges_in_one_step_at_zero(sys36):
 
 def test_bp_threshold_decoupled_slepian_wolf(sw_free):
     assert st.bp_threshold(sw_free) == pytest.approx(0.42944, abs=1e-3)
+
+
+def _one_probe_bisect(true_below, tol, max_halvings=BISECT_MAX_HALVINGS):
+    """The bisection with one eps per predicate call, kept as the reference."""
+    if true_below(1.0):
+        return 1.0
+    if not true_below(1e-9):
+        return 0.0
+    lo, hi = 1e-9, 1.0
+    for _ in range(max_halvings):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if true_below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_EDGES = np.random.default_rng(11).random(4).tolist()
+
+
+@pytest.mark.parametrize("edge, inclusive, tol, max_halvings", [
+    *[(e, False, 1e-6, BISECT_MAX_HALVINGS) for e in _EDGES],
+    (0.5 * (1e-9 + 1.0), True, 1e-6, BISECT_MAX_HALVINGS),  # edge on the first midpoint
+    (1.0, True, 1e-6, BISECT_MAX_HALVINGS),  # holds at 1.0
+    (1.0, False, 1e-6, BISECT_MAX_HALVINGS),  # fails only at 1.0
+    (5e-10, False, 1e-6, BISECT_MAX_HALVINGS),  # fails already at 1e-9
+    (_EDGES[0], False, 1.0, BISECT_MAX_HALVINGS),
+    (_EDGES[0], False, 3.0, BISECT_MAX_HALVINGS),
+    (_EDGES[1], False, 1e-6, 7),  # max_halvings cut, not a multiple of the depth
+    (_EDGES[2], False, 0.0, BISECT_MAX_HALVINGS),  # halves until midpoints repeat in the last bit
+])
+def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_halvings):
+    def holds(eps):
+        return eps <= edge if inclusive else eps < edge
+
+    seq = []
+    ref = _one_probe_bisect(lambda e: seq.append(e) or holds(e), tol, max_halvings)
+    for depth in (1, 3, BP_BISECT_DEPTH):
+        calls = []
+
+        def batched(eps):
+            assert eps.ndim == 1
+            calls.append(eps.tolist())
+            return holds(eps)
+
+        assert _threshold_bisect(batched, tol, "synthetic", max_halvings, depth=depth) == ref
+        if depth == 1:  # the same probes, one per call, in the same order
+            assert calls == [[e] for e in seq]
+        else:
+            halvings = max(len(seq) - 2, 0)
+            assert len(calls) == max(1, -(-halvings // depth))
+            assert max(map(len, calls)) <= 2 ** depth + 1
+            assert set(seq) <= {e for c in calls for e in c}
+
+
+def _one_probe_bp(sys, tol, max_iter=DEFAULT_MAX_ITER):
+    def dies(eps):
+        res = st.iterate_limit(sys, sys.ones(), eps, max_iter=max_iter)
+        return bool(np.max(res.limit) < ZERO_TOL)
+
+    return _one_probe_bisect(dies, tol)
+
+
+@pytest.mark.parametrize("name", ["sys36", "lift36", "emac36", "sw_half", "sw_free", "table", "irregular"])
+def test_bp_threshold_equals_one_probe_bisection(name, request, lam36, rho36):
+    if name == "table":
+        path = st.TablePath(knots=[0.0, 0.5, 1.0], eps1=[0.0, 0.4, 1.0], eps2=[0.0, 0.6, 1.0])
+        sys = st.make_slepian_wolf(
+            st.SlepianWolfParams(lam36, rho36, lam36, rho36, gamma=0.2, p=0.5, path=path))
+    elif name == "irregular":
+        lam = st.EdgePolynomial(np.array([0.0, 0.3, 0.7]))  # lambda_2 = 0.3
+        sys = st.make_slepian_wolf(st.SlepianWolfParams(lam, rho36, lam, rho36, gamma=0.3, p=0.5))
+    else:
+        sys = request.getfixturevalue(name)
+    assert st.bp_threshold(sys, tol=1e-5) == _one_probe_bp(sys, 1e-5)
+
+
+def test_bp_threshold_logs_rows_still_moving(sys36, caplog):
+    got = st.bp_threshold(sys36, tol=1e-3, max_iter=3)
+    assert "iteration budget exhausted" in caplog.text
+    # a budget-exhausted row counts as collapsing only below zero_tol, as before
+    assert got == _one_probe_bp(sys36, 1e-3, max_iter=3)
+
+
+def test_bp_threshold_logs_period_two_cycles(caplog):
+    # (x1, x2) -> (x1, x1 (1 - x2)) alternates between (1, 1) and (1, 0):
+    # no probe collapses, and the batch leaves through the cycle exit
+    def zero(x, *_):
+        return np.zeros(np.shape(x)[:-1])
+
+    flip = st.SystemDefinition(
+        d=2, weights=np.ones(2), check_update=lambda x: x, bit_energy=zero, check_energy=zero,
+        bit_update=lambda y, eps: np.stack([y[..., 0], y[..., 0] * (1.0 - y[..., 1])], axis=-1))
+    assert st.bp_threshold(flip) == 0.0
+    assert "period-2 cycle exit" in caplog.text
+    assert "eps = 1e-09" in caplog.text
 
 
 def test_fixed_points_empty_below_threshold(sys36, thresholds36):

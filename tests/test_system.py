@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 import saturate as st
+from saturate import kernels
 from saturate.system import (
     CYCLE_CHECK_EVERY,
     DEFAULT_ITER_TOL,
@@ -43,6 +44,29 @@ def test_step_domain_errors(sys36):
         st.step(sys36, [1.2, 0.5], 0.5)
     with pytest.raises(ValueError):
         st.step(sys36, [0.5, 0.5], 1.5)
+
+
+def test_step_per_row_eps(sw_half):
+    rng = np.random.default_rng(2)
+    X = rng.random((6, 2))
+    e = np.linspace(0.0, 1.0, 6)
+    rows = np.stack([st.step(sw_half, X[i], float(e[i])) for i in range(6)])
+    assert np.array_equal(st.step(sw_half, X, e), rows)
+    assert np.array_equal(st.step(sw_half, X.reshape(2, 3, 2), e.reshape(2, 3)), rows.reshape(2, 3, 2))
+    # a shorter eps axis broadcasts along the batch: row (a, b) sees e[b]
+    per_column = [st.step(sw_half, X[i], float(e[i % 3])) for i in range(6)]
+    assert np.array_equal(st.step(sw_half, X.reshape(2, 3, 2), e[:3]),
+                          np.reshape(per_column, (2, 3, 2)))
+    for bad_shape in (e[:5], e.reshape(6, 1)):
+        with pytest.raises(ValueError, match="broadcast"):
+            st.step(sw_half, X, bad_shape)
+    with pytest.raises(ValueError, match="broadcast"):
+        st.step(sw_half, X[0], e)  # would enlarge a single state into a batch
+    for bad in (1.5, -0.1, np.nan):
+        e_bad = e.copy()
+        e_bad[3] = bad
+        with pytest.raises(ValueError, match="eps outside"):
+            st.step(sw_half, X, e_bad)
 
 
 def test_step_broken_system_flagged(sys36):
@@ -251,3 +275,22 @@ def test_cycle_exit_needs_exact_return_not_just_equal_row_sums():
     # period 2: confirmed at the first check
     _, it, conv, _, _ = iterate_batch(_rotation(2), np.eye(2)[:1], 1.0)
     assert not conv and it == CYCLE_CHECK_EVERY + 2
+
+
+def test_per_row_eps_batch_runs_numpy_loop(sys36, monkeypatch):
+    # the compiled lane takes a scalar eps only; an eps array must not reach it
+    def refuse(*args):
+        raise AssertionError("compiled lane called with an eps array")
+
+    monkeypatch.setattr(kernels, "enabled", lambda: True)
+    monkeypatch.setattr(kernels, "batch_limit", refuse)
+    e = np.array([1e-9, 0.3, 0.4294, 0.45, 1.0])
+    X, it, conv, _, _ = iterate_batch(sys36, np.ones((len(e), 2)), e)
+    assert conv
+    # each row is its own recursion, run for the batch's number of steps
+    for i in range(len(e)):
+        x = np.ones(2)
+        for _ in range(it):
+            x = _step_raw(sys36, x, float(e[i]))
+        assert np.array_equal(X[i], x)
+    assert np.max(X[:3]) < 1e-8 and np.min(X[3:]) > 0.1
