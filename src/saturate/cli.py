@@ -3,13 +3,12 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-convergence), 4 invariant failure. Identical config and seed produce
 byte-identical outputs: reports carry no timestamps, floats are written with
-round-trip precision, and sweep cells are collected in deterministic order.
+round-trip precision, and sweep cells run one after another in config order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import math
@@ -96,16 +95,12 @@ def _base_report(command: str, cfg: dict, seed: int) -> dict:
     }
 
 
-def _pool(jobs: int):
-    return concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs))
-
-
 # ---------------------------------------------------------------------------
 # threshold
 # ---------------------------------------------------------------------------
 
 
-def cmd_threshold(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_threshold(cfg: dict, out_dir: Path) -> int:
     analysis = cfg["analysis"]
     tol = analysis.get("bisect_tol", BISECT_TOL)
     gap_grid = analysis["gap_grid"]
@@ -117,8 +112,7 @@ def cmd_threshold(cfg: dict, out_dir: Path, jobs: int) -> int:
         system = build_system(cfg["system"], theta=theta)
         return theta, threshold_report(system, gap_grid=gap_grid, tol=tol)
 
-    with _pool(jobs) as pool:
-        results = list(pool.map(run, cells))
+    results = [run(theta) for theta in cells]
 
     for theta, rep in results:
         suffix = "" if theta is None else f"_theta_{theta:g}"
@@ -151,7 +145,7 @@ def cmd_threshold(cfg: dict, out_dir: Path, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_coupled(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     analysis = cfg["analysis"]
     L = analysis["L"]
     w = analysis["w"]
@@ -171,10 +165,7 @@ def cmd_coupled(cfg: dict, out_dir: Path, jobs: int) -> int:
                                    record_every=record_every)
         return eps, state, rep
 
-    results = []
-    if mode in ("limit", "both"):
-        with _pool(jobs) as pool:
-            results = list(pool.map(run, eps_values))
+    results = [run(eps) for eps in eps_values] if mode in ("limit", "both") else []
 
     bound_value = float(hessian_bound(system)) if want_bound else None
     runs = []
@@ -241,7 +232,7 @@ def cmd_coupled(cfg: dict, out_dir: Path, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_verify(cfg: dict, out_dir: Path) -> int:
     analysis = cfg["analysis"]
     n_samples = analysis["n_samples"]
     seed = analysis.get("seed", 0)
@@ -314,8 +305,9 @@ def _parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size for sweep cells")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: sweep cells run one after another "
+                            "in config order")
         p.add_argument("--out", default=None, help="output directory")
     return ap
 
@@ -336,7 +328,7 @@ def main(argv=None) -> int:
         print(f"config error: cannot create output dir: {e}", file=_sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg, out_dir, args.jobs)
+        return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -195,36 +195,20 @@ def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
     snapshots = []
     if record_every > 0:
         snapshots.append((0, rows.copy()))
-    use_kernel = sys.kernel is not None and kernels.enabled()
     it_total = 0
     mono_ok = True
     delta = math.inf
-    chunk = record_every if record_every > 0 else max_iter
-    while it_total < max_iter:
-        budget = min(chunk, max_iter - it_total)
-        if use_kernel:
-            done, delta, mono = kernels.coupled_chunk(
-                sys.kernel, rows, spec.w, eps, budget, tol, spec.one_sided, spec.i0_row
-            )
-            mono_ok = mono_ok and bool(mono)
-        else:
-            done = 0
-            while done < budget:
-                new = _coupled_step_rows(sys, rows, spec.w, eps)
-                if spec.one_sided:
-                    _tie(new, spec.i0_row)
-                if np.any(new - rows > MONO_SLACK):
-                    mono_ok = False
-                delta = float(np.max(np.abs(new - rows)))
-                rows = new
-                done += 1
-                if delta <= tol:
-                    break
-        it_total += done
-        if record_every > 0:
+    while it_total < max_iter and delta > tol:
+        new = _coupled_step_rows(sys, rows, spec.w, eps)
+        if spec.one_sided:
+            _tie(new, spec.i0_row)
+        if np.any(new - rows > MONO_SLACK):
+            mono_ok = False
+        delta = float(np.max(np.abs(new - rows)))
+        rows = new
+        it_total += 1
+        if record_every > 0 and it_total % record_every == 0:
             snapshots.append((it_total, rows.copy()))
-        if delta <= tol:
-            break
     converged = delta <= tol
     if not converged:
         log.warning("coupled_limit: no convergence after %d iterations (eps=%g)", it_total, eps)

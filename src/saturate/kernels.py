@@ -1,92 +1,18 @@
-"""Hot-loop kernels: numba @njit with a pure-numpy fallback.
+"""Window-averaging operators of the coupled chain.
 
-The fixed-point and coupled-chain iterations dominate runtime. For the two
-structured system families (two-user erasure systems and protographs) the
-whole iteration loop is compiled with numba; everything else, and every run
-with SATURATE_NO_NUMBA=1 set in the environment, goes through the generic
-vectorized-numpy path in system.py / coupled.py. Kernels are argument-driven
-(coefficient arrays, no captured closures) so they compile once and cache.
-
-benchmarks/bench_kernels.py times the two lanes against each other.
+window_mean_forward is the (2L+1) x (2L+w) operator A of a coupled chain,
+mapping check-side rows to bit-side rows by the mean of w consecutive rows;
+window_mean_adjoint is its transpose A^T with zero rows outside the chain.
+Both form each window's exact small sum, so no cumsum drift builds up along
+long chains.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-_MONO_SLACK = 1e-12
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _flag_disabled() -> bool:
-    return os.environ.get("SATURATE_NO_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _flag_disabled()
-
-
-def enabled() -> bool:
-    """True when compiled kernels are importable and not disabled by env flag."""
-    return NUMBA_ENABLED
-
-
-@dataclass(frozen=True, eq=False)
-class TwoUserKernel:
-    """Kernel parameters for the two-user erasure family.
-
-    The channel factor seen by user 1 is affine in eps and in the other
-    user's node polynomial: psi1[0] + psi1[1]*eps + (psi1[2] + psi1[3]*eps) *
-    L2(y2), and symmetrically for user 2.
-    """
-
-    lam1: np.ndarray
-    rho1: np.ndarray
-    node1: np.ndarray
-    lam2: np.ndarray
-    rho2: np.ndarray
-    node2: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ProtographKernel:
-    """Kernel parameters for protograph recursions (one entry per edge)."""
-
-    row: np.ndarray  # int64, protograph row of edge k
-    col: np.ndarray  # int64, protograph column of edge k
-    expo: np.ndarray  # int64, entry value e(k)
-    col_scale: np.ndarray  # float64, per-column channel scale
-    col_fixed: np.ndarray  # bool, column pinned to erasure 1 (punctured)
-
-    def col_eps(self, eps: float) -> np.ndarray:
-        return np.where(self.col_fixed, 1.0, self.col_scale * eps)
-
-
-# ---------------------------------------------------------------------------
-# window-averaging operators (numpy; exact small sums, no cumsum drift)
-# ---------------------------------------------------------------------------
+__all__ = ["window_mean_forward", "window_mean_adjoint"]
 
 
 def window_mean_forward(Z: np.ndarray, w: int) -> np.ndarray:
@@ -103,336 +29,3 @@ def window_mean_adjoint(Y: np.ndarray, w: int) -> np.ndarray:
     pad = np.zeros((w - 1, Y.shape[1]))
     Yp = np.concatenate([pad, Y, pad], axis=0)
     return sliding_window_view(Yp, w, axis=0).sum(axis=-1) / w
-
-
-# ---------------------------------------------------------------------------
-# compiled kernels
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _pv(c, x):
-    acc = 0.0
-    for i in range(c.shape[0] - 1, -1, -1):
-        acc = acc * x + c[i]
-    return acc
-
-
-@njit(cache=True)
-def _two_user_batch_limit(X, eps, tol, max_iter, lam1, rho1, L1, lam2, rho2, L2, psi1, psi2):
-    n = X.shape[0]
-    dirs = np.zeros(n, np.int8)
-    mono = np.ones(n, np.bool_)
-    it = 0
-    while it < max_iter:
-        delta = 0.0
-        for i in range(n):
-            x1 = X[i, 0]
-            x2 = X[i, 1]
-            g1 = 1.0 - _pv(rho1, 1.0 - x1)
-            g2 = 1.0 - _pv(rho2, 1.0 - x2)
-            p1 = psi1[0] + psi1[1] * eps + (psi1[2] + psi1[3] * eps) * _pv(L2, g2)
-            p2 = psi2[0] + psi2[1] * eps + (psi2[2] + psi2[3] * eps) * _pv(L1, g1)
-            y1 = min(max(p1 * _pv(lam1, g1), 0.0), 1.0)
-            y2 = min(max(p2 * _pv(lam2, g2), 0.0), 1.0)
-            d1 = y1 - x1
-            d2 = y2 - x2
-            ad = abs(d1)
-            if abs(d2) > ad:
-                ad = abs(d2)
-            if ad > delta:
-                delta = ad
-            if it == 0:
-                if d1 >= -_MONO_SLACK and d2 >= -_MONO_SLACK:
-                    dirs[i] = 1
-                elif d1 <= _MONO_SLACK and d2 <= _MONO_SLACK:
-                    dirs[i] = -1
-            elif dirs[i] == 1:
-                if d1 < -_MONO_SLACK or d2 < -_MONO_SLACK:
-                    mono[i] = False
-            elif dirs[i] == -1:
-                if d1 > _MONO_SLACK or d2 > _MONO_SLACK:
-                    mono[i] = False
-            X[i, 0] = y1
-            X[i, 1] = y2
-        it += 1
-        if delta <= tol:
-            return it, True, dirs, mono
-    return it, False, dirs, mono
-
-
-@njit(cache=True)
-def _proto_g_row(x, row, expo, g):
-    d = x.shape[0]
-    for k in range(d):
-        acc = 1.0
-        for j in range(d):
-            if row[j] == row[k]:
-                ex = expo[j]
-                if j == k:
-                    ex -= 1
-                if ex > 0:
-                    acc *= (1.0 - x[j]) ** ex
-        g[k] = 1.0 - acc
-
-
-@njit(cache=True)
-def _proto_f_row(y, eps_cols, col, expo, out):
-    d = y.shape[0]
-    for k in range(d):
-        acc = eps_cols[col[k]]
-        for j in range(d):
-            if col[j] == col[k]:
-                ex = expo[j]
-                if j == k:
-                    ex -= 1
-                if ex > 0:
-                    acc *= y[j] ** ex
-        out[k] = min(max(acc, 0.0), 1.0)
-
-
-@njit(cache=True)
-def _proto_batch_limit(X, eps_cols, tol, max_iter, row, col, expo):
-    n, d = X.shape
-    dirs = np.zeros(n, np.int8)
-    mono = np.ones(n, np.bool_)
-    g = np.empty(d)
-    y = np.empty(d)
-    it = 0
-    while it < max_iter:
-        delta = 0.0
-        for i in range(n):
-            _proto_g_row(X[i], row, expo, g)
-            _proto_f_row(g, eps_cols, col, expo, y)
-            up = True
-            dn = True
-            for k in range(d):
-                dv = y[k] - X[i, k]
-                if dv < -_MONO_SLACK:
-                    up = False
-                if dv > _MONO_SLACK:
-                    dn = False
-                ad = abs(dv)
-                if ad > delta:
-                    delta = ad
-                X[i, k] = y[k]
-            if it == 0:
-                if up:
-                    dirs[i] = 1
-                elif dn:
-                    dirs[i] = -1
-            elif dirs[i] == 1:
-                if not up:
-                    mono[i] = False
-            elif dirs[i] == -1:
-                if not dn:
-                    mono[i] = False
-        it += 1
-        if delta <= tol:
-            return it, True, dirs, mono
-    return it, False, dirs, mono
-
-
-@njit(cache=True)
-def _two_user_coupled_chunk(
-    X, w, eps, n_iter, tol, one_sided, i0_row, lam1, rho1, L1, lam2, rho2, L2, psi1, psi2
-):
-    n = X.shape[0]
-    m = n - w + 1
-    G = np.empty((n, 2))
-    Y = np.empty((m, 2))
-    mono = True
-    it = 0
-    delta = -1.0
-    while it < n_iter:
-        for i in range(n):
-            G[i, 0] = 1.0 - _pv(rho1, 1.0 - X[i, 0])
-            G[i, 1] = 1.0 - _pv(rho2, 1.0 - X[i, 1])
-        for i in range(m):
-            s0 = 0.0
-            s1 = 0.0
-            for j in range(w):
-                s0 += G[i + j, 0]
-                s1 += G[i + j, 1]
-            y0 = s0 / w
-            y1 = s1 / w
-            p1 = psi1[0] + psi1[1] * eps + (psi1[2] + psi1[3] * eps) * _pv(L2, y1)
-            p2 = psi2[0] + psi2[1] * eps + (psi2[2] + psi2[3] * eps) * _pv(L1, y0)
-            Y[i, 0] = p1 * _pv(lam1, y0)
-            Y[i, 1] = p2 * _pv(lam2, y1)
-        delta = 0.0
-        for i in range(n - 1, -1, -1):
-            lo = i - w + 1
-            if lo < 0:
-                lo = 0
-            hi = i
-            if hi > m - 1:
-                hi = m - 1
-            s0 = 0.0
-            s1 = 0.0
-            for q in range(lo, hi + 1):
-                s0 += Y[q, 0]
-                s1 += Y[q, 1]
-            v0 = min(max(s0 / w, 0.0), 1.0)
-            v1 = min(max(s1 / w, 0.0), 1.0)
-            if one_sided and i > i0_row:
-                continue
-            d0 = v0 - X[i, 0]
-            d1 = v1 - X[i, 1]
-            if d0 > _MONO_SLACK or d1 > _MONO_SLACK:
-                mono = False
-            if abs(d0) > delta:
-                delta = abs(d0)
-            if abs(d1) > delta:
-                delta = abs(d1)
-            X[i, 0] = v0
-            X[i, 1] = v1
-        if one_sided:
-            for i in range(i0_row + 1, n):
-                d0 = X[i0_row, 0] - X[i, 0]
-                d1 = X[i0_row, 1] - X[i, 1]
-                if d0 > _MONO_SLACK or d1 > _MONO_SLACK:
-                    mono = False
-                if abs(d0) > delta:
-                    delta = abs(d0)
-                if abs(d1) > delta:
-                    delta = abs(d1)
-                X[i, 0] = X[i0_row, 0]
-                X[i, 1] = X[i0_row, 1]
-        it += 1
-        if delta <= tol:
-            break
-    return it, delta, mono
-
-
-@njit(cache=True)
-def _proto_coupled_chunk(X, w, eps_cols, n_iter, tol, one_sided, i0_row, row, col, expo):
-    n, d = X.shape
-    m = n - w + 1
-    G = np.empty((n, d))
-    Y = np.empty((m, d))
-    ymean = np.empty(d)
-    frow = np.empty(d)
-    mono = True
-    it = 0
-    delta = -1.0
-    while it < n_iter:
-        for i in range(n):
-            _proto_g_row(X[i], row, expo, G[i])
-        for i in range(m):
-            for k in range(d):
-                s = 0.0
-                for j in range(w):
-                    s += G[i + j, k]
-                ymean[k] = s / w
-            _proto_f_row(ymean, eps_cols, col, expo, frow)
-            for k in range(d):
-                Y[i, k] = frow[k]
-        delta = 0.0
-        for i in range(n - 1, -1, -1):
-            if one_sided and i > i0_row:
-                continue
-            lo = i - w + 1
-            if lo < 0:
-                lo = 0
-            hi = i
-            if hi > m - 1:
-                hi = m - 1
-            for k in range(d):
-                s = 0.0
-                for q in range(lo, hi + 1):
-                    s += Y[q, k]
-                v = min(max(s / w, 0.0), 1.0)
-                dv = v - X[i, k]
-                if dv > _MONO_SLACK:
-                    mono = False
-                if abs(dv) > delta:
-                    delta = abs(dv)
-                X[i, k] = v
-        if one_sided:
-            for i in range(i0_row + 1, n):
-                for k in range(d):
-                    dv = X[i0_row, k] - X[i, k]
-                    if dv > _MONO_SLACK:
-                        mono = False
-                    if abs(dv) > delta:
-                        delta = abs(dv)
-                    X[i, k] = X[i0_row, k]
-        it += 1
-        if delta <= tol:
-            break
-    return it, delta, mono
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def batch_limit(kspec, X: np.ndarray, eps: float, tol: float, max_iter: int):
-    """Iterate every row of X to its limit in place; returns (iters, converged, dirs, mono)."""
-    if isinstance(kspec, TwoUserKernel):
-        return _two_user_batch_limit(
-            X,
-            float(eps),
-            tol,
-            max_iter,
-            kspec.lam1,
-            kspec.rho1,
-            kspec.node1,
-            kspec.lam2,
-            kspec.rho2,
-            kspec.node2,
-            kspec.psi1,
-            kspec.psi2,
-        )
-    if isinstance(kspec, ProtographKernel):
-        return _proto_batch_limit(
-            X, kspec.col_eps(float(eps)), tol, max_iter, kspec.row, kspec.col, kspec.expo
-        )
-    raise TypeError(f"unknown kernel spec {type(kspec)!r}")
-
-
-def coupled_chunk(
-    kspec,
-    rows: np.ndarray,
-    w: int,
-    eps: float,
-    n_iter: int,
-    tol: float,
-    one_sided: bool,
-    i0_row: int,
-):
-    """Run up to n_iter coupled iterations in place; returns (iters, delta, mono)."""
-    if isinstance(kspec, TwoUserKernel):
-        return _two_user_coupled_chunk(
-            rows,
-            w,
-            float(eps),
-            n_iter,
-            tol,
-            one_sided,
-            i0_row,
-            kspec.lam1,
-            kspec.rho1,
-            kspec.node1,
-            kspec.lam2,
-            kspec.rho2,
-            kspec.node2,
-            kspec.psi1,
-            kspec.psi2,
-        )
-    if isinstance(kspec, ProtographKernel):
-        return _proto_coupled_chunk(
-            rows,
-            w,
-            kspec.col_eps(float(eps)),
-            n_iter,
-            tol,
-            one_sided,
-            i0_row,
-            kspec.row,
-            kspec.col,
-            kspec.expo,
-        )
-    raise TypeError(f"unknown kernel spec {type(kspec)!r}")

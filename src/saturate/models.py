@@ -1,8 +1,7 @@
 """Constructors for the three worked erasure systems.
 
 Each factory returns a SystemDefinition with closed-form energies whose
-gradients reproduce the update maps (checked by verify_admissible), plus a
-compiled-kernel parameterization where the structure allows one. Every
+gradients reproduce the update maps (checked by verify_admissible). Every
 bit_update and bit_energy takes eps as a scalar or as an array that
 broadcasts against x.shape[:-1], one channel parameter per row.
 """
@@ -16,7 +15,6 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .degdist import EdgePolynomial, design_rate, node_from_edge
-from .kernels import ProtographKernel, TwoUserKernel
 from .system import SystemDefinition
 
 _PATH_TOL = 1e-12
@@ -37,8 +35,6 @@ class DiagonalPath:
     def describe(self) -> str:
         return "diagonal: eps -> (eps, eps)"
 
-    thetas = (1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class ScaledPath:
@@ -55,10 +51,6 @@ class ScaledPath:
 
     def describe(self) -> str:
         return f"scaled: eps -> (eps, {self.theta} * eps)"
-
-    @property
-    def thetas(self):
-        return (1.0, self.theta)
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,6 @@ class TablePath:
 
     def describe(self) -> str:
         return f"table with {len(self.knots)} knots"
-
-    thetas = None  # not affine in eps; no compiled kernel
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +133,6 @@ def _two_user_pieces(lam1, rho1, lam2, rho2):
     R1, Rp1 = node_from_edge(rho1)
     R2, Rp2 = node_from_edge(rho2)
 
-    lam1c, lam2c = lam1.coeffs, lam2.coeffs
     rho1c, rho2c = rho1.coeffs, rho2.coeffs
     L1c, L2c = L1.coeffs, L2.coeffs
     R1c, R2c = R1.coeffs, R2.coeffs
@@ -165,10 +154,8 @@ def _two_user_pieces(lam1, rho1, lam2, rho2):
         return Lp1 * t1 + Lp2 * t2
 
     pieces = {
-        "lam1c": lam1c,
-        "lam2c": lam2c,
-        "rho1c": rho1c,
-        "rho2c": rho2c,
+        "lam1c": lam1.coeffs,
+        "lam2c": lam2.coeffs,
         "L1c": L1c,
         "L2c": L2c,
         "Lp1": Lp1,
@@ -208,20 +195,6 @@ def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
         l2 = _poly.polyval(x[..., 1], L2c)
         return psi(l1, e2) * l2 + psi(l2, e1) * l1 - gamma * p * l1 * l2
 
-    kernel = None
-    thetas = getattr(path, "thetas", None)
-    if thetas is not None:
-        kernel = TwoUserKernel(
-            lam1=lam1c,
-            rho1=pieces["rho1c"],
-            node1=L1c,
-            lam2=lam2c,
-            rho2=pieces["rho2c"],
-            node2=L2c,
-            psi1=np.array([gamma * (1.0 - p), (1.0 - gamma) * thetas[0], gamma * p, 0.0]),
-            psi2=np.array([gamma * (1.0 - p), (1.0 - gamma) * thetas[1], gamma * p, 0.0]),
-        )
-
     return SystemDefinition(
         d=2,
         weights=np.array([pieces["Lp1"], pieces["Lp2"]]),
@@ -231,7 +204,6 @@ def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
         check_energy=pieces["check_energy"],
         name=f"slepian_wolf(gamma={gamma}, p={p})",
         path_description=path.describe() if hasattr(path, "describe") else "custom path",
-        kernel=kernel,
         zero_param_exact=(gamma == 0.0),
         trial_entropy_scale=1.0 / (1.0 - gamma),
     )
@@ -274,17 +246,6 @@ def make_emac(
         l2 = _poly.polyval(x[..., 1], L2c)
         return eps * (l1 + l2) + (1.0 - eps) * l1 * l2 / 2.0
 
-    kernel = TwoUserKernel(
-        lam1=lam1c,
-        rho1=pieces["rho1c"],
-        node1=L1c,
-        lam2=lam2c,
-        rho2=pieces["rho2c"],
-        node2=L2c,
-        psi1=np.array([0.0, 1.0, 0.5, -0.5]),
-        psi2=np.array([0.0, 1.0, 0.5, -0.5]),
-    )
-
     return SystemDefinition(
         d=2,
         weights=np.array([pieces["Lp1"], pieces["Lp2"]]),
@@ -294,7 +255,6 @@ def make_emac(
         check_energy=pieces["check_energy"],
         name="emac",
         path_description="single channel parameter",
-        kernel=kernel,
         zero_param_exact=False,
         trial_entropy_scale=1.0,
     )
@@ -440,7 +400,6 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
             out = out - (1.0 - acc)
         return out
 
-    kernel = ProtographKernel(row=row, col=col, expo=expo, col_scale=scale, col_fixed=fixed)
     return SystemDefinition(
         d=d,
         weights=expo.astype(float),
@@ -450,7 +409,6 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         check_energy=check_energy,
         name=f"protograph{H.tolist()}",
         path_description="uniform channel" if spec.node_scale is None else "scaled per-column channel",
-        kernel=kernel,
         zero_param_exact=(len(spec.punctured_columns) == 0),
         trial_entropy_scale=None,
     )

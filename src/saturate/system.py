@@ -21,8 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
-
 log = logging.getLogger("saturate")
 
 OVERSHOOT_TOL = 1e-14
@@ -57,7 +55,6 @@ class SystemDefinition:
     check_energy: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     path_description: str = "eps"
-    kernel: object = None
     # False when the model genuinely keeps erasures alive at eps=0 (two-user
     # systems with surviving cross terms); the zero-parameter boundary checks
     # are then informational.
@@ -224,14 +221,8 @@ def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
     and converged is then False. Iterates are never altered: every returned
     row is the plain recursion's iterate after the returned number of steps,
     so a batch without cycles gives the same limits, iteration count, dirs
-    and mono as a loop without the check. The compiled lane (kernels.py) has
-    no cycle exit and takes a scalar eps only; an eps array runs the numpy
-    loop.
+    and mono as a loop without the check.
     """
-    if sys.kernel is not None and kernels.enabled() and np.ndim(eps) == 0:
-        Xk = np.ascontiguousarray(np.clip(np.asarray(X, float), 0.0, 1.0))
-        it, conv, dirs, mono = kernels.batch_limit(sys.kernel, Xk, eps, tol, max_iter)
-        return Xk, it, conv, dirs, mono
     X, it, conv, dirs, mono, _ = _iterate_batch_numpy(sys, X, eps, tol, max_iter)
     return X, it, conv, dirs, mono
 
@@ -248,14 +239,9 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
     budget.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    if keep_path or sys.kernel is None or not kernels.enabled():
-        X, it, conv, dirs, mono, path = _iterate_batch_numpy(
-            sys, x0, eps, tol, max_iter, keep_path=keep_path
-        )
-        path_arr = np.concatenate([p for p in path], axis=0) if keep_path else None
-    else:
-        X, it, conv, dirs, mono = iterate_batch(sys, x0, eps, tol, max_iter)
-        path_arr = None
+    X, it, conv, dirs, mono, path = _iterate_batch_numpy(
+        sys, x0, eps, tol, max_iter, keep_path=keep_path
+    )
     if not conv and it < max_iter:
         log.warning("iterate_limit: period-2 cycle after %d iterations (eps=%g)", it, eps)
     elif not conv:
@@ -266,7 +252,7 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
         converged=bool(conv),
         monotone_direction=_DIR_NAME[int(dirs[0])],
         monotone_ok=bool(mono[0]),
-        path=path_arr,
+        path=np.concatenate(path, axis=0) if keep_path else None,
     )
 
 

@@ -182,16 +182,22 @@ def test_verify_zero_samples_is_config_error(tmp_path):
 
 
 def test_outputs_deterministic(tmp_path):
-    cfg = {
-        "system": PROTO,
-        "analysis": {"gap_grid": [0.45, 0.5], "bisect_tol": 1e-4, "seed": 9},
-    }
-    p = _write(tmp_path, cfg)
-    for jobs, name in ((1, "a"), (4, "b")):
-        assert main(["threshold", "--config", p, "--jobs", str(jobs),
-                     "--out", str(tmp_path / name)]) == 0
-    for fname in ("threshold_report.json", "energy_gap.csv"):
-        assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+    cases = [
+        ("threshold", {"gap_grid": [0.45, 0.5], "bisect_tol": 1e-4, "seed": 9},
+         ("threshold_report.json", "energy_gap.csv")),
+        ("coupled", {"L": 4, "w": 2, "eps_values": [0.45, 0.5], "record_every": 5,
+                     "width_bound": False, "seed": 9},
+         ("coupled_report.json", "coupled_profile_eps_0.45.csv",
+          "coupled_profile_eps_0.5.csv")),
+    ]
+    for command, analysis, files in cases:
+        p = _write(tmp_path, {"system": PROTO, "analysis": analysis}, f"{command}.json")
+        for jobs in (1, 4):
+            assert main([command, "--config", p, "--jobs", str(jobs),
+                         "--out", str(tmp_path / f"{command}_{jobs}")]) == 0
+        for fname in files:
+            a = (tmp_path / f"{command}_1" / fname).read_bytes()
+            assert a == (tmp_path / f"{command}_4" / fname).read_bytes()
 
 
 def test_csv_floats_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import saturate as st
+from saturate import kernels
 from saturate.coupled import coupled_step_indexform, shift_rows
 from saturate.system import _step_raw
 
@@ -47,6 +48,17 @@ def test_matrix_vs_index_form(all_systems):
         a = st.coupled_step(sys, X, 0.5).rows
         b = coupled_step_indexform(sys, X, 0.5).rows
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("L, w", [(3, 1), (3, 2), (5, 4)])
+def test_window_ops_match_dense_matrix(L, w):
+    rng = np.random.default_rng(2)
+    spec = st.CouplingSpec(L=L, w=w)
+    A = spec.matrix()
+    Z = rng.random((spec.n_rows, 2))
+    Y = rng.random((spec.n_bit_rows, 2))
+    assert np.max(np.abs(kernels.window_mean_forward(Z, w) - A @ Z)) < 1e-14
+    assert np.max(np.abs(kernels.window_mean_adjoint(Y, w) - A.T @ Y)) < 1e-14
 
 
 def test_matrix_vs_dense_operator(sys36):
@@ -119,6 +131,27 @@ def test_coupled_limit_snapshots(sys36):
     assert rep.snapshots[-1][0] == rep.iterations
     iters = [it for it, _ in rep.snapshots]
     assert iters == sorted(iters)
+
+
+def test_coupled_limit_recording_keeps_the_run(sys36):
+    # snapshots every 7 steps land on the same state after the same count
+    spec = st.CouplingSpec(L=8, w=3)
+    a, rep_a = st.coupled_limit(sys36, spec, 0.5)
+    b, rep_b = st.coupled_limit(sys36, spec, 0.5, record_every=7)
+    assert rep_a.iterations == rep_b.iterations
+    assert np.array_equal(a.rows, b.rows)
+    n = rep_b.iterations
+    assert [it for it, _ in rep_b.snapshots] == list(range(0, n, 7)) + [n]
+    assert np.array_equal(rep_b.snapshots[-1][1], b.rows)
+
+
+def test_coupled_limit_table_path_slepian_wolf(lam36, rho36):
+    path = st.TablePath(knots=[0, 1], eps1=[0, 1], eps2=[0, 1])
+    sys = st.make_slepian_wolf(
+        st.SlepianWolfParams(lam36, rho36, lam36, rho36, gamma=0.1, p=0.2, path=path)
+    )
+    state, rep = st.coupled_limit(sys, st.CouplingSpec(L=4, w=2), 0.2, max_iter=20000)
+    assert rep.converged
 
 
 def test_coupled_potential_zero(all_systems):
