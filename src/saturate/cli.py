@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, build_system, config_hash, load_config
 from .coupled import (
+    COUPLED_MAX_ITER,
     CouplingSpec,
     coupled_bp_threshold,
     coupled_limit,
@@ -106,15 +107,9 @@ def cmd_threshold(cfg: dict, out_dir: Path) -> int:
     gap_grid = analysis["gap_grid"]
     seed = analysis.get("seed", 0)
     thetas = analysis.get("theta_values")
-    cells = [None] if thetas is None else list(thetas)
-
-    def run(theta):
+    for theta in [None] if thetas is None else thetas:
         system = build_system(cfg["system"], theta=theta)
-        return theta, threshold_report(system, gap_grid=gap_grid, tol=tol)
-
-    results = [run(theta) for theta in cells]
-
-    for theta, rep in results:
+        rep = threshold_report(system, gap_grid=gap_grid, tol=tol)
         suffix = "" if theta is None else f"_theta_{theta:g}"
         body = _base_report("threshold", cfg, seed)
         body.update(
@@ -153,24 +148,18 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     one_sided = analysis.get("one_sided", False)
     mode = analysis.get("mode", "limit")
     tol = analysis.get("bisect_tol", BISECT_TOL)
-    max_iter = analysis.get("max_iter", 200000)
+    max_iter = analysis.get("max_iter", COUPLED_MAX_ITER)
     record_every = analysis.get("record_every", 0)
     want_bound = analysis.get("width_bound", True)
     seed = analysis.get("seed", 0)
     system = build_system(cfg["system"])
     spec = CouplingSpec(L=L, w=w, one_sided=one_sided)
-
-    def run(eps):
-        state, rep = coupled_limit(system, spec, eps, max_iter=max_iter,
-                                   record_every=record_every)
-        return eps, state, rep
-
-    results = [run(eps) for eps in eps_values] if mode in ("limit", "both") else []
-
     bound_value = float(hessian_bound(system)) if want_bound else None
     runs = []
     failed_numerics = False
-    for eps, state, rep in results:
+    for eps in eps_values if mode in ("limit", "both") else []:
+        state, rep = coupled_limit(system, spec, eps, max_iter=max_iter,
+                                   record_every=record_every)
         snaps = rep.snapshots or [(rep.iterations, state.rows)]
         csv_rows = []
         positions = spec.positions()

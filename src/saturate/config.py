@@ -121,12 +121,15 @@ _OUTPUT = {
     "additionalProperties": False,
 }
 
+# a channel value the analyses accept: eps in (0, 1]
+_CHANNEL = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+
 _ANALYSIS = {
     "threshold": {
         "type": "object",
         "properties": {
             "bisect_tol": {"type": "number", "exclusiveMinimum": 0},
-            "gap_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+            "gap_grid": {"type": "array", "items": _CHANNEL, "minItems": 1},
             "theta_values": {
                 "type": "array",
                 "items": {"type": "number", "minimum": 0, "maximum": 1},
@@ -142,7 +145,7 @@ _ANALYSIS = {
         "properties": {
             "L": {"type": "integer", "minimum": 0},
             "w": {"type": "integer", "minimum": 1},
-            "eps_values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+            "eps_values": {"type": "array", "items": _CHANNEL, "minItems": 1},
             "one_sided": {"type": "boolean"},
             "mode": {"enum": ["limit", "threshold", "both"]},
             "bisect_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -161,7 +164,7 @@ _ANALYSIS = {
             "seed": {"type": "integer"},
             "eps_values": {
                 "type": "array",
-                "items": {"type": "number"},
+                "items": _CHANNEL,
                 "minItems": 3,
                 "maxItems": 3,
             },

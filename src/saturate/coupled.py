@@ -202,9 +202,10 @@ def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
         new = _coupled_step_rows(sys, rows, spec.w, eps)
         if spec.one_sided:
             _tie(new, spec.i0_row)
-        if np.any(new - rows > MONO_SLACK):
+        change = new - rows
+        if np.any(change > MONO_SLACK):
             mono_ok = False
-        delta = float(np.max(np.abs(new - rows)))
+        delta = float(np.max(np.abs(change)))
         rows = new
         it_total += 1
         if record_every > 0 and it_total % record_every == 0:

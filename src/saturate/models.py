@@ -305,10 +305,6 @@ class ProtographSpec:
             raise ValueError("punctured column index out of range")
         object.__setattr__(self, "punctured_columns", punct)
 
-    @property
-    def n_edges(self) -> int:
-        return int(np.count_nonzero(self.H))
-
 
 def make_protograph(spec: ProtographSpec) -> SystemDefinition:
     """Per-edge erasure recursion of a protograph ensemble.

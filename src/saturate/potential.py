@@ -175,7 +175,7 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     """
 
     def dies(eps: np.ndarray) -> np.ndarray:
-        X, it, conv, _, _ = iterate_batch(sys, np.ones((len(eps), sys.d)), eps, iter_tol, max_iter)
+        X, it, conv = iterate_batch(sys, np.ones((len(eps), sys.d)), eps, iter_tol, max_iter)
         if not conv:
             moving = np.max(np.abs(_step_raw(sys, X, eps) - X), axis=-1) > iter_tol
             log.warning("bp_threshold: %d of %d probes still moving after %d iterations (%s): "
@@ -322,7 +322,7 @@ def fixed_points(sys: SystemDefinition, eps: float, tol: float = FP_RESIDUAL_TOL
         axes = [np.linspace(0.0, 1.0, per_axis)] * sys.d
         mesh = np.meshgrid(*axes, indexing="ij")
         seeds = np.stack([m.ravel() for m in mesh], axis=-1)[:max_seeds]
-        cands, it, conv, _, _ = iterate_batch(sys, seeds, eps, tol=iter_tol, max_iter=max_iter)
+        cands, it, conv = iterate_batch(sys, seeds, eps, tol=iter_tol, max_iter=max_iter)
         cands = np.concatenate([cands, ones_lim[None, :]], axis=0)
         res = _residual_sup(sys, cands, eps)
         if not conv:

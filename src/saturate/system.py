@@ -31,11 +31,6 @@ DEFAULT_MAX_ITER = 100000
 CYCLE_CHECK_EVERY = 64
 
 
-def componentwise_leq(a: np.ndarray, b: np.ndarray, slack: float = 0.0) -> bool:
-    """The partial order on [0,1]^d: a precedes b when every entry does."""
-    return bool(np.all(np.asarray(a) <= np.asarray(b) + slack))
-
-
 @dataclass(frozen=True, eq=False)
 class SystemDefinition:
     """A vector admissible system with closed-form potentials.
@@ -146,33 +141,28 @@ def _classify_direction(delta: np.ndarray) -> np.ndarray:
     return np.where(up, 1, np.where(down, -1, 0)).astype(np.int8)
 
 
-def _iterate_batch_numpy(sys, X, eps, tol, max_iter, keep_path=False):
+def _iterate(sys, X, eps, tol, max_iter, observe=None):
+    """The batch loop behind iterate_batch and iterate_limit (rules in iterate_batch).
+
+    observe(delta, X), when given, runs after every step with that step's raw
+    change, before the cycle exit zeroes any row, and the new iterates.
+    """
     X = np.clip(np.asarray(X, dtype=float), 0.0, 1.0).copy()
-    n = X.shape[0]
-    dirs = np.zeros(n, np.int8)
-    mono = np.ones(n, bool)
-    cycled = np.zeros(n, bool)
+    cycled = np.zeros(X.shape[0], bool)
     any_cycled = False
     # period-2 detection: row sums two steps before a check, then the rows
     # a check suspects, their iterates at the check, and when to confirm them
     fingerprint = suspects = snapshot = None
     confirm_at = -1
-    path = [X.copy()] if keep_path else None
     it = 0
     converged = False
     while it < max_iter:
         Xn = _step_raw(sys, X, eps)
         delta = Xn - X
-        if it == 0:
-            dirs = _classify_direction(delta)
-        else:
-            bad_up = (dirs == 1) & np.any(delta < -MONO_SLACK, axis=-1)
-            bad_down = (dirs == -1) & np.any(delta > MONO_SLACK, axis=-1)
-            mono &= ~(bad_up | bad_down)
         X = Xn
         it += 1
-        if keep_path:
-            path.append(X.copy())
+        if observe is not None:
+            observe(delta, X)
         if it % CYCLE_CHECK_EVERY == CYCLE_CHECK_EVERY - 2:
             fingerprint = X.sum(axis=-1)
         elif it % CYCLE_CHECK_EVERY == 0:
@@ -192,16 +182,15 @@ def _iterate_batch_numpy(sys, X, eps, tol, max_iter, keep_path=False):
         if np.max(np.abs(delta)) <= tol:
             converged = not any_cycled
             break
-    return X, it, converged, dirs, mono, path
+    return X, it, converged
 
 
 def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
                   max_iter: int = DEFAULT_MAX_ITER):
     """Iterate each row of X to the recursion limit.
 
-    Returns (limits, iterations, converged, dirs, mono) where dirs holds the
-    per-row first-step direction (+1 up, -1 down, 0 neither) and mono whether
-    the iterate sequence stayed componentwise monotone along that direction.
+    Returns (limits, iterations, converged). The batch keeps no per-row
+    monotonicity record; iterate_limit checks that along its one trajectory.
 
     eps is a scalar or an array of per-row channel parameters broadcasting
     against X.shape[:-1]. The stop rule is the same either way: the whole
@@ -220,11 +209,10 @@ def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
     convergence test, the batch stops once every other row has converged,
     and converged is then False. Iterates are never altered: every returned
     row is the plain recursion's iterate after the returned number of steps,
-    so a batch without cycles gives the same limits, iteration count, dirs
-    and mono as a loop without the check.
+    so a batch without cycles gives the same limits and iteration count as a
+    loop without the check.
     """
-    X, it, conv, dirs, mono, _ = _iterate_batch_numpy(sys, X, eps, tol, max_iter)
-    return X, it, conv, dirs, mono
+    return _iterate(sys, X, eps, tol, max_iter)
 
 
 _DIR_NAME = {1: "up", -1: "down", 0: "none"}
@@ -236,12 +224,26 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
 
     A start in an exact period-2 cycle stops early with converged False (the
     rule is in iterate_batch); iterations < max_iter tells it from a spent
-    budget.
+    budget. monotone_direction classifies the first step and monotone_ok
+    says whether no later step moved against it by more than MONO_SLACK;
+    both are checked step by step, without storing the trajectory.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    X, it, conv, dirs, mono, path = _iterate_batch_numpy(
-        sys, x0, eps, tol, max_iter, keep_path=keep_path
-    )
+    path = [np.clip(x0, 0.0, 1.0)] if keep_path else None
+    direction = None  # of the first step: 1 up, -1 down, 0 neither
+    mono = True
+
+    def observe(delta, X):
+        nonlocal direction, mono
+        if direction is None:
+            direction = int(_classify_direction(delta)[0])
+        elif (direction == 1 and np.any(delta < -MONO_SLACK)) or (
+                direction == -1 and np.any(delta > MONO_SLACK)):
+            mono = False
+        if keep_path:
+            path.append(X)
+
+    X, it, conv = _iterate(sys, x0, eps, tol, max_iter, observe)
     if not conv and it < max_iter:
         log.warning("iterate_limit: period-2 cycle after %d iterations (eps=%g)", it, eps)
     elif not conv:
@@ -250,8 +252,8 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
         limit=X[0],
         iterations=it,
         converged=bool(conv),
-        monotone_direction=_DIR_NAME[int(dirs[0])],
-        monotone_ok=bool(mono[0]),
+        monotone_direction=_DIR_NAME[direction or 0],
+        monotone_ok=mono,
         path=np.concatenate(path, axis=0) if keep_path else None,
     )
 

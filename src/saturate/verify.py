@@ -103,8 +103,8 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
     rng = np.random.default_rng(seed)
     if thresholds is None:
         thresholds = {}
-    bp = thresholds.get("bp") or bp_threshold(sys)
-    pot = thresholds.get("potential") or potential_threshold(sys)
+    bp = bp_threshold(sys) if thresholds.get("bp") is None else thresholds["bp"]
+    pot = potential_threshold(sys) if thresholds.get("potential") is None else thresholds["potential"]
     if eps_values is None:
         eps_values = (0.85 * bp, 0.5 * (bp + pot), min(1.0, pot + 0.35 * (1.0 - pot)))
     eps_values = tuple(float(e) for e in eps_values)

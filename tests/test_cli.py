@@ -51,9 +51,12 @@ def test_threshold_command(tmp_path):
     assert len(csv_lines) == 4
 
 
-def test_threshold_empty_grid_is_config_error(tmp_path):
-    cfg = {"system": PROTO, "analysis": {"gap_grid": []}}
-    assert main(["threshold", "--config", _write(tmp_path, cfg)]) == 2
+def test_threshold_empty_grid_is_config_error(tmp_path, capsys):
+    # an empty grid, or a grid point outside the channel range (0, 1]
+    for grid in ([], [1.5], [0.0]):
+        cfg = {"system": PROTO, "analysis": {"gap_grid": grid}}
+        assert main(["threshold", "--config", _write(tmp_path, cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_threshold_unknown_key_rejected(tmp_path):
@@ -118,9 +121,14 @@ def test_coupled_command_profile_contract(tmp_path):
         assert n_rows == runs[eps]["snapshots_recorded"] * (2 * L + w) * d
 
 
-def test_coupled_zero_window_is_config_error(tmp_path):
-    cfg = {"system": PROTO, "analysis": {"L": 4, "w": 0, "eps_values": [0.4]}}
-    assert main(["coupled", "--config", _write(tmp_path, cfg)]) == 2
+def test_coupled_zero_window_is_config_error(tmp_path, capsys):
+    # a zero window, or channel values outside (0, 1]
+    for analysis in ({"L": 4, "w": 0, "eps_values": [0.4]},
+                     {"L": 4, "w": 2, "eps_values": [1.5, -0.2], "width_bound": False},
+                     {"L": 4, "w": 2, "eps_values": [0.0]}):
+        cfg = {"system": PROTO, "analysis": analysis}
+        assert main(["coupled", "--config", _write(tmp_path, cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_coupled_threshold_mode(tmp_path):
@@ -176,9 +184,12 @@ def test_verify_corrupt_f_exits_4(tmp_path, capsys):
     assert "gradient_bit" in err
 
 
-def test_verify_zero_samples_is_config_error(tmp_path):
-    cfg = {"system": PROTO, "analysis": {"n_samples": 0}}
-    assert main(["verify", "--config", _write(tmp_path, cfg)]) == 2
+def test_verify_zero_samples_is_config_error(tmp_path, capsys):
+    # no samples, or a channel value outside (0, 1]
+    for analysis in ({"n_samples": 0}, {"n_samples": 50, "eps_values": [0.3, 0.45, 1.7]}):
+        cfg = {"system": PROTO, "analysis": analysis}
+        assert main(["verify", "--config", _write(tmp_path, cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_outputs_deterministic(tmp_path):

@@ -239,15 +239,13 @@ def test_unit_seeds_of_lift_exit_on_period_two_cycle(lift36, caplog):
 @pytest.mark.parametrize("eps", [1.0, 0.47])
 def test_lattice_batch_matches_plain_loop(lift36, eps):
     seeds = _lattice(lift36.d)
-    X, it, conv, dirs, mono = iterate_batch(lift36, seeds, eps)
+    X, it, conv = iterate_batch(lift36, seeds, eps)
     # iterates are never altered, so the reference run for the same number of
     # steps ends bit for bit where the cycle exit stopped
-    Xr, itr, convr, dirsr, monor = _plain_iterate_batch(
+    Xr, itr, convr, _, _ = _plain_iterate_batch(
         lift36, seeds, eps, DEFAULT_ITER_TOL, DEFAULT_MAX_ITER if eps < 1.0 else it
     )
     assert np.array_equal(X, Xr)
-    assert np.array_equal(dirs, dirsr)
-    assert np.array_equal(mono, monor)
     assert it == itr
     if eps == 1.0:
         assert not conv and not convr
@@ -256,28 +254,60 @@ def test_lattice_batch_matches_plain_loop(lift36, eps):
         assert conv and convr
 
 
+def _zero(x, *_):
+    return np.zeros(np.shape(x)[:-1])
+
+
 def _rotation(d):
     """x -> x shifted by one coordinate: period d, row sums never change."""
-
-    def zero(x, *_):
-        return np.zeros(np.shape(x)[:-1])
-
     return st.SystemDefinition(d=d, weights=np.ones(d), bit_update=lambda y, eps: np.roll(y, 1, -1),
-                               check_update=lambda x: x, bit_energy=zero, check_energy=zero)
+                               check_update=lambda x: x, bit_energy=_zero, check_energy=_zero)
+
+
+def _logistic():
+    """d=1, y -> 3.5 y (1 - y): from 0.9 it falls, then rises."""
+    return st.SystemDefinition(d=1, weights=np.ones(1), bit_update=lambda y, eps: 3.5 * y * (1 - y),
+                               check_update=lambda x: x, bit_energy=_zero, check_energy=_zero)
+
+
+def test_iterate_limit_monotone_matches_per_step_loop(sys36, lift36):
+    # (system, start, eps, max_iter, expected direction, expected monotone_ok)
+    cases = [
+        (sys36, np.ones(2), 0.45, DEFAULT_MAX_ITER, "down", True),
+        (sys36, np.full(2, 0.3), 0.46, DEFAULT_MAX_ITER, "up", True),
+        (sys36, np.ones(2), 0.0, DEFAULT_MAX_ITER, "down", True),
+        (_logistic(), np.full(1, 0.9), 1.0, 200, "down", False),
+        (_rotation(3), np.eye(3)[0], 1.0, 3 * CYCLE_CHECK_EVERY, "none", True),
+        (lift36, np.eye(lift36.d)[0], 1.0, DEFAULT_MAX_ITER, None, None),
+    ]
+    names = {1: "up", -1: "down", 0: "none"}
+    for sys, x0, eps, max_iter, direction, ok in cases:
+        res = st.iterate_limit(sys, x0, eps, max_iter=max_iter)
+        # the reference has no cycle exit, so it runs for the steps taken
+        Xr, itr, _, dirs, mono = _plain_iterate_batch(sys, x0[None, :], eps, DEFAULT_ITER_TOL,
+                                                      res.iterations)
+        assert res.iterations == itr
+        assert np.array_equal(res.limit, Xr[0])
+        assert res.monotone_direction == names[int(dirs[0])]
+        assert res.monotone_ok == bool(mono[0])
+        if direction is not None:
+            assert (res.monotone_direction, res.monotone_ok) == (direction, ok)
+        else:
+            assert not res.converged and res.iterations < max_iter
 
 
 def test_cycle_exit_needs_exact_return_not_just_equal_row_sums():
     # period 3: every check suspects the row by its sum, no confirmation holds
-    _, it, conv, _, _ = iterate_batch(_rotation(3), np.eye(3)[:1], 1.0, max_iter=5 * CYCLE_CHECK_EVERY)
+    _, it, conv = iterate_batch(_rotation(3), np.eye(3)[:1], 1.0, max_iter=5 * CYCLE_CHECK_EVERY)
     assert not conv and it == 5 * CYCLE_CHECK_EVERY
     # period 2: confirmed at the first check
-    _, it, conv, _, _ = iterate_batch(_rotation(2), np.eye(2)[:1], 1.0)
+    _, it, conv = iterate_batch(_rotation(2), np.eye(2)[:1], 1.0)
     assert not conv and it == CYCLE_CHECK_EVERY + 2
 
 
 def test_per_row_eps_batch_runs_numpy_loop(sys36):
     e = np.array([1e-9, 0.3, 0.4294, 0.45, 1.0])
-    X, it, conv, _, _ = iterate_batch(sys36, np.ones((len(e), 2)), e)
+    X, it, conv = iterate_batch(sys36, np.ones((len(e), 2)), e)
     assert conv
     # each row is its own recursion, run for the batch's number of steps
     for i in range(len(e)):
