@@ -3,6 +3,8 @@
 A chain couples 2L+1 bit-side systems (positions -L..L) with 2L+w check-side
 systems (positions -L..L+w-1) through sliding-window averages of width w.
 States hold only the check-side rows; everything outside is implicitly zero.
+The step and the window operators also take a (k, n, d) stack of k chains,
+which is how coupled_bp_threshold iterates the probes of a bisection pass.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import kernels
 from .potential import (
     BISECT_TOL,
     ZERO_TOL,
-    _per_probe,
     _threshold_bisect,
     check_jacobian,
     energy_gap,
@@ -29,6 +30,7 @@ from .system import (
     DEFAULT_ITER_TOL,
     MONO_SLACK,
     SystemDefinition,
+    _check_eps,
     _step_raw,
     iterate_limit,
 )
@@ -36,6 +38,9 @@ from .system import (
 log = logging.getLogger("saturate")
 
 COUPLED_MAX_ITER = 200000
+# bisection levels that one coupled_bp_threshold pass probes (2**5 - 1 = 31
+# chains per pass), chosen by timing depths 1, 3 and 5 at L=32, w=3
+COUPLED_BISECT_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -110,16 +115,20 @@ class CoupledState:
 
 
 def _tie(rows: np.ndarray, i0_row: int) -> np.ndarray:
-    rows[i0_row + 1 :] = rows[i0_row]
+    """Pin the rows above i0_row to row i0_row, along the row axis -2."""
+    rows[..., i0_row + 1 :, :] = rows[..., i0_row : i0_row + 1, :]
     return rows
 
 
-def _coupled_step_rows(sys: SystemDefinition, rows: np.ndarray, w: int, eps: float) -> np.ndarray:
-    """Matrix-form update A^T f(A g(X); eps) via exact sliding-window sums."""
+def _coupled_step_rows(sys: SystemDefinition, rows: np.ndarray, w: int, eps) -> np.ndarray:
+    """Matrix-form update A^T f(A g(X); eps) via exact sliding-window sums.
+
+    rows is one chain (n, d) or a stack of chains (k, n, d); with a stack,
+    eps is a scalar or a (k, 1) array of per-chain channel parameters.
+    """
     G = sys.check_update(rows)
     Y = sys.bit_update(kernels.window_mean_forward(G, w), eps)
-    out = kernels.window_mean_adjoint(Y, w)
-    return np.clip(out, 0.0, 1.0)
+    return kernels.window_mean_adjoint(Y, w).clip(0.0, 1.0)
 
 
 def coupled_step(sys: SystemDefinition, X: CoupledState, eps: float) -> CoupledState:
@@ -182,6 +191,53 @@ class CoupledRunReport:
     snapshots: list = field(default_factory=list)  # (iteration, rows) pairs
 
 
+def _iterate_chains(sys: SystemDefinition, spec: CouplingSpec, rows: np.ndarray, eps,
+                    tol: float, max_iter: int, observe=None):
+    """Iterate a (k, n, d) stack of chains, each until its own update stalls.
+
+    eps is a scalar or a (k, 1) array of per-chain channel parameters. A
+    chain leaves the stack on the step at which its sup-norm change drops to
+    tol, so it stops on the same step, in the same state, as it would alone;
+    the others go on stepping until they stall or max_iter steps are spent.
+    observe(change, X), when given, runs after every step with that step's
+    change and the new iterates of the chains still in the stack.
+
+    Returns (rows, iterations, sup_change): the final (k, n, d) stack, and
+    per chain its step count and its last sup-norm change (inf for a chain
+    that took no step).
+    """
+    k = rows.shape[0]
+    out = rows.copy()
+    iterations = np.zeros(k, dtype=int)
+    sup_change = np.full(k, math.inf)
+    live = np.arange(k)
+    X = out
+    per_chain_eps = np.ndim(eps) > 0
+    it = 0
+    while it < max_iter and live.size:
+        new = _coupled_step_rows(sys, X, spec.w, eps)
+        if spec.one_sided:
+            _tie(new, spec.i0_row)
+        change = new - X
+        X = new
+        it += 1
+        if observe is not None:
+            observe(change, X)
+        # the method form: np.max(x, axis=...) adds a few us of dispatch per step
+        delta = np.abs(change).max(axis=(-2, -1))
+        stalled = (delta <= tol) | (it == max_iter)
+        if stalled.any():
+            done = live[stalled]
+            out[done] = X[stalled]
+            iterations[done] = it
+            sup_change[done] = delta[stalled]
+            keep = ~stalled
+            live, X = live[keep], X[keep]
+            if per_chain_eps:
+                eps = eps[keep]
+    return out, iterations, sup_change
+
+
 def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
                   tol: float = DEFAULT_ITER_TOL, max_iter: int = COUPLED_MAX_ITER,
                   zero_tol: float = ZERO_TOL, record_every: int = 0):
@@ -189,27 +245,24 @@ def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
 
     Iterates are checked componentwise non-increasing. record_every > 0
     stores state snapshots that many iterations apart (plus initial and
-    final). Returns (CoupledState, CoupledRunReport).
+    final). eps must lie in [0, 1]. Returns (CoupledState, CoupledRunReport).
     """
-    rows = np.ones((spec.n_rows, sys.d))
-    snapshots = []
-    if record_every > 0:
-        snapshots.append((0, rows.copy()))
-    it_total = 0
+    _check_eps(eps)
+    start = np.ones((1, spec.n_rows, sys.d))
+    snapshots = [(0, start[0].copy())] if record_every > 0 else []
+    steps = 0
     mono_ok = True
-    delta = math.inf
-    while it_total < max_iter and delta > tol:
-        new = _coupled_step_rows(sys, rows, spec.w, eps)
-        if spec.one_sided:
-            _tie(new, spec.i0_row)
-        change = new - rows
-        if np.any(change > MONO_SLACK):
+
+    def observe(change, X):
+        nonlocal steps, mono_ok
+        steps += 1
+        if (change > MONO_SLACK).any():
             mono_ok = False
-        delta = float(np.max(np.abs(change)))
-        rows = new
-        it_total += 1
-        if record_every > 0 and it_total % record_every == 0:
-            snapshots.append((it_total, rows.copy()))
+        if record_every > 0 and steps % record_every == 0:
+            snapshots.append((steps, X[0].copy()))
+
+    rows, iterations, sup_change = _iterate_chains(sys, spec, start, eps, tol, max_iter, observe)
+    rows, it_total, delta = rows[0], int(iterations[0]), float(sup_change[0])
     converged = delta <= tol
     if not converged:
         log.warning("coupled_limit: no convergence after %d iterations (eps=%g)", it_total, eps)
@@ -219,7 +272,7 @@ def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
     report = CoupledRunReport(
         iterations=it_total,
         converged=bool(converged),
-        sup_change=float(delta),
+        sup_change=delta,
         is_zero=bool(rows.max() < zero_tol),
         monotone_ok=mono_ok,
         snapshots=snapshots,
@@ -443,15 +496,35 @@ def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BIS
                          max_iter: int = COUPLED_MAX_ITER) -> float:
     """Largest eps at which the coupled chain from all-ones collapses to zero.
 
+    The bisection runs in passes: each pass covers COUPLED_BISECT_DEPTH
+    levels of the bisection tree and iterates one chain per probe eps in
+    one stack. Every chain leaves the stack on the step at which its own
+    update stalls, so each verdict is the one a single chain gives alone,
+    and the result is the float the one-probe bisection returns. A pass
+    lasts as long as its slowest chain, the probe nearest the coupled
+    threshold, whose decoding front stalls there for many steps.
+
     A probe that exhausts max_iter without reaching the zero state counts as
-    not collapsing, so near saturation the answer is budget-limited from
-    below.
+    not collapsing (a warning names its eps), so near saturation the answer
+    is budget-limited from below. Each pass logs every probe's eps, step
+    count and verdict at debug level.
     """
     spec = CouplingSpec(L=L, w=w)
 
-    def dies(eps: float) -> bool:
-        _, rep = coupled_limit(sys, spec, eps, tol=iter_tol, max_iter=max_iter,
-                               zero_tol=zero_tol)
-        return rep.converged and rep.is_zero
+    def dies(eps: np.ndarray) -> np.ndarray:
+        start = np.ones((len(eps), spec.n_rows, sys.d))
+        rows, steps, sup_change = _iterate_chains(sys, spec, start, eps[:, None], iter_tol,
+                                                  max_iter)
+        converged = sup_change <= iter_tol
+        verdict = converged & (np.max(rows, axis=(-2, -1)) < zero_tol)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("coupled_bp_threshold pass: %s", ", ".join(
+                f"(eps={e:.9g}, steps={s}, {'dies' if v else 'survives'})"
+                for e, s, v in zip(eps, steps, verdict)))
+        if not converged.all():
+            log.warning("coupled_bp_threshold: %d of %d probes still moving after %d iterations "
+                        "(iteration budget exhausted): eps = %s", np.count_nonzero(~converged),
+                        len(eps), max_iter, ", ".join(f"{e:.9g}" for e in eps[~converged]))
+        return verdict
 
-    return _threshold_bisect(_per_probe(dies), tol, "coupled_bp_threshold")
+    return _threshold_bisect(dies, tol, "coupled_bp_threshold", depth=COUPLED_BISECT_DEPTH)

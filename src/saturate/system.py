@@ -98,6 +98,13 @@ class IterationResult:
     path: Optional[np.ndarray] = None  # iterates, only when requested
 
 
+def _check_eps(eps) -> None:
+    """Raise unless every channel parameter in eps (scalar or array) lies in [0, 1]."""
+    eps_arr = np.asarray(eps, dtype=float)
+    if not np.all((eps_arr >= 0.0) & (eps_arr <= 1.0)):
+        raise ValueError("eps outside [0,1]")
+
+
 def _step_raw(sys: SystemDefinition, x: np.ndarray, eps) -> np.ndarray:
     """One recursion step without validation; clamps rounding overshoot."""
     return np.clip(sys.bit_update(sys.check_update(x), eps), 0.0, 1.0)
@@ -124,8 +131,7 @@ def step(sys: SystemDefinition, x, eps) -> np.ndarray:
     if not fits:
         raise ValueError(f"eps of shape {eps_arr.shape} does not broadcast against "
                          f"the batch shape {x.shape[:-1]}")
-    if not np.all((eps_arr >= 0.0) & (eps_arr <= 1.0)):
-        raise ValueError("eps outside [0,1]")
+    _check_eps(eps_arr)
     raw = sys.bit_update(sys.check_update(x), eps)
     if np.min(raw) < -OVERSHOOT_TOL or np.max(raw) > 1.0 + OVERSHOOT_TOL:
         raise ValueError(
@@ -210,8 +216,9 @@ def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
     and converged is then False. Iterates are never altered: every returned
     row is the plain recursion's iterate after the returned number of steps,
     so a batch without cycles gives the same limits and iteration count as a
-    loop without the check.
+    loop without the check. Raises if an eps lies outside [0, 1].
     """
+    _check_eps(eps)
     return _iterate(sys, X, eps, tol, max_iter)
 
 
@@ -226,8 +233,10 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
     rule is in iterate_batch); iterations < max_iter tells it from a spent
     budget. monotone_direction classifies the first step and monotone_ok
     says whether no later step moved against it by more than MONO_SLACK;
-    both are checked step by step, without storing the trajectory.
+    both are checked step by step, without storing the trajectory. Raises
+    if eps lies outside [0, 1].
     """
+    _check_eps(eps)
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     path = [np.clip(x0, 0.0, 1.0)] if keep_path else None
     direction = None  # of the first step: 1 up, -1 down, 0 neither

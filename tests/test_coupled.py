@@ -1,13 +1,15 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import saturate as st
 from saturate import kernels
-from saturate.coupled import coupled_step_indexform, shift_rows
-from saturate.system import _step_raw
+from saturate.coupled import _iterate_chains, coupled_step_indexform, shift_rows
+from saturate.system import DEFAULT_ITER_TOL, _step_raw
 
 
 def test_coupling_spec_validation():
@@ -312,3 +314,103 @@ def test_taylor_chain_at_w1_fixed_point(sys36, thresholds36):
     assert du <= -gap + 1e-6
     K = st.hessian_bound(sys36)
     assert abs(du) <= sys36.d / 2.0 * K + 1e-6
+
+
+def _window_forward_reference(Z, w):
+    # one chain (n, d), summed the way the sliding-window operator always has
+    if w == 1:
+        return Z.copy()
+    return sliding_window_view(Z, w, axis=0).sum(axis=-1) / w
+
+
+def _window_adjoint_reference(Y, w):
+    if w == 1:
+        return Y.copy()
+    pad = np.zeros((w - 1, Y.shape[1]))
+    return _window_forward_reference(np.concatenate([pad, Y, pad], axis=0), w)
+
+
+@pytest.mark.parametrize("L, w", [(3, 1), (3, 2), (5, 4), (32, 3), (256, 3), (64, 7)])
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_window_ops_match_sliding_window_sums(L, w, d, k):
+    rng = np.random.default_rng(L * 100 + w * 10 + d)
+    Z = rng.random((k, 2 * L + w, d))
+    Y = rng.random((k, 2 * L + 1, d))
+    fwd = kernels.window_mean_forward(Z, w)
+    adj = kernels.window_mean_adjoint(Y, w)
+    assert fwd.shape == (k, 2 * L + 1, d) and adj.shape == Z.shape
+    for i in range(k):
+        assert np.array_equal(fwd[i], _window_forward_reference(Z[i], w))
+        assert np.array_equal(adj[i], _window_adjoint_reference(Y[i], w))
+        # a single chain passed as (n, d) gives the same rows
+        assert np.array_equal(kernels.window_mean_forward(Z[i], w), fwd[i])
+        assert np.array_equal(kernels.window_mean_adjoint(Y[i], w), adj[i])
+
+
+@pytest.mark.parametrize("name", ["sys36", "emac36", "sw_half"])
+@pytest.mark.parametrize("spec", [st.CouplingSpec(L=4, w=2), st.CouplingSpec(L=6, w=3, one_sided=True)])
+def test_chain_stack_matches_one_chain_runs(name, spec, request):
+    # every chain stops on the step at which it would stop alone, including
+    # chains cut by the budget
+    sys = request.getfixturevalue(name)
+    eps = np.array([0.2, 0.3, 0.45, 0.5, 0.6])
+    max_iter = 60
+    start = np.ones((len(eps), spec.n_rows, sys.d))
+    rows, iterations, sup_change = _iterate_chains(sys, spec, start, eps[:, None],
+                                                   DEFAULT_ITER_TOL, max_iter)
+    assert np.all(start == 1.0)
+    for i, e in enumerate(eps):
+        state, rep = st.coupled_limit(sys, spec, float(e), max_iter=max_iter)
+        assert np.array_equal(rows[i], state.rows)
+        assert iterations[i] == rep.iterations
+        assert sup_change[i] == rep.sup_change
+    assert np.any(iterations == max_iter) and np.any(iterations < max_iter)
+
+
+def _one_probe_coupled_bp_threshold(sys, L, w, tol):
+    # the one-chain-per-probe bisection the batched passes must reproduce
+    spec = st.CouplingSpec(L=L, w=w)
+
+    def dies(eps):
+        _, rep = st.coupled_limit(sys, spec, eps)
+        return rep.converged and rep.is_zero
+
+    lo, hi = 1e-9, 1.0
+    if dies(1.0):
+        return 1.0
+    if not dies(lo):
+        return 0.0
+    for _ in range(60):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if dies(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("name", ["sys36", "emac36", "sw_half"])
+def test_coupled_bp_threshold_equals_one_probe_bisection(name, request):
+    sys = request.getfixturevalue(name)
+    assert (st.coupled_bp_threshold(sys, L=8, w=3, tol=1e-3)
+            == _one_probe_coupled_bp_threshold(sys, 8, 3, 1e-3))
+
+
+def test_coupled_bp_threshold_logs_probes(sys36, caplog):
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    st.coupled_bp_threshold(sys36, L=4, w=2, tol=0.1, max_iter=40)
+    passes = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG
+              and r.getMessage().startswith("coupled_bp_threshold pass")]
+    assert passes and "(eps=1, steps=" in passes[0] and "survives)" in passes[0]
+    assert "(eps=1e-09, steps=" in passes[0] and "dies)" in passes[0]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("iteration budget exhausted" in m and "eps = " in m for m in warnings)
+
+
+@pytest.mark.parametrize("eps", [1.5, -0.2])
+def test_coupled_limit_rejects_eps_outside_unit_interval(sys36, eps):
+    with pytest.raises(ValueError, match="eps outside"):
+        st.coupled_limit(sys36, st.CouplingSpec(L=4, w=2), eps)

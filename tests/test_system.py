@@ -316,3 +316,11 @@ def test_per_row_eps_batch_runs_numpy_loop(sys36):
             x = _step_raw(sys36, x, float(e[i]))
         assert np.array_equal(X[i], x)
     assert np.max(X[:3]) < 1e-8 and np.min(X[3:]) > 0.1
+
+
+@pytest.mark.parametrize("eps", [1.5, -0.2])
+def test_iterate_rejects_eps_outside_unit_interval(sys36, eps):
+    with pytest.raises(ValueError, match="eps outside"):
+        st.iterate_limit(sys36, sys36.ones(), eps)
+    with pytest.raises(ValueError, match="eps outside"):
+        iterate_batch(sys36, np.ones((2, 2)), np.array([0.3, eps]))
