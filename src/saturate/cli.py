@@ -154,7 +154,7 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     seed = analysis.get("seed", 0)
     system = build_system(cfg["system"])
     spec = CouplingSpec(L=L, w=w, one_sided=one_sided)
-    bound_value = float(hessian_bound(system)) if want_bound else None
+    bound_value = hessian_bound(system) if want_bound else None
     runs = []
     failed_numerics = False
     for eps in eps_values if mode in ("limit", "both") else []:

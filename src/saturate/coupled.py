@@ -405,19 +405,6 @@ def verify_shift_lemmas(sys: SystemDefinition, X: CoupledState, eps: float) -> l
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HessianBoundEstimate:
-    value: float
-    check_jac_max: float
-    check_hess_max: float
-    bit_jac_max: float
-    n_samples: int
-    fd_step: float
-
-    def __float__(self):
-        return self.value
-
-
 def _sample_lattice(d: int, per_axis: int, cap: int) -> np.ndarray:
     if per_axis**d <= cap:
         axes = [np.linspace(0.0, 1.0, per_axis)] * d
@@ -426,7 +413,7 @@ def _sample_lattice(d: int, per_axis: int, cap: int) -> np.ndarray:
     else:
         rng = np.random.default_rng(0)
         pts = rng.random((cap, d))
-    corners = np.array(list(itertools.product([0.0, 1.0], repeat=d))[: min(2**d, 256)])
+    corners = np.array(list(itertools.islice(itertools.product([0.0, 1.0], repeat=d), 256)))
     return np.concatenate([pts, corners], axis=0)
 
 
@@ -437,8 +424,8 @@ def _bit_jacobian(sys, x, eps, h):
     return np.swapaxes((fp - fm) / (2.0 * h), -1, -2)
 
 
-def hessian_bound_details(sys: SystemDefinition, n_samples: int = 10000,
-                          per_axis: int = 9, fd_step: float = 1e-5) -> HessianBoundEstimate:
+def hessian_bound(sys: SystemDefinition, n_samples: int = 10000, per_axis: int = 9,
+                  fd_step: float = 1e-5) -> float:
     """Sampled bound on the coupled-potential Hessian norm.
 
     K = max(weights) * (g'_max + g''_max + 2 g'_max^2 f'_max) with the
@@ -457,19 +444,7 @@ def hessian_bound_details(sys: SystemDefinition, n_samples: int = 10000,
     g2 = float(np.max(np.sum(np.abs(Hg), axis=1)))  # max row sum over the j axis
     Jf = _bit_jacobian(sys, pts, 1.0, fd_step)
     f1 = float(np.max(np.sum(np.abs(Jf), axis=-1)))
-    k = float(np.max(sys.weights)) * (g1 + g2 + 2.0 * g1 * g1 * f1)
-    return HessianBoundEstimate(
-        value=k,
-        check_jac_max=g1,
-        check_hess_max=g2,
-        bit_jac_max=f1,
-        n_samples=len(pts),
-        fd_step=fd_step,
-    )
-
-
-def hessian_bound(sys: SystemDefinition, n_samples: int = 10000, **kwargs) -> float:
-    return hessian_bound_details(sys, n_samples, **kwargs).value
+    return float(np.max(sys.weights)) * (g1 + g2 + 2.0 * g1 * g1 * f1)
 
 
 def min_coupling_width(sys: SystemDefinition, eps: float, gap: Optional[float] = None,

@@ -31,6 +31,8 @@ NEWTON_MAX_ITER = 50
 # bisection levels that one batched bp_threshold pass probes (2**5 - 1 = 31
 # eps rows per pass)
 BP_BISECT_DEPTH = 5
+# grid points of the pinned component on each branch that maxwell_threshold walks
+BRANCH_POINTS = 50
 
 
 def potential(sys: SystemDefinition, x, eps: float):
@@ -148,11 +150,6 @@ def _threshold_bisect(true_below, tol: float, name: str,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _per_probe(holds):
-    """The array predicate of _threshold_bisect from a one-eps predicate."""
-    return lambda eps: np.array([holds(float(e)) for e in eps], dtype=bool)
 
 
 def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
@@ -306,15 +303,15 @@ def fixed_points(sys: SystemDefinition, eps: float, tol: float = FP_RESIDUAL_TOL
     """Numerically enumerate the nontrivial fixed points at a given eps.
 
     d=2 systems get damped-Newton solves from a lattice of seeds (interior,
-    boundary faces, and diagonal), which also finds unstable points; other
-    dimensions fall back to forward iteration from a lattice, which finds the
-    stable ones. The all-ones limit is always included. Enumeration is
-    heuristic: nothing proves completeness.
+    boundary faces, and diagonal) plus the all-ones limit, which also finds
+    unstable points; other dimensions fall back to forward iteration from a
+    lattice with an all-ones row appended, which finds the stable ones.
+    Enumeration is heuristic: nothing proves completeness.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    ones_lim = iterate_limit(sys, sys.ones(), eps, tol=iter_tol, max_iter=max_iter).limit
     if sys.d == 2:
+        ones_lim = iterate_limit(sys, sys.ones(), eps, tol=iter_tol, max_iter=max_iter).limit
         seeds = np.concatenate([_seed_lattice_2d(grid), ones_lim[None, :]], axis=0)
         cands, res = _newton_batch(sys, seeds, eps)
     else:
@@ -322,12 +319,12 @@ def fixed_points(sys: SystemDefinition, eps: float, tol: float = FP_RESIDUAL_TOL
         axes = [np.linspace(0.0, 1.0, per_axis)] * sys.d
         mesh = np.meshgrid(*axes, indexing="ij")
         seeds = np.stack([m.ravel() for m in mesh], axis=-1)[:max_seeds]
+        seeds = np.concatenate([seeds, sys.ones()[None, :]], axis=0)
         cands, it, conv = iterate_batch(sys, seeds, eps, tol=iter_tol, max_iter=max_iter)
-        cands = np.concatenate([cands, ones_lim[None, :]], axis=0)
         res = _residual_sup(sys, cands, eps)
         if not conv:
             log.debug("fixed_points: %d of %d lattice rows still moving after %d iterations "
-                      "(%s, eps=%g)", np.count_nonzero(res[:-1] > iter_tol), len(seeds), it,
+                      "(%s, eps=%g)", np.count_nonzero(res > iter_tol), len(seeds), it,
                       "period-2 cycles" if it < max_iter else "budget exhausted", eps)
     good = (res <= tol) & (np.max(np.abs(cands), axis=-1) > 1e-7)
     pts = _cluster(cands[good], res[good], cluster_radius)
@@ -351,10 +348,10 @@ def energy_gap(sys: SystemDefinition, eps: float, **kwargs) -> float:
 def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL, **kwargs) -> float:
     """Largest eps at which every nontrivial fixed point has nonnegative potential."""
 
-    def nonneg(eps: float) -> bool:
-        return energy_gap(sys, eps, **kwargs) >= 0.0
+    def nonneg(eps: np.ndarray) -> np.ndarray:
+        return np.array([energy_gap(sys, float(e), **kwargs) >= 0.0 for e in eps], dtype=bool)
 
-    return _threshold_bisect(_per_probe(nonneg), tol, "potential_threshold")
+    return _threshold_bisect(nonneg, tol, "potential_threshold")
 
 
 def epsilon_of_x(sys: SystemDefinition, x, tol: float = FP_RESIDUAL_TOL) -> Optional[float]:
@@ -401,124 +398,147 @@ def fixed_point_potential(sys: SystemDefinition, x) -> float:
 def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL, **kwargs) -> float:
     """Smallest eps at which some fixed point attains negative Q.
 
-    Each candidate's supporting eps is re-derived through epsilon_of_x, so
-    this bisection is an independent cross-check of potential_threshold.
+    The Maxwell construction along the fixed-point branches. Every fixed
+    point at eps=1 with negative potential seeds a branch, walked down in eps
+    until Q turns nonnegative; the crossing is bisected on eps by Newton
+    solves seeded by linear interpolation until the bracket is at most tol/4.
+    Returns the smallest crossing, or 1.0 when no seed has Q < 0; a walk that
+    ends with Q still negative contributes the smallest eps it reached and
+    logs a warning. Only the eps=1 enumeration is shared with
+    potential_threshold.
     """
+    crossings = [1.0]
+    for seed in fixed_points(sys, 1.0, **kwargs):
+        if seed.potential_value < 0.0:
+            crossings.append(_branch_crossing(sys, seed.x, tol))
+    return min(crossings)
 
-    def no_negative_q(eps: float) -> bool:
-        fps = fixed_points(sys, eps, **kwargs)
-        if not fps:
-            return True
-        qmin = math.inf
-        for r in fps:
-            root = epsilon_of_x(sys, r.x)
-            q = float(potential(sys, r.x, root)) if root is not None else r.q_value
-            qmin = min(qmin, q)
-        return qmin >= 0.0
 
-    return _threshold_bisect(_per_probe(no_negative_q), tol, "maxwell_threshold")
+def _branch_crossing(sys, x0, tol):
+    """eps at which Q turns nonnegative on the branch through (x0, eps=1)."""
+    hi = None  # (x, eps) of the last branch point with Q < 0
+    for x, eps in _branch_points(sys, x0, BRANCH_POINTS):
+        if potential(sys, x, eps) >= 0.0:
+            break
+        hi = (x, eps)
+    else:
+        log.warning("maxwell_threshold: branch from %s ends at eps=%g with Q still negative",
+                    x0, hi[1])
+        return float(hi[1])
+    (x_lo, e_lo), (x_hi, e_hi) = (x, eps), hi
+    while e_hi - e_lo > tol / 4:
+        mid = 0.5 * (e_lo + e_hi)
+        seed = x_lo + (mid - e_lo) / (e_hi - e_lo) * (x_hi - x_lo)
+        x_mid = _newton_batch(sys, seed[None, :], mid)[0][0]
+        if potential(sys, x_mid, mid) >= 0.0:
+            x_lo, e_lo = x_mid, mid
+        else:
+            x_hi, e_hi = x_mid, mid
+    return float(0.5 * (e_lo + e_hi))
 
 
 # ---------------------------------------------------------------------------
-# fixed-point curve tracing
+# fixed-point branch continuation
 # ---------------------------------------------------------------------------
 
 
-def _newton_trace(sys, x1, u0, res_tol=1e-12, fd_h=1e-7):
-    """Solve the two residual equations for (x2, eps) at pinned x1."""
+def _newton_pinned(sys, j, c, u0, res_tol=1e-12, fd_h=1e-7):
+    """Damped Newton for u = (x without x_j, eps) with x_j pinned at c.
+
+    The d fixed-point equations x = step(x; eps) in d unknowns, with a
+    central-difference Jacobian taken in one batched step.
+    """
+    eye = np.eye(sys.d)
+
+    def resid(u):
+        x = np.insert(u[..., :-1], j, c, axis=-1)
+        return x - _step_raw(sys, x, u[..., -1])
+
     u = np.array(u0, dtype=float)
+    r = resid(u)
+    res = np.max(np.abs(r))
     for _ in range(NEWTON_MAX_ITER):
-        xv = np.array([x1, u[0]])
-        R = xv - _step_raw(sys, xv, u[1])
-        res = np.max(np.abs(R))
         if res <= res_tol:
-            return u, res
-        J = np.empty((2, 2))
-        xp = np.array([x1, u[0] + fd_h])
-        xm = np.array([x1, u[0] - fd_h])
-        J[:, 0] = ((xp - _step_raw(sys, xp, u[1])) - (xm - _step_raw(sys, xm, u[1]))) / (2 * fd_h)
-        ep, em = u[1] + fd_h, u[1] - fd_h
-        J[:, 1] = ((xv - _step_raw(sys, xv, ep)) - (xv - _step_raw(sys, xv, em))) / (2 * fd_h)
+            break
+        J = (resid(u + fd_h * eye) - resid(u - fd_h * eye)).T / (2 * fd_h)
         try:
-            du = np.linalg.solve(J + 1e-13 * np.eye(2), R)
+            du = np.linalg.solve(J + 1e-13 * eye, r)
         except np.linalg.LinAlgError:
-            return u, res
+            break
         t = 1.0
         for _ in range(8):
             cand = u - t * du
-            cand[0] = min(max(cand[0], 0.0), 1.0)
-            xv = np.array([x1, cand[0]])
-            rnew = np.max(np.abs(xv - _step_raw(sys, xv, cand[1])))
-            if rnew <= (1.0 - 0.25 * t) * res or t < 1.0 / 64:
-                u = cand
+            cand[:-1] = np.clip(cand[:-1], 0.0, 1.0)
+            r_cand = resid(cand)
+            res_cand = np.max(np.abs(r_cand))
+            if res_cand <= (1.0 - 0.25 * t) * res or t < 1.0 / 64:
+                u, r, res = cand, r_cand, res_cand
                 break
             t *= NEWTON_DAMPING
-    xv = np.array([x1, u[0]])
-    return u, float(np.max(np.abs(xv - _step_raw(sys, xv, u[1]))))
+    return u, float(res)
+
+
+def _branch_points(sys, x0, n_points, tol=FP_RESIDUAL_TOL):
+    """Yield (x, eps) along the fixed-point branch through (x0, eps=1).
+
+    The first point is (x0, 1.0). The largest component of x0 is pinned and
+    swept down on an n_points grid towards zero; at each grid value Newton
+    solves for the other components and eps, seeded by a linear predictor.
+    Steps whose corrector diverges or hops off the branch (pitchforks at
+    symmetric folds) are split; a grid value that still fails is skipped
+    and logged. The walk stops when eps leaves (0, 1].
+    """
+    yield x0, 1.0
+    j = int(np.argmax(x0))
+    grid = np.linspace(x0[j], max(x0[j] / n_points, 1e-3), n_points)[1:]
+    last_c = x0[j]
+    u = np.append(np.delete(x0, j), 1.0)
+    slope = np.zeros(sys.d)  # d(u)/d(x_j), for the continuation predictor
+
+    def solve_step(c_from, u_from, sl, c_to, depth=0):
+        dc = c_to - c_from
+        seed = u_from + sl * dc
+        u_new, res = _newton_pinned(sys, j, c_to, seed)
+        if res <= tol and np.max(np.abs(u_new - seed)) <= max(0.06, 12.0 * abs(dc)):
+            return u_new
+        if depth >= 6:
+            return None
+        mid = 0.5 * (c_from + c_to)
+        u_mid = solve_step(c_from, u_from, sl, mid, depth + 1)
+        if u_mid is None:
+            return None
+        return solve_step(mid, u_mid, (u_mid - u_from) / (mid - c_from), c_to, depth + 1)
+
+    for c in grid:
+        u_try = solve_step(last_c, u, slope, c)
+        if u_try is None:
+            log.info("curve tracing: Newton diverged at x%d=%g; point skipped", j + 1, c)
+            continue
+        if u_try[-1] > 1.0 + 1e-6 or u_try[-1] <= 0.0:
+            return  # branch left the parameter range
+        yield np.insert(u_try[:-1], j, c), min(u_try[-1], 1.0)
+        slope = (u_try - u) / (c - last_c)
+        u, last_c = u_try, c
 
 
 def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200,
                             tol: float = FP_RESIDUAL_TOL) -> list[FixedPointRecord]:
     """Trace the fixed-point branch through the all-ones limit at eps=1.
 
-    For d=2 the first component is swept downward from the eps=1 endpoint
-    with Newton continuation solving for (x2, eps); the curve leaves through
-    eps=1 again on the unstable side. Other dimensions fall back to
-    enumerating fixed points on an eps grid. Diverged grid points are skipped
-    and logged.
+    Continuation in any dimension: the largest component of the eps=1
+    endpoint is swept down on an n_points grid while Newton solves for the
+    other components and eps, so the curve runs down the stable side to the
+    fold (the BP threshold) and back up the unstable side until eps leaves
+    (0, 1]. Points that fail the fixed-point record checks are left out.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    records: list[FixedPointRecord] = []
     x_star = iterate_limit(sys, sys.ones(), 1.0).limit
     if np.max(x_star) < 1e-9:
         log.warning("trace_fixed_point_curve: all-ones limit at eps=1 is zero; empty curve")
-        return records
-    if sys.d != 2:
-        for e in np.linspace(0.05, 1.0, n_points):
-            records.extend(fixed_points(sys, float(e)))
-        if not records:
-            log.warning("trace_fixed_point_curve: no fixed points found on the eps grid")
-        return records
-    rec = _make_record(sys, x_star, 1.0, tol)
-    if rec is not None:
-        records.append(rec)
-    x1_grid = np.linspace(x_star[0], max(x_star[0] / n_points, 1e-3), n_points)[1:]
-    last_x1 = x_star[0]
-    u = np.array([x_star[1], 1.0])
-    slope = np.zeros(2)  # d(x2, eps)/d(x1), for the continuation predictor
-
-    def solve_step(x1_from, u_from, sl, x1_to, depth=0):
-        """Predictor-corrector advance; splits the step when the corrector
-        diverges or hops off the branch (pitchforks at symmetric folds)."""
-        dx = x1_to - x1_from
-        seed = u_from + sl * dx
-        u_new, res = _newton_trace(sys, x1_to, seed)
-        jump_tol = max(0.06, 12.0 * abs(dx))
-        if res <= tol and np.max(np.abs(u_new - seed)) <= jump_tol:
-            return u_new
-        if depth >= 6:
-            return None
-        mid = 0.5 * (x1_from + x1_to)
-        u_mid = solve_step(x1_from, u_from, sl, mid, depth + 1)
-        if u_mid is None:
-            return None
-        sl_mid = (u_mid - u_from) / (mid - x1_from)
-        return solve_step(mid, u_mid, sl_mid, x1_to, depth + 1)
-
-    for x1 in x1_grid:
-        u_try = solve_step(last_x1, u, slope, x1)
-        if u_try is None:
-            log.info("curve tracing: Newton diverged at x1=%g; point skipped", x1)
-            continue
-        if u_try[1] > 1.0 + 1e-6 or u_try[1] <= 0.0:
-            break  # branch left the parameter range
-        rec = _make_record(sys, np.array([x1, u_try[0]]), min(u_try[1], 1.0), tol)
-        if rec is not None:
-            records.append(rec)
-            slope = (u_try - u) / (x1 - last_x1)
-            u = u_try
-            last_x1 = x1
+        return []
+    records = [_make_record(sys, x, eps, tol) for x, eps in _branch_points(sys, x_star, n_points, tol)]
+    records = [r for r in records if r is not None]
     if not records:
         log.warning("trace_fixed_point_curve: empty output")
     return records

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 
@@ -8,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import saturate as st
 from saturate import kernels
-from saturate.coupled import _iterate_chains, coupled_step_indexform, shift_rows
+from saturate.coupled import _iterate_chains, _sample_lattice, coupled_step_indexform, shift_rows
 from saturate.system import DEFAULT_ITER_TOL, _step_raw
 
 
@@ -274,6 +275,20 @@ def test_hessian_bound_linear_check_side():
 def test_hessian_bound_scales_with_weights(sys36):
     doubled = dataclasses.replace(sys36, weights=2.0 * sys36.weights)
     assert st.hessian_bound(doubled) == pytest.approx(2.0 * st.hessian_bound(sys36), rel=1e-9)
+
+
+def test_sample_lattice_keeps_the_first_256_corners():
+    pts = _sample_lattice(10, 9, 100)
+    full = np.array(list(itertools.product([0.0, 1.0], repeat=10)))
+    assert pts.shape == (100 + 256, 10)
+    assert np.array_equal(pts[100:], full[:256])
+
+
+def test_sample_lattice_high_dimension_builds_only_the_kept_corners():
+    # 2**64 corners exist; only the 256 that are kept may be built
+    pts = _sample_lattice(64, 9, 10)
+    assert pts.shape == (10 + 256, 64)
+    assert np.array_equal(pts[-1], np.r_[np.zeros(56), np.ones(8)])
 
 
 def test_min_coupling_width(sys36, thresholds36):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from saturate.potential import (
     BP_BISECT_DEPTH,
     CLUSTER_RADIUS,
     ZERO_TOL,
+    _branch_crossing,
     _cluster,
     _threshold_bisect,
     check_jacobian,
@@ -22,6 +24,9 @@ from scalar_oracle import (
     nontrivial_fixed_points,
     potential_threshold as oracle_pot,
 )
+
+# the package re-exports the function potential() under the submodule's name
+potential_module = importlib.import_module("saturate.potential")
 
 
 def test_potential_vanishes_at_zero(all_systems):
@@ -243,6 +248,50 @@ def test_maxwell_equals_potential_threshold(all_systems):
         assert abs(pot - mx) <= 2e-6
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.25])
+def test_maxwell_walks_every_negative_q_branch(theta, lam36, rho36):
+    sys = st.make_slepian_wolf(st.SlepianWolfParams(
+        lam36, rho36, lam36, rho36, gamma=0.5, p=0.5, path=st.ScaledPath(theta=theta)))
+    tol = 1e-5
+    pot = st.potential_threshold(sys, tol=tol)
+    assert abs(st.maxwell_threshold(sys, tol=tol) - pot) <= 2 * tol
+    if theta == 0.0:
+        # the branch through the all-ones limit crosses late (about 0.4792):
+        # the real crossing is on a second branch, on the face x2 = 0
+        x_star = st.iterate_limit(sys, sys.ones(), 1.0).limit
+        assert _branch_crossing(sys, x_star, tol) - pot > 2 * tol
+
+
+def test_maxwell_invariant_under_lifting(sys36, lift36):
+    tol = 1e-5
+    assert abs(st.maxwell_threshold(sys36, tol=tol) - st.maxwell_threshold(lift36, tol=tol)) <= tol
+
+
+def test_maxwell_makes_one_fixed_points_call(sw_half, monkeypatch):
+    calls = []
+    enumerate_at = potential_module.fixed_points
+    monkeypatch.setattr(potential_module, "fixed_points",
+                        lambda sys, eps, **kw: calls.append(eps) or enumerate_at(sys, eps, **kw))
+    st.maxwell_threshold(sw_half, tol=1e-5)
+    assert calls == [1.0]
+
+
+def test_maxwell_walk_ending_early_warns(sys36, monkeypatch, caplog):
+    # a branch that ends while Q is still negative contributes the smallest eps it reached
+    monkeypatch.setattr(potential_module, "_branch_points",
+                        lambda sys, x0, n: iter([(x0, 1.0), (x0, 0.9)]))
+    assert st.maxwell_threshold(sys36) == 0.9
+    assert "with Q still negative" in caplog.text
+
+
+def test_fixed_points_appends_ones_row_to_the_lattice(lift36, monkeypatch):
+    # d != 2: the all-ones start rides in the lattice batch, with no one-row run
+    monkeypatch.setattr(potential_module, "iterate_limit", None)
+    recs = st.fixed_points(lift36, 1.0)
+    x_star = st.iterate_limit(lift36, lift36.ones(), 1.0).limit
+    assert any(np.max(np.abs(r.x - x_star)) < 1e-8 for r in recs)
+
+
 def test_epsilon_of_x_round_trip(sys36):
     fp = st.iterate_limit(sys36, sys36.ones(), 0.45).limit
     assert st.epsilon_of_x(sys36, fp) == pytest.approx(0.45, abs=1e-6)
@@ -280,12 +329,14 @@ def test_compare_mins_strictly_decreasing(sys36, thresholds36):
     assert all(a > b for a, b in zip(finite[:-1], finite[1:]))
 
 
-def test_trace_curve_fold_is_bp_threshold(sys36, thresholds36):
-    curve = st.trace_fixed_point_curve(sys36, n_points=150)
+@pytest.mark.parametrize("name", ["sys36", "lift36"])
+def test_trace_curve_fold_is_bp_threshold(name, request, thresholds36):
+    sys = request.getfixturevalue(name)
+    curve = st.trace_fixed_point_curve(sys, n_points=150)
     assert len(curve) > 50
     assert min(r.eps_root for r in curve) == pytest.approx(thresholds36["bp"], abs=1e-3)
     # endpoint: the all-ones limit at eps=1
-    x_star = st.iterate_limit(sys36, sys36.ones(), 1.0).limit
+    x_star = st.iterate_limit(sys, sys.ones(), 1.0).limit
     assert np.max(np.abs(curve[0].x - x_star)) < 1e-9
     assert curve[0].eps_root == 1.0
 
