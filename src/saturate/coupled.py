@@ -9,7 +9,6 @@ which is how coupled_bp_threshold iterates the probes of a bisection pass.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ from . import kernels
 from .potential import (
     BISECT_TOL,
     ZERO_TOL,
+    _lattice_rows,
     _threshold_bisect,
     check_jacobian,
     energy_gap,
@@ -41,6 +41,10 @@ COUPLED_MAX_ITER = 200000
 # bisection levels that one coupled_bp_threshold pass probes (2**5 - 1 = 31
 # chains per pass), chosen by timing depths 1, 3 and 5 at L=32, w=3
 COUPLED_BISECT_DEPTH = 5
+HESSIAN_SAMPLES = 10000  # lattice size cap and uniform sample count of hessian_bound
+HESSIAN_PER_AXIS = 9
+HESSIAN_FD_STEP = 1e-5
+HESSIAN_CHUNK = 512  # points whose (d, d, d) difference arrays are held at once
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,9 @@ class CoupledState:
     def max_entry(self) -> float:
         return float(self.rows.max())
 
-    def tied(self, slack: float = 1e-12) -> bool:
+    def tied(self) -> bool:
         r0 = self.rows[self.spec.i0_row]
-        return bool(np.all(np.abs(self.rows[self.spec.i0_row + 1 :] - r0) <= slack))
+        return bool(np.all(np.abs(self.rows[self.spec.i0_row + 1 :] - r0) <= MONO_SLACK))
 
 
 def _tie(rows: np.ndarray, i0_row: int) -> np.ndarray:
@@ -240,7 +244,7 @@ def _iterate_chains(sys: SystemDefinition, spec: CouplingSpec, rows: np.ndarray,
 
 def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
                   tol: float = DEFAULT_ITER_TOL, max_iter: int = COUPLED_MAX_ITER,
-                  zero_tol: float = ZERO_TOL, record_every: int = 0):
+                  record_every: int = 0):
     """Iterate the coupled chain from all-ones until the update stalls.
 
     Iterates are checked componentwise non-increasing. record_every > 0
@@ -273,7 +277,7 @@ def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
         iterations=it_total,
         converged=bool(converged),
         sup_change=delta,
-        is_zero=bool(rows.max() < zero_tol),
+        is_zero=bool(rows.max() < ZERO_TOL),
         monotone_ok=mono_ok,
         snapshots=snapshots,
     )
@@ -304,17 +308,15 @@ def coupled_gradient(sys: SystemDefinition, X: CoupledState, eps: float) -> np.n
     return np.einsum("nk,nkj->nj", (rows - S) * sys.weights, J)
 
 
-def shift(X: CoupledState) -> CoupledState:
-    """Down-shift: first row zero, row i takes row i-1."""
-    rows = np.zeros_like(X.rows)
-    rows[1:] = X.rows[:-1]
-    return CoupledState(rows=rows, spec=X.spec)
-
-
 def shift_rows(rows: np.ndarray) -> np.ndarray:
     out = np.zeros_like(rows)
     out[1:] = rows[:-1]
     return out
+
+
+def shift(X: CoupledState) -> CoupledState:
+    """Down-shift: first row zero, row i takes row i-1."""
+    return CoupledState(rows=shift_rows(X.rows), spec=X.spec)
 
 
 @dataclass
@@ -407,13 +409,11 @@ def verify_shift_lemmas(sys: SystemDefinition, X: CoupledState, eps: float) -> l
 
 def _sample_lattice(d: int, per_axis: int, cap: int) -> np.ndarray:
     if per_axis**d <= cap:
-        axes = [np.linspace(0.0, 1.0, per_axis)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = _lattice_rows(d, per_axis, cap)
     else:
         rng = np.random.default_rng(0)
         pts = rng.random((cap, d))
-    corners = np.array(list(itertools.islice(itertools.product([0.0, 1.0], repeat=d), 256)))
+    corners = _lattice_rows(d, 2, 256)  # the first 256 corners of the cube
     return np.concatenate([pts, corners], axis=0)
 
 
@@ -424,8 +424,7 @@ def _bit_jacobian(sys, x, eps, h):
     return np.swapaxes((fp - fm) / (2.0 * h), -1, -2)
 
 
-def hessian_bound(sys: SystemDefinition, n_samples: int = 10000, per_axis: int = 9,
-                  fd_step: float = 1e-5) -> float:
+def hessian_bound(sys: SystemDefinition) -> float:
     """Sampled bound on the coupled-potential Hessian norm.
 
     K = max(weights) * (g'_max + g''_max + 2 g'_max^2 f'_max) with the
@@ -433,17 +432,20 @@ def hessian_bound(sys: SystemDefinition, n_samples: int = 10000, per_axis: int =
     polynomial derivatives peak); f' is taken at eps=1 since the update grows
     with eps. A sampled estimate, not a certified supremum.
     """
-    pts = _sample_lattice(sys.d, per_axis, n_samples)
-    Jg = check_jacobian(sys, pts, h=fd_step)
-    g1 = float(np.max(np.sum(np.abs(Jg), axis=-1)))
-    # second derivatives of the check map: differences of the Jacobian
-    eye = np.eye(sys.d) * fd_step
-    Hp = check_jacobian(sys, pts[:, None, :] + eye, h=fd_step)
-    Hm = check_jacobian(sys, pts[:, None, :] - eye, h=fd_step)
-    Hg = (Hp - Hm) / (2.0 * fd_step)  # [n, j, k, i] = d^2 g_k / dx_i dx_j
-    g2 = float(np.max(np.sum(np.abs(Hg), axis=1)))  # max row sum over the j axis
-    Jf = _bit_jacobian(sys, pts, 1.0, fd_step)
-    f1 = float(np.max(np.sum(np.abs(Jf), axis=-1)))
+    h = HESSIAN_FD_STEP
+    eye = np.eye(sys.d) * h
+    g1 = g2 = f1 = -math.inf
+    pts = _sample_lattice(sys.d, HESSIAN_PER_AXIS, HESSIAN_SAMPLES)
+    for chunk in np.split(pts, range(HESSIAN_CHUNK, len(pts), HESSIAN_CHUNK)):
+        Jg = check_jacobian(sys, chunk, h=h)
+        g1 = max(g1, float(np.max(np.sum(np.abs(Jg), axis=-1))))
+        # second derivatives of the check map: differences of the Jacobian
+        Hp = check_jacobian(sys, chunk[:, None, :] + eye, h=h)
+        Hm = check_jacobian(sys, chunk[:, None, :] - eye, h=h)
+        Hg = (Hp - Hm) / (2.0 * h)  # [n, j, k, i] = d^2 g_k / dx_i dx_j
+        g2 = max(g2, float(np.max(np.sum(np.abs(Hg), axis=1))))  # max row sum over the j axis
+        Jf = _bit_jacobian(sys, chunk, 1.0, h)
+        f1 = max(f1, float(np.max(np.sum(np.abs(Jf), axis=-1))))
     return float(np.max(sys.weights)) * (g1 + g2 + 2.0 * g1 * g1 * f1)
 
 
@@ -467,7 +469,6 @@ def min_coupling_width(sys: SystemDefinition, eps: float, gap: Optional[float] =
 
 
 def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BISECT_TOL,
-                         zero_tol: float = ZERO_TOL, iter_tol: float = DEFAULT_ITER_TOL,
                          max_iter: int = COUPLED_MAX_ITER) -> float:
     """Largest eps at which the coupled chain from all-ones collapses to zero.
 
@@ -488,10 +489,10 @@ def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BIS
 
     def dies(eps: np.ndarray) -> np.ndarray:
         start = np.ones((len(eps), spec.n_rows, sys.d))
-        rows, steps, sup_change = _iterate_chains(sys, spec, start, eps[:, None], iter_tol,
-                                                  max_iter)
-        converged = sup_change <= iter_tol
-        verdict = converged & (np.max(rows, axis=(-2, -1)) < zero_tol)
+        rows, steps, sup_change = _iterate_chains(sys, spec, start, eps[:, None],
+                                                  DEFAULT_ITER_TOL, max_iter)
+        converged = sup_change <= DEFAULT_ITER_TOL
+        verdict = converged & (np.max(rows, axis=(-2, -1)) < ZERO_TOL)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("coupled_bp_threshold pass: %s", ", ".join(
                 f"(eps={e:.9g}, steps={s}, {'dies' if v else 'survives'})"

@@ -348,19 +348,18 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
     row_factors = [[(j, e[j]) for j in range(d) if row[j] == i] for i in range(H.shape[0])]
     col_factors = [[(i, e[i]) for i in range(d) if col[i] == j] for j in range(n_cols)]
 
-    def power(z, j, ex):
+    def product(acc, z, factors):
         # z ** 1 is z; skipping the call saves a pass on the common exponent
-        return z[..., j] if ex == 1 else z[..., j] ** ex
+        for j, ex in factors:
+            acc = acc * (z[..., j] if ex == 1 else z[..., j] ** ex)
+        return acc
 
     def check_update(x):
         x = np.asarray(x, dtype=float)
         om = 1.0 - x
         out = np.empty_like(x)
         for k, factors in enumerate(check_factors):
-            acc = 1.0
-            for j, ex in factors:
-                acc = acc * power(om, j, ex)
-            out[..., k] = 1.0 - acc
+            out[..., k] = 1.0 - product(1.0, om, factors)
         return out
 
     def bit_update(y, eps):
@@ -368,10 +367,7 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         ce = col_eps(eps)
         out = np.empty_like(y)
         for k, factors in enumerate(bit_factors):
-            acc = ce[..., col[k]]
-            for j, ex in factors:
-                acc = acc * power(y, j, ex)
-            out[..., k] = acc
+            out[..., k] = product(ce[..., col[k]], y, factors)
         return out
 
     def bit_energy(x, eps):
@@ -379,10 +375,7 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         ce = col_eps(eps)
         out = np.zeros(x.shape[:-1])
         for j, factors in enumerate(col_factors):
-            acc = ce[..., j]
-            for i, ex in factors:
-                acc = acc * power(x, i, ex)
-            out = out + acc
+            out = out + product(ce[..., j], x, factors)
         return out
 
     def check_energy(x):
@@ -390,10 +383,7 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         om = 1.0 - x
         out = np.einsum("...k,k->...", x, expo.astype(float))
         for factors in row_factors:
-            acc = 1.0
-            for j, ex in factors:
-                acc = acc * power(om, j, ex)
-            out = out - (1.0 - acc)
+            out = out - (1.0 - product(1.0, om, factors))
         return out
 
     return SystemDefinition(

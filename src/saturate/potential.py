@@ -28,6 +28,11 @@ BISECT_TOL = 1e-6
 BISECT_MAX_HALVINGS = 60
 NEWTON_DAMPING = 0.5
 NEWTON_MAX_ITER = 50
+NEWTON_RES_TOL = 1e-12
+NEWTON_FD_STEP = 1e-7  # central-difference step of the Newton Jacobians
+QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
+FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
+FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
 # bisection levels that one batched bp_threshold pass probes (2**5 - 1 = 31
 # eps rows per pass)
 BP_BISECT_DEPTH = 5
@@ -59,15 +64,14 @@ def potential_gradient(sys: SystemDefinition, x, eps: float) -> np.ndarray:
     return np.einsum("...k,...kj->...j", resid, check_jacobian(sys, x))
 
 
-def potential_quadrature(sys: SystemDefinition, x, eps: float, n_nodes: int = 64,
-                         path: str = "straight") -> float:
+def potential_quadrature(sys: SystemDefinition, x, eps: float, path: str = "straight") -> float:
     """Line integral of the potential gradient field from 0 to x.
 
     Cross-checks the closed forms; path independence makes "straight" and the
     axis-aligned "staircase" agree.
     """
     x = np.asarray(x, dtype=float)
-    nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, wts = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     t = (nodes + 1.0) / 2.0
     wts = wts / 2.0
     if path == "straight":
@@ -81,7 +85,7 @@ def potential_quadrature(sys: SystemDefinition, x, eps: float, n_nodes: int = 64
             if x[k] == 0.0:
                 base[k] = x[k]
                 continue
-            z = np.tile(base, (n_nodes, 1))
+            z = np.tile(base, (QUADRATURE_NODES, 1))
             z[:, k] = t * x[k]
             fld = potential_gradient(sys, z, eps)
             total += float(wts @ fld[:, k]) * x[k]
@@ -153,33 +157,32 @@ def _threshold_bisect(true_below, tol: float, name: str,
 
 
 def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
-                 zero_tol: float = ZERO_TOL, iter_tol: float = DEFAULT_ITER_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest eps at which the recursion from all-ones collapses to zero.
 
-    A probe collapses when its limit has max below zero_tol. Each pass of
+    A probe collapses when its limit has max below ZERO_TOL. Each pass of
     the bisection iterates one all-ones row per probe eps in one batch (eps
     is the per-row batch axis) and covers BP_BISECT_DEPTH levels of the
     bisection tree. The batch stops together, so a row may run past the step
     at which it would have stopped alone; from all-ones an admissible
     recursion is componentwise non-increasing, so those steps only move it
     closer to its limit. A verdict could differ from the one-probe loop's
-    only if a row's step change fell below iter_tol while its max was still
-    at least zero_tol and the extra steps then took it below zero_tol.
+    only if a row's step change fell below DEFAULT_ITER_TOL while its max was
+    still at least ZERO_TOL and the extra steps then took it below ZERO_TOL.
     A pass that ends with rows still moving (iteration budget spent, or
     rows in period-2 cycles) logs a warning naming their eps; such a row
-    counts as not collapsing unless its max is already below zero_tol.
+    counts as not collapsing unless its max is already below ZERO_TOL.
     """
 
     def dies(eps: np.ndarray) -> np.ndarray:
-        X, it, conv = iterate_batch(sys, np.ones((len(eps), sys.d)), eps, iter_tol, max_iter)
+        X, it, conv = iterate_batch(sys, np.ones((len(eps), sys.d)), eps, max_iter=max_iter)
         if not conv:
-            moving = np.max(np.abs(_step_raw(sys, X, eps) - X), axis=-1) > iter_tol
+            moving = np.max(np.abs(_step_raw(sys, X, eps) - X), axis=-1) > DEFAULT_ITER_TOL
             log.warning("bp_threshold: %d of %d probes still moving after %d iterations (%s): "
                         "eps = %s", np.count_nonzero(moving), len(eps), it,
                         "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
                         ", ".join(f"{e:.9g}" for e in eps[moving]))
-        return np.max(X, axis=-1) < zero_tol
+        return np.max(X, axis=-1) < ZERO_TOL
 
     return _threshold_bisect(dies, tol, "bp_threshold", depth=BP_BISECT_DEPTH)
 
@@ -194,7 +197,6 @@ class FixedPointRecord:
     x: np.ndarray
     eps_root: float
     potential_value: float
-    q_value: float
     residual: float
     gradient_norm: float
 
@@ -203,23 +205,22 @@ def _residual_sup(sys, X, eps):
     return np.max(np.abs(X - _step_raw(sys, X, eps)), axis=-1)
 
 
-def _newton_batch(sys, X0, eps, res_tol=1e-12, max_iter=NEWTON_MAX_ITER, fd_h=1e-7):
+def _newton_batch(sys, X0, eps):
     """Damped Newton on the fixed-point residual, all seeds in lockstep."""
     X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0).copy()
-    d = sys.d
-    eye = np.eye(d)
-    for _ in range(max_iter):
+    eye = np.eye(sys.d)
+    for _ in range(NEWTON_MAX_ITER):
         R = X - _step_raw(sys, X, eps)
         res = np.max(np.abs(R), axis=-1)
-        active = res > res_tol
+        active = res > NEWTON_RES_TOL
         if not active.any():
             break
         Xa = X[active]
         Ra = R[active]
         res_a = res[active]
-        Sp = _step_raw(sys, Xa[:, None, :] + fd_h * eye, eps)
-        Sm = _step_raw(sys, Xa[:, None, :] - fd_h * eye, eps)
-        Jstep = (Sp - Sm) / (2.0 * fd_h)  # [n, j, k] = d step_k / d x_j
+        Sp = _step_raw(sys, Xa[:, None, :] + NEWTON_FD_STEP * eye, eps)
+        Sm = _step_raw(sys, Xa[:, None, :] - NEWTON_FD_STEP * eye, eps)
+        Jstep = (Sp - Sm) / (2.0 * NEWTON_FD_STEP)  # [n, j, k] = d step_k / d x_j
         J = eye[None, :, :] - np.swapaxes(Jstep, -1, -2)
         J = J + 1e-13 * eye  # keep fold-point solves finite
         try:
@@ -264,20 +265,18 @@ def _cluster(points: np.ndarray, residuals: np.ndarray, radius: float) -> np.nda
     return pts[kept]
 
 
-def _make_record(sys, x, eps, tol=FP_RESIDUAL_TOL) -> Optional[FixedPointRecord]:
+def _make_record(sys, x, eps) -> Optional[FixedPointRecord]:
     resid = float(_residual_sup(sys, x, eps))
-    if resid > tol:
+    if resid > FP_RESIDUAL_TOL:
         return None
     grad = float(np.max(np.abs(potential_gradient(sys, x, eps))))
     if grad > FP_GRADIENT_TOL:
         log.debug("fixed point at %s rejected: gradient norm %g", x, grad)
         return None
-    u = float(potential(sys, x, eps))
     return FixedPointRecord(
         x=np.asarray(x, dtype=float),
         eps_root=float(eps),
-        potential_value=u,
-        q_value=u,
+        potential_value=float(potential(sys, x, eps)),
         residual=resid,
         gradient_norm=grad,
     )
@@ -296,9 +295,18 @@ def _seed_lattice_2d(grid: int) -> np.ndarray:
     return np.concatenate([inner, faces], axis=0)
 
 
-def fixed_points(sys: SystemDefinition, eps: float, tol: float = FP_RESIDUAL_TOL,
-                 cluster_radius: float = CLUSTER_RADIUS, grid: int = 7,
-                 max_seeds: int = 10000, iter_tol: float = DEFAULT_ITER_TOL,
+def _lattice_rows(d: int, per_axis: int, n: int) -> np.ndarray:
+    """The first n rows of the per_axis**d grid on [0,1]^d, in np.meshgrid "ij" order."""
+    axis = np.linspace(0.0, 1.0, per_axis)
+    rows = np.empty((min(n, per_axis**d), d))
+    index = np.arange(len(rows))
+    for k in range(d - 1, -1, -1):
+        rows[:, k] = axis[index % per_axis]
+        index //= per_axis
+    return rows
+
+
+def fixed_points(sys: SystemDefinition, eps: float,
                  max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointRecord]:
     """Numerically enumerate the nontrivial fixed points at a given eps.
 
@@ -311,50 +319,48 @@ def fixed_points(sys: SystemDefinition, eps: float, tol: float = FP_RESIDUAL_TOL
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     if sys.d == 2:
-        ones_lim = iterate_limit(sys, sys.ones(), eps, tol=iter_tol, max_iter=max_iter).limit
-        seeds = np.concatenate([_seed_lattice_2d(grid), ones_lim[None, :]], axis=0)
+        ones_lim = iterate_limit(sys, sys.ones(), eps, max_iter=max_iter).limit
+        seeds = np.concatenate([_seed_lattice_2d(FP_GRID), ones_lim[None, :]], axis=0)
         cands, res = _newton_batch(sys, seeds, eps)
     else:
-        per_axis = max(2, int(min(5, math.floor(max_seeds ** (1.0 / sys.d)))))
-        axes = [np.linspace(0.0, 1.0, per_axis)] * sys.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        seeds = np.stack([m.ravel() for m in mesh], axis=-1)[:max_seeds]
-        seeds = np.concatenate([seeds, sys.ones()[None, :]], axis=0)
-        cands, it, conv = iterate_batch(sys, seeds, eps, tol=iter_tol, max_iter=max_iter)
+        per_axis = max(2, int(min(5, math.floor(FP_MAX_SEEDS ** (1.0 / sys.d)))))
+        seeds = np.vstack([_lattice_rows(sys.d, per_axis, FP_MAX_SEEDS), sys.ones()])
+        cands, it, conv = iterate_batch(sys, seeds, eps, max_iter=max_iter)
         res = _residual_sup(sys, cands, eps)
         if not conv:
             log.debug("fixed_points: %d of %d lattice rows still moving after %d iterations "
-                      "(%s, eps=%g)", np.count_nonzero(res > iter_tol), len(seeds), it,
+                      "(%s, eps=%g)", np.count_nonzero(res > DEFAULT_ITER_TOL), len(seeds), it,
                       "period-2 cycles" if it < max_iter else "budget exhausted", eps)
-    good = (res <= tol) & (np.max(np.abs(cands), axis=-1) > 1e-7)
-    pts = _cluster(cands[good], res[good], cluster_radius)
+    good = (res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7)
+    pts = _cluster(cands[good], res[good], CLUSTER_RADIUS)
     records = []
     for p in pts:
-        rec = _make_record(sys, p, eps, tol)
+        rec = _make_record(sys, p, eps)
         if rec is not None:
             records.append(rec)
     records.sort(key=lambda r: tuple(r.x))
     return records
 
 
-def energy_gap(sys: SystemDefinition, eps: float, **kwargs) -> float:
+def energy_gap(sys: SystemDefinition, eps: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Minimum potential over the nontrivial fixed points; +inf when none exist."""
-    fps = fixed_points(sys, eps, **kwargs)
+    fps = fixed_points(sys, eps, max_iter=max_iter)
     if not fps:
         return math.inf
     return min(r.potential_value for r in fps)
 
 
-def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL, **kwargs) -> float:
+def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest eps at which every nontrivial fixed point has nonnegative potential."""
 
     def nonneg(eps: np.ndarray) -> np.ndarray:
-        return np.array([energy_gap(sys, float(e), **kwargs) >= 0.0 for e in eps], dtype=bool)
+        return np.array([energy_gap(sys, e, max_iter=max_iter) >= 0.0 for e in eps.tolist()])
 
     return _threshold_bisect(nonneg, tol, "potential_threshold")
 
 
-def epsilon_of_x(sys: SystemDefinition, x, tol: float = FP_RESIDUAL_TOL) -> Optional[float]:
+def epsilon_of_x(sys: SystemDefinition, x) -> Optional[float]:
     """The unique channel parameter supporting x as a fixed point, if any.
 
     Bisection along the most eps-sensitive component, then a full-vector
@@ -372,7 +378,7 @@ def epsilon_of_x(sys: SystemDefinition, x, tol: float = FP_RESIDUAL_TOL) -> Opti
     def h(e):
         return _step_raw(sys, x, e)[j] - x[j]
 
-    if h(0.0) > tol or h(1.0) < -tol:
+    if h(0.0) > FP_RESIDUAL_TOL or h(1.0) < -FP_RESIDUAL_TOL:
         return None
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_MAX_HALVINGS):
@@ -382,7 +388,7 @@ def epsilon_of_x(sys: SystemDefinition, x, tol: float = FP_RESIDUAL_TOL) -> Opti
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    if float(_residual_sup(sys, x, root)) >= tol:
+    if float(_residual_sup(sys, x, root)) >= FP_RESIDUAL_TOL:
         return None
     return root
 
@@ -395,7 +401,8 @@ def fixed_point_potential(sys: SystemDefinition, x) -> float:
     return float(potential(sys, x, root))
 
 
-def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL, **kwargs) -> float:
+def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
+                      max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Smallest eps at which some fixed point attains negative Q.
 
     The Maxwell construction along the fixed-point branches. Every fixed
@@ -408,7 +415,7 @@ def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL, **kwargs) 
     potential_threshold.
     """
     crossings = [1.0]
-    for seed in fixed_points(sys, 1.0, **kwargs):
+    for seed in fixed_points(sys, 1.0, max_iter=max_iter):
         if seed.potential_value < 0.0:
             crossings.append(_branch_crossing(sys, seed.x, tol))
     return min(crossings)
@@ -442,13 +449,14 @@ def _branch_crossing(sys, x0, tol):
 # ---------------------------------------------------------------------------
 
 
-def _newton_pinned(sys, j, c, u0, res_tol=1e-12, fd_h=1e-7):
+def _newton_pinned(sys, j, c, u0):
     """Damped Newton for u = (x without x_j, eps) with x_j pinned at c.
 
     The d fixed-point equations x = step(x; eps) in d unknowns, with a
     central-difference Jacobian taken in one batched step.
     """
     eye = np.eye(sys.d)
+    h = NEWTON_FD_STEP
 
     def resid(u):
         x = np.insert(u[..., :-1], j, c, axis=-1)
@@ -458,9 +466,9 @@ def _newton_pinned(sys, j, c, u0, res_tol=1e-12, fd_h=1e-7):
     r = resid(u)
     res = np.max(np.abs(r))
     for _ in range(NEWTON_MAX_ITER):
-        if res <= res_tol:
+        if res <= NEWTON_RES_TOL:
             break
-        J = (resid(u + fd_h * eye) - resid(u - fd_h * eye)).T / (2 * fd_h)
+        J = (resid(u + h * eye) - resid(u - h * eye)).T / (2 * h)
         try:
             du = np.linalg.solve(J + 1e-13 * eye, r)
         except np.linalg.LinAlgError:
@@ -478,7 +486,7 @@ def _newton_pinned(sys, j, c, u0, res_tol=1e-12, fd_h=1e-7):
     return u, float(res)
 
 
-def _branch_points(sys, x0, n_points, tol=FP_RESIDUAL_TOL):
+def _branch_points(sys, x0, n_points):
     """Yield (x, eps) along the fixed-point branch through (x0, eps=1).
 
     The first point is (x0, 1.0). The largest component of x0 is pinned and
@@ -499,7 +507,7 @@ def _branch_points(sys, x0, n_points, tol=FP_RESIDUAL_TOL):
         dc = c_to - c_from
         seed = u_from + sl * dc
         u_new, res = _newton_pinned(sys, j, c_to, seed)
-        if res <= tol and np.max(np.abs(u_new - seed)) <= max(0.06, 12.0 * abs(dc)):
+        if res <= FP_RESIDUAL_TOL and np.max(np.abs(u_new - seed)) <= max(0.06, 12.0 * abs(dc)):
             return u_new
         if depth >= 6:
             return None
@@ -521,8 +529,7 @@ def _branch_points(sys, x0, n_points, tol=FP_RESIDUAL_TOL):
         u, last_c = u_try, c
 
 
-def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200,
-                            tol: float = FP_RESIDUAL_TOL) -> list[FixedPointRecord]:
+def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200) -> list[FixedPointRecord]:
     """Trace the fixed-point branch through the all-ones limit at eps=1.
 
     Continuation in any dimension: the largest component of the eps=1
@@ -537,7 +544,7 @@ def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200,
     if np.max(x_star) < 1e-9:
         log.warning("trace_fixed_point_curve: all-ones limit at eps=1 is zero; empty curve")
         return []
-    records = [_make_record(sys, x, eps, tol) for x, eps in _branch_points(sys, x_star, n_points, tol)]
+    records = [_make_record(sys, x, eps) for x, eps in _branch_points(sys, x_star, n_points)]
     records = [r for r in records if r is not None]
     if not records:
         log.warning("trace_fixed_point_curve: empty output")

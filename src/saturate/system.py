@@ -29,6 +29,8 @@ DEFAULT_ITER_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
 # steps between period-2 cycle checks in the batch iteration
 CYCLE_CHECK_EVERY = 64
+FD_STEP = 1e-6  # central-difference step of verify_admissible's gradient checks
+GRAD_REL_TOL = 1e-5  # relative error those checks allow
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,8 +317,8 @@ def _fd_gradient_scalar(fn, X, h):
     return (fp - fm) / (2.0 * h)
 
 
-def verify_admissible(sys: SystemDefinition, n_samples: int = 1000, seed: int = 0,
-                      fd_step: float = 1e-6, grad_rel_tol: float = 1e-5) -> AdmissibilityReport:
+def verify_admissible(sys: SystemDefinition, n_samples: int = 1000,
+                      seed: int = 0) -> AdmissibilityReport:
     """Sample-based check of the admissibility conditions.
 
     Monotonicity in the state, strict growth in eps, boundary conditions,
@@ -409,21 +411,21 @@ def verify_admissible(sys: SystemDefinition, n_samples: int = 1000, seed: int = 
 
     # gradient consistency: d bit_energy = bit_update * weights, and same on
     # the check side
-    inner = rng.random((min(n_samples, 256), d)) * (1.0 - 4 * fd_step) + 2 * fd_step
+    inner = rng.random((min(n_samples, 256), d)) * (1.0 - 4 * FD_STEP) + 2 * FD_STEP
     for e in (0.35, 0.8):
-        fd = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.bit_energy(Z, e)), inner, fd_step)
+        fd = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.bit_energy(Z, e)), inner, FD_STEP)
         target = sys.bit_update(inner, e) * sys.weights
         err = np.abs(fd - target)
-        bad = err > grad_rel_tol * np.maximum(np.abs(target), 1e-2)
+        bad = err > GRAD_REL_TOL * np.maximum(np.abs(target), 1e-2)
         rows = np.flatnonzero(np.any(bad, axis=-1))
         for i in rows[:3]:
             add("gradient_bit", {"x": inner[i].tolist(), "eps": e,
                                  "fd": fd[i].tolist(), "expected": target[i].tolist()},
                 "finite-difference gradient of bit_energy mismatches bit_update*weights")
-    fd = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.check_energy(Z)), inner, fd_step)
+    fd = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.check_energy(Z)), inner, FD_STEP)
     target = sys.check_update(inner) * sys.weights
     err = np.abs(fd - target)
-    bad = err > grad_rel_tol * np.maximum(np.abs(target), 1e-2)
+    bad = err > GRAD_REL_TOL * np.maximum(np.abs(target), 1e-2)
     rows = np.flatnonzero(np.any(bad, axis=-1))
     for i in rows[:3]:
         add("gradient_check", {"x": inner[i].tolist(),
@@ -432,8 +434,8 @@ def verify_admissible(sys: SystemDefinition, n_samples: int = 1000, seed: int = 
 
     # (i) smoothness: attested by finite-difference stability, not proven
     sample = inner[:64]
-    fd_h = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.bit_energy(Z, 0.6)), sample, fd_step)
-    fd_h2 = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.bit_energy(Z, 0.6)), sample, fd_step / 2)
+    fd_h = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.bit_energy(Z, 0.6)), sample, FD_STEP)
+    fd_h2 = _fd_gradient_scalar(lambda Z: np.atleast_1d(sys.bit_energy(Z, 0.6)), sample, FD_STEP / 2)
     rep.smoothness_max_discrepancy = float(
         np.max(np.abs(fd_h - fd_h2) / np.maximum(np.abs(fd_h2), 1e-2))
     )

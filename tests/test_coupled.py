@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import saturate as st
 from saturate import kernels
-from saturate.coupled import _iterate_chains, _sample_lattice, coupled_step_indexform, shift_rows
+from saturate.coupled import (
+    HESSIAN_CHUNK,
+    _bit_jacobian,
+    _iterate_chains,
+    _sample_lattice,
+    coupled_step_indexform,
+    shift_rows,
+)
+from saturate.potential import check_jacobian
 from saturate.system import DEFAULT_ITER_TOL, _step_raw
 
 
@@ -275,6 +284,38 @@ def test_hessian_bound_linear_check_side():
 def test_hessian_bound_scales_with_weights(sys36):
     doubled = dataclasses.replace(sys36, weights=2.0 * sys36.weights)
     assert st.hessian_bound(doubled) == pytest.approx(2.0 * st.hessian_bound(sys36), rel=1e-9)
+
+
+def _hessian_bound_one_shot(sys):
+    # the bound with the (n, d, d, d) difference arrays of every point at once
+    pts = _sample_lattice(sys.d, 9, 10000)
+    h = 1e-5
+    g1 = float(np.max(np.sum(np.abs(check_jacobian(sys, pts, h=h)), axis=-1)))
+    eye = np.eye(sys.d) * h
+    Hp = check_jacobian(sys, pts[:, None, :] + eye, h=h)
+    Hm = check_jacobian(sys, pts[:, None, :] - eye, h=h)
+    g2 = float(np.max(np.sum(np.abs((Hp - Hm) / (2.0 * h)), axis=1)))
+    Jf = _bit_jacobian(sys, pts, 1.0, h)
+    f1 = float(np.max(np.sum(np.abs(Jf), axis=-1)))
+    return float(np.max(sys.weights)) * (g1 + g2 + 2.0 * g1 * g1 * f1)
+
+
+@pytest.mark.parametrize("name", ["sys36", "lift36"])
+def test_hessian_bound_chunks_equal_the_one_shot_bound(name, request):
+    sys = request.getfixturevalue(name)
+    assert len(_sample_lattice(sys.d, 9, 10000)) > HESSIAN_CHUNK or sys.d == 2
+    assert st.hessian_bound(sys) == _hessian_bound_one_shot(sys)
+
+
+def test_hessian_bound_memory_at_d8(lift36):
+    # one chunk of (512, 8, 8, 8) arrays, not 10 256 points at once (222 MB)
+    tracemalloc.start()
+    try:
+        st.hessian_bound(lift36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_sample_lattice_keeps_the_first_256_corners():

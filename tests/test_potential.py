@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from saturate.potential import (
     BISECT_MAX_HALVINGS,
     BP_BISECT_DEPTH,
     CLUSTER_RADIUS,
+    FP_MAX_SEEDS,
     ZERO_TOL,
     _branch_crossing,
     _cluster,
+    _lattice_rows,
     _threshold_bisect,
     check_jacobian,
 )
@@ -205,7 +208,6 @@ def test_fixed_points_two_roots_on_diagonal(sys36):
         assert rec.x[0] == pytest.approx(rec.x[1], abs=1e-10)  # diagonal
         assert rec.x[0] == pytest.approx(ref, abs=1e-7)
         assert rec.residual <= 1e-9
-        assert rec.q_value == rec.potential_value
 
 
 def test_fixed_points_contains_ones_limit_at_full_erasure(emac36):
@@ -292,6 +294,41 @@ def test_fixed_points_appends_ones_row_to_the_lattice(lift36, monkeypatch):
     assert any(np.max(np.abs(r.x - x_star)) < 1e-8 for r in recs)
 
 
+def _lattice_seeds(sys, monkeypatch):
+    # the seed rows fixed_points hands to the batch iteration, without iterating
+    class Seeds(Exception):
+        pass
+
+    def capture(sys, seeds, eps, **kw):
+        raise Seeds(seeds)
+
+    monkeypatch.setattr(potential_module, "iterate_batch", capture)
+    with pytest.raises(Seeds) as caught:
+        st.fixed_points(sys, 0.5)
+    seeds = caught.value.args[0]
+    assert np.array_equal(seeds[-1], sys.ones())
+    return seeds[:-1]
+
+
+@pytest.mark.parametrize("d", [2, 8, 14, 18])
+def test_fixed_points_lattice_is_the_meshgrid_prefix(d, monkeypatch):
+    sys = st.make_protograph(st.ProtographSpec(H=np.ones((2, d // 2), dtype=int)))
+    per_axis = max(2, min(5, math.floor(FP_MAX_SEEDS ** (1.0 / d))))
+    mesh = np.meshgrid(*[np.linspace(0.0, 1.0, per_axis)] * d, indexing="ij", copy=False)
+    full = np.stack(mesh, axis=-1).reshape(-1, d)
+    assert np.array_equal(_lattice_rows(d, per_axis, FP_MAX_SEEDS), full[:FP_MAX_SEEDS])
+    if d != 2:  # d = 2 solves from its own seed grid
+        assert np.array_equal(_lattice_seeds(sys, monkeypatch), full[:FP_MAX_SEEDS])
+
+
+def test_fixed_points_lattice_at_d40_builds_only_the_kept_rows(monkeypatch):
+    # 2**40 lattice points exist; the kept rows are the first corners in order
+    sys = st.make_protograph(st.ProtographSpec(H=np.ones((2, 20), dtype=int)))
+    rows = _lattice_seeds(sys, monkeypatch)
+    corners = itertools.islice(itertools.product([0.0, 1.0], repeat=40), FP_MAX_SEEDS)
+    assert np.array_equal(rows, np.array(list(corners)))
+
+
 def test_epsilon_of_x_round_trip(sys36):
     fp = st.iterate_limit(sys36, sys36.ones(), 0.45).limit
     assert st.epsilon_of_x(sys36, fp) == pytest.approx(0.45, abs=1e-6)
@@ -358,7 +395,7 @@ def test_trace_curve_q_decreasing_on_stable_branch(sw_half):
     fold = int(np.argmin(eps))
     stable = curve[: fold + 1]  # traced from eps=1 toward the fold
     assert eps[0] == 1.0 and fold > 5
-    qs = [r.q_value for r in stable]
+    qs = [r.potential_value for r in stable]
     assert all(a < b for a, b in zip(qs[:-1], qs[1:]))  # Q grows as eps drops
 
 
