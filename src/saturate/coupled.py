@@ -20,6 +20,7 @@ from . import kernels
 from .potential import (
     BISECT_TOL,
     ZERO_TOL,
+    _gradient,
     _lattice_rows,
     _threshold_bisect,
     check_jacobian,
@@ -30,6 +31,7 @@ from .system import (
     DEFAULT_ITER_TOL,
     MONO_SLACK,
     SystemDefinition,
+    _central_difference,
     _check_eps,
     _step_raw,
     iterate_limit,
@@ -302,10 +304,7 @@ def coupled_potential(sys: SystemDefinition, X: CoupledState, eps: float) -> flo
 
 def coupled_gradient(sys: SystemDefinition, X: CoupledState, eps: float) -> np.ndarray:
     """Row i holds (x_i - [A^T f(A g(X); eps)]_i) D g'(x_i)."""
-    rows = X.rows
-    S = _coupled_step_rows(sys, rows, X.spec.w, eps)
-    J = check_jacobian(sys, rows)
-    return np.einsum("nk,nkj->nj", (rows - S) * sys.weights, J)
+    return _gradient(sys, X.rows, _coupled_step_rows(sys, X.rows, X.spec.w, eps))
 
 
 def shift_rows(rows: np.ndarray) -> np.ndarray:
@@ -417,13 +416,6 @@ def _sample_lattice(d: int, per_axis: int, cap: int) -> np.ndarray:
     return np.concatenate([pts, corners], axis=0)
 
 
-def _bit_jacobian(sys, x, eps, h):
-    eye = np.eye(sys.d) * h
-    fp = sys.bit_update(x[..., None, :] + eye, eps)
-    fm = sys.bit_update(x[..., None, :] - eye, eps)
-    return np.swapaxes((fp - fm) / (2.0 * h), -1, -2)
-
-
 def hessian_bound(sys: SystemDefinition) -> float:
     """Sampled bound on the coupled-potential Hessian norm.
 
@@ -433,18 +425,16 @@ def hessian_bound(sys: SystemDefinition) -> float:
     with eps. A sampled estimate, not a certified supremum.
     """
     h = HESSIAN_FD_STEP
-    eye = np.eye(sys.d) * h
     g1 = g2 = f1 = -math.inf
     pts = _sample_lattice(sys.d, HESSIAN_PER_AXIS, HESSIAN_SAMPLES)
     for chunk in np.split(pts, range(HESSIAN_CHUNK, len(pts), HESSIAN_CHUNK)):
         Jg = check_jacobian(sys, chunk, h=h)
         g1 = max(g1, float(np.max(np.sum(np.abs(Jg), axis=-1))))
-        # second derivatives of the check map: differences of the Jacobian
-        Hp = check_jacobian(sys, chunk[:, None, :] + eye, h=h)
-        Hm = check_jacobian(sys, chunk[:, None, :] - eye, h=h)
-        Hg = (Hp - Hm) / (2.0 * h)  # [n, j, k, i] = d^2 g_k / dx_i dx_j
+        # second derivatives of the check map: differences of the Jacobian,
+        # [n, j, k, i] = d^2 g_k / dx_i dx_j
+        Hg = _central_difference(lambda z: check_jacobian(sys, z, h=h), chunk, h)
         g2 = max(g2, float(np.max(np.sum(np.abs(Hg), axis=1))))  # max row sum over the j axis
-        Jf = _bit_jacobian(sys, chunk, 1.0, h)
+        Jf = np.swapaxes(_central_difference(lambda z: sys.bit_update(z, 1.0), chunk, h), -1, -2)
         f1 = max(f1, float(np.max(np.sum(np.abs(Jf), axis=-1))))
     return float(np.max(sys.weights)) * (g1 + g2 + 2.0 * g1 * g1 * f1)
 

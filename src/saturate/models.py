@@ -32,9 +32,6 @@ class DiagonalPath:
     def __call__(self, eps: float):
         return eps, eps
 
-    def describe(self) -> str:
-        return "diagonal: eps -> (eps, eps)"
-
 
 @dataclass(frozen=True)
 class ScaledPath:
@@ -48,9 +45,6 @@ class ScaledPath:
 
     def __call__(self, eps: float):
         return eps, self.theta * eps
-
-    def describe(self) -> str:
-        return f"scaled: eps -> (eps, {self.theta} * eps)"
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,6 @@ class TablePath:
 
     def __call__(self, eps):
         return np.interp(eps, self.knots, self.eps1), np.interp(eps, self.knots, self.eps2)
-
-    def describe(self) -> str:
-        return f"table with {len(self.knots)} knots"
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +194,6 @@ def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
         bit_energy=bit_energy,
         check_energy=pieces["check_energy"],
         name=f"slepian_wolf(gamma={gamma}, p={p})",
-        path_description=path.describe() if hasattr(path, "describe") else "custom path",
         zero_param_exact=(gamma == 0.0),
         trial_entropy_scale=1.0 / (1.0 - gamma),
     )
@@ -254,7 +244,6 @@ def make_emac(
         bit_energy=bit_energy,
         check_energy=pieces["check_energy"],
         name="emac",
-        path_description="single channel parameter",
         zero_param_exact=False,
         trial_entropy_scale=1.0,
     )
@@ -394,7 +383,6 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         bit_energy=bit_energy,
         check_energy=check_energy,
         name=f"protograph{H.tolist()}",
-        path_description="uniform channel" if spec.node_scale is None else "scaled per-column channel",
         zero_param_exact=(len(spec.punctured_columns) == 0),
         trial_entropy_scale=None,
     )

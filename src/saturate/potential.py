@@ -13,6 +13,7 @@ from .system import (
     DEFAULT_ITER_TOL,
     DEFAULT_MAX_ITER,
     SystemDefinition,
+    _central_difference,
     _step_raw,
     iterate_batch,
     iterate_limit,
@@ -50,18 +51,22 @@ def potential(sys: SystemDefinition, x, eps: float):
 
 def check_jacobian(sys: SystemDefinition, x, h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of check_update: [..., k, j] = d g_k / d x_j."""
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(sys.d) * h
-    gp = sys.check_update(x[..., None, :] + eye)
-    gm = sys.check_update(x[..., None, :] - eye)
-    return np.swapaxes((gp - gm) / (2.0 * h), -1, -2)
+    return np.swapaxes(_central_difference(sys.check_update, x, h), -1, -2)
+
+
+def _gradient(sys: SystemDefinition, x: np.ndarray, stepped: np.ndarray) -> np.ndarray:
+    """(x - stepped) D g'(x), with g' by differences.
+
+    With stepped the update of x this is the potential gradient, which
+    vanishes exactly at the fixed points.
+    """
+    return np.einsum("...k,...kj->...j", (x - stepped) * sys.weights, check_jacobian(sys, x))
 
 
 def potential_gradient(sys: SystemDefinition, x, eps: float) -> np.ndarray:
     """Gradient of the potential: (x - step(x)) D g'(x), with g' by differences."""
     x = np.asarray(x, dtype=float)
-    resid = (x - _step_raw(sys, x, eps)) * sys.weights
-    return np.einsum("...k,...kj->...j", resid, check_jacobian(sys, x))
+    return _gradient(sys, x, _step_raw(sys, x, eps))
 
 
 def potential_quadrature(sys: SystemDefinition, x, eps: float, path: str = "straight") -> float:
@@ -113,13 +118,12 @@ def _threshold_bisect(true_below, tol: float, name: str,
     """Bisect [0,1] for the edge of a predicate that holds below a threshold.
 
     true_below maps a 1-d array of eps values to a bool array of verdicts.
-    With depth 1 it sees one eps per call: 1.0, then 1e-9, then each
-    midpoint in turn. With depth > 1 one call evaluates every midpoint of
-    the next depth bisection levels (2**depth - 1 of them, fewer where the
-    tol or max_halvings stop prunes the tree), and the first call also holds
-    1.0 and 1e-9. The walk below is the one-probe loop, looking its verdicts
-    up in the last call, so for a predicate that depends on eps alone the
-    result is the same float at every depth.
+    One call evaluates every midpoint of the next depth bisection levels
+    (2**depth - 1 of them, fewer where the tol or max_halvings stop prunes
+    the tree), and the first call also holds 1.0 and 1e-9. The walk below is
+    the one-probe loop, looking its verdicts up in the last call, so for a
+    predicate that depends on eps alone the result is the same float at
+    every depth.
     """
 
     def probe(eps_values):
@@ -129,15 +133,10 @@ def _threshold_bisect(true_below, tol: float, name: str,
         return dict(zip(eps.tolist(), np.asarray(true_below(eps), dtype=bool).tolist()))
 
     lo, hi = 1e-9, 1.0
-    if depth > 1:
-        verdict = probe([1.0, lo] + _subtree_midpoints(lo, hi, min(depth, max_halvings), tol))
-        levels_left = depth  # levels of the last call's subtree the walk has not used
-    else:
-        verdict, levels_left = probe([1.0]), 0
+    verdict = probe([1.0, lo] + _subtree_midpoints(lo, hi, min(depth, max_halvings), tol))
+    levels_left = depth  # levels of the last call's subtree the walk has not used
     if verdict[1.0]:
         return 1.0
-    if depth == 1:
-        verdict = probe([lo])
     if not verdict[lo]:
         log.warning("%s: predicate already fails as eps -> 0+ (degenerate)", name)
         return 0.0
@@ -177,7 +176,7 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     def dies(eps: np.ndarray) -> np.ndarray:
         X, it, conv = iterate_batch(sys, np.ones((len(eps), sys.d)), eps, max_iter=max_iter)
         if not conv:
-            moving = np.max(np.abs(_step_raw(sys, X, eps) - X), axis=-1) > DEFAULT_ITER_TOL
+            moving = _residual_sup(sys, X, eps) > DEFAULT_ITER_TOL
             log.warning("bp_threshold: %d of %d probes still moving after %d iterations (%s): "
                         "eps = %s", np.count_nonzero(moving), len(eps), it,
                         "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
@@ -218,9 +217,8 @@ def _newton_batch(sys, X0, eps):
         Xa = X[active]
         Ra = R[active]
         res_a = res[active]
-        Sp = _step_raw(sys, Xa[:, None, :] + NEWTON_FD_STEP * eye, eps)
-        Sm = _step_raw(sys, Xa[:, None, :] - NEWTON_FD_STEP * eye, eps)
-        Jstep = (Sp - Sm) / (2.0 * NEWTON_FD_STEP)  # [n, j, k] = d step_k / d x_j
+        # [n, j, k] = d step_k / d x_j
+        Jstep = _central_difference(lambda Z: _step_raw(sys, Z, eps), Xa, NEWTON_FD_STEP)
         J = eye[None, :, :] - np.swapaxes(Jstep, -1, -2)
         J = J + 1e-13 * eye  # keep fold-point solves finite
         try:
@@ -456,7 +454,6 @@ def _newton_pinned(sys, j, c, u0):
     central-difference Jacobian taken in one batched step.
     """
     eye = np.eye(sys.d)
-    h = NEWTON_FD_STEP
 
     def resid(u):
         x = np.insert(u[..., :-1], j, c, axis=-1)
@@ -468,7 +465,7 @@ def _newton_pinned(sys, j, c, u0):
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_RES_TOL:
             break
-        J = (resid(u + h * eye) - resid(u - h * eye)).T / (2 * h)
+        J = _central_difference(resid, u, NEWTON_FD_STEP).T
         try:
             du = np.linalg.solve(J + 1e-13 * eye, r)
         except np.linalg.LinAlgError:

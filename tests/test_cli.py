@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import saturate.cli
 from saturate.cli import main
 
 PROTO = {"type": "protograph", "matrix": [[3, 3]]}
@@ -90,6 +91,32 @@ def test_threshold_theta_sweep(tmp_path):
     assert len(set(round(b, 8) for b in bps)) == 4  # distinct paths, distinct thresholds
 
 
+def test_threshold_path_block(tmp_path):
+    # a configured path gives the report of the theta cell with the same path
+    tol = 1e-4
+
+    def run(system, out, **extra):
+        analysis = {"gap_grid": [0.1, 0.2], "bisect_tol": tol, **extra}
+        cfg = {"system": system, "analysis": analysis}
+        assert main(["threshold", "--config", _write(tmp_path, cfg, f"{out}.json"),
+                     "--out", str(tmp_path / out)]) == 0
+        return tmp_path / out
+
+    def load(report):
+        return json.loads(report.read_text())
+
+    sweep = run(SW, "sweep", theta_values=[0.5, 1.0])
+    cells = {theta: load(sweep / f"threshold_report_theta_{theta:g}.json") for theta in (0.5, 1)}
+    for path, theta in (({"kind": "scaled", "theta": 0.5}, 0.5), ({"kind": "diagonal"}, 1)):
+        rep = load(run({**SW, "path": path}, path["kind"]) / "threshold_report.json")
+        assert rep["thresholds"] == cells[theta]["thresholds"]
+        assert rep["energy_gap_curve"] == cells[theta]["energy_gap_curve"]
+    table = {"kind": "table", "knots": [0.0, 1.0], "eps1": [0.0, 1.0], "eps2": [0.0, 0.5]}
+    rep = load(run({**SW, "path": table}, "table") / "threshold_report.json")
+    for name, value in rep["thresholds"].items():
+        assert abs(value - cells[0.5]["thresholds"][name]) <= 2 * tol
+
+
 def test_theta_sweep_rejected_for_non_sw(tmp_path):
     cfg = {"system": PROTO, "analysis": {"gap_grid": [0.4], "theta_values": [0.5]}}
     assert main(["threshold", "--config", _write(tmp_path, cfg)]) == 2
@@ -163,6 +190,27 @@ def test_coupled_width_bound_reported(tmp_path):
     assert runs[0.45]["width_bound"] > 1000.0
     assert runs[0.50]["width_bound"] is None  # gap not positive above the threshold
     assert rep["hessian_bound"] == pytest.approx(351.0, rel=1e-3)
+
+
+def test_coupled_budget_exhausted_exits_3(tmp_path):
+    # below the BP threshold there is no fixed point, so any width suffices
+    cfg = {"system": PROTO, "analysis": {"L": 4, "w": 2, "eps_values": [0.3], "max_iter": 3}}
+    out = tmp_path / "o"
+    assert main(["coupled", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    rep = json.loads((out / "coupled_report.json").read_text())
+    assert rep["runs"][0]["converged"] is False
+    assert rep["runs"][0]["iterations"] == 3
+    assert rep["runs"][0]["width_bound"] == 0.0
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fails(*_, **__):
+        raise ValueError("no bracket")
+
+    monkeypatch.setattr(saturate.cli, "threshold_report", fails)
+    cfg = {"system": PROTO, "analysis": {"gap_grid": [0.45]}}
+    assert main(["threshold", "--config", _write(tmp_path, cfg)]) == 3
+    assert "numerical failure: no bracket" in capsys.readouterr().err
 
 
 def test_verify_command_passes(tmp_path):

@@ -12,7 +12,6 @@ import saturate as st
 from saturate import kernels
 from saturate.coupled import (
     HESSIAN_CHUNK,
-    _bit_jacobian,
     _iterate_chains,
     _sample_lattice,
     coupled_step_indexform,
@@ -295,7 +294,9 @@ def _hessian_bound_one_shot(sys):
     Hp = check_jacobian(sys, pts[:, None, :] + eye, h=h)
     Hm = check_jacobian(sys, pts[:, None, :] - eye, h=h)
     g2 = float(np.max(np.sum(np.abs((Hp - Hm) / (2.0 * h)), axis=1)))
-    Jf = _bit_jacobian(sys, pts, 1.0, h)
+    fp = sys.bit_update(pts[:, None, :] + eye, 1.0)
+    fm = sys.bit_update(pts[:, None, :] - eye, 1.0)
+    Jf = np.swapaxes((fp - fm) / (2.0 * h), -1, -2)
     f1 = float(np.max(np.sum(np.abs(Jf), axis=-1)))
     return float(np.max(sys.weights)) * (g1 + g2 + 2.0 * g1 * g1 * f1)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -11,8 +12,10 @@ from saturate.potential import (
     BP_BISECT_DEPTH,
     CLUSTER_RADIUS,
     FP_MAX_SEEDS,
+    FP_RESIDUAL_TOL,
     ZERO_TOL,
     _branch_crossing,
+    _branch_points,
     _cluster,
     _lattice_rows,
     _threshold_bisect,
@@ -144,13 +147,10 @@ def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_h
             return holds(eps)
 
         assert _threshold_bisect(batched, tol, "synthetic", max_halvings, depth=depth) == ref
-        if depth == 1:  # the same probes, one per call, in the same order
-            assert calls == [[e] for e in seq]
-        else:
-            halvings = max(len(seq) - 2, 0)
-            assert len(calls) == max(1, -(-halvings // depth))
-            assert max(map(len, calls)) <= 2 ** depth + 1
-            assert set(seq) <= {e for c in calls for e in c}
+        halvings = max(len(seq) - 2, 0)
+        assert len(calls) == max(1, -(-halvings // depth))
+        assert max(map(len, calls)) <= 2 ** depth + 1
+        assert set(seq) <= {e for c in calls for e in c}
 
 
 def _one_probe_bp(sys, tol, max_iter=DEFAULT_MAX_ITER):
@@ -284,6 +284,23 @@ def test_maxwell_walk_ending_early_warns(sys36, monkeypatch, caplog):
                         lambda sys, x0, n: iter([(x0, 1.0), (x0, 0.9)]))
     assert st.maxwell_threshold(sys36) == 0.9
     assert "with Q still negative" in caplog.text
+
+
+def test_branch_points_split_steps_stay_on_the_branch(lam36, rho36, monkeypatch):
+    # from the eps=1 limit of SW gamma=0.5, p=0.5 on theta=0, five grid steps
+    # need split corrector steps; every point yielded must still be a fixed point
+    sys = st.make_slepian_wolf(st.SlepianWolfParams(
+        lam36, rho36, lam36, rho36, gamma=0.5, p=0.5, path=st.ScaledPath(theta=0.0)))
+    solves = []
+    solve = potential_module._newton_pinned
+    monkeypatch.setattr(potential_module, "_newton_pinned",
+                        lambda *a: solves.append(a) or solve(*a))
+    x0 = st.iterate_limit(sys, sys.ones(), 1.0).limit
+    points = list(_branch_points(sys, x0, 6))
+    assert len(points) == 6
+    assert len(solves) > len(points) - 1
+    for x, eps in points:
+        assert float(potential_module._residual_sup(sys, x, eps)) <= FP_RESIDUAL_TOL
 
 
 def test_fixed_points_appends_ones_row_to_the_lattice(lift36, monkeypatch):
@@ -424,6 +441,10 @@ def test_threshold_report_validates(sys36):
     assert rep.enumeration == "heuristic"
     assert len(rep.energy_gap_curve) == 3
     rep.validate()
+    with pytest.raises(ValueError, match="ordering violated"):
+        dataclasses.replace(rep, bp_threshold=rep.potential_threshold + 3e-6).validate()
+    with pytest.raises(ValueError, match="disagree beyond 2[*]tol"):
+        dataclasses.replace(rep, maxwell_threshold=rep.potential_threshold - 3e-6).validate()
 
 
 def _greedy_loop_cluster(points, residuals, radius):

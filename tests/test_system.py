@@ -11,6 +11,7 @@ from saturate.system import (
     DEFAULT_ITER_TOL,
     DEFAULT_MAX_ITER,
     MONO_SLACK,
+    _central_difference,
     _classify_direction,
     _step_raw,
     iterate_batch,
@@ -324,3 +325,18 @@ def test_iterate_rejects_eps_outside_unit_interval(sys36, eps):
         st.iterate_limit(sys36, sys36.ones(), eps)
     with pytest.raises(ValueError, match="eps outside"):
         iterate_batch(sys36, np.ones((2, 2)), np.array([0.3, eps]))
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (3, 5, 2), (4, 8), (2, 3, 8)])
+def test_central_difference_equals_a_per_coordinate_loop(sys36, lift36, shape):
+    sys = sys36 if shape[-1] == 2 else lift36
+    x = np.random.default_rng(4).random(shape) * 0.9 + 0.05
+    h = 1e-6
+    # a scalar field gives (..., d), a map (..., d, d)
+    for fn in (lambda z: sys.bit_energy(z, 0.6), sys.check_update):
+        got = _central_difference(fn, x, h)
+        for j in range(x.shape[-1]):
+            e = np.zeros(x.shape[-1])
+            e[j] = h
+            want = (fn(x + e) - fn(x - e)) / (2.0 * h)
+            assert np.array_equal(np.take(got, j, axis=x.ndim - 1), want)

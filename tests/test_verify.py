@@ -1,5 +1,5 @@
 import saturate.verify as verify_mod
-from saturate.verify import lemma_battery
+from saturate.verify import corrupt_bit_energy, lemma_battery
 
 
 def test_lemma_battery_keeps_supplied_zero_thresholds(sys36, monkeypatch):
@@ -12,3 +12,10 @@ def test_lemma_battery_keeps_supplied_zero_thresholds(sys36, monkeypatch):
     rep = lemma_battery(sys36, eps_values=(0.3, 0.45, 0.6), L=4, w=2,
                         thresholds={"bp": 0.0, "potential": 0.0})
     assert rep.thresholds == {"bp": 0.0, "potential": 0.0}
+
+
+def test_stationary_fixed_points_catches_a_corrupt_bit_energy(sys36, thresholds36):
+    # the fixed points come from the update maps, which the corruption leaves
+    # alone; only differences of the closed-form potential can see it
+    rep = lemma_battery(corrupt_bit_energy(sys36), L=4, w=2, thresholds=thresholds36)
+    assert "stationary_fixed_points" in [c.name for c in rep.failed()]
