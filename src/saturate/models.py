@@ -4,6 +4,12 @@ Each factory returns a SystemDefinition with closed-form energies whose
 gradients reproduce the update maps (checked by verify_admissible). Every
 bit_update and bit_energy takes eps as a scalar or as an array that
 broadcasts against x.shape[:-1], one channel parameter per row.
+
+The two-user systems evaluate their degree polynomials on the whole
+(..., 2) state in one Horner pass (_horner), one polynomial per component.
+Each component is bit-identical to numpy's polyval of that polynomial on
+that component: the x*0 seed and the adds of zero coefficients stay, so
+even the sign of a zero result is polyval's.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from .degdist import EdgePolynomial, design_rate, node_from_edge
 from .system import SystemDefinition
@@ -118,43 +123,71 @@ class SlepianWolfParams:
             raise ValueError("path must be callable")
 
 
+def _horner_rows(*coeffs) -> tuple:
+    """Coefficient rows that evaluate polynomial j on component j of an array.
+
+    Column j of the table holds coeffs[j], lowest degree first, padded with
+    zeros above its degree. The rows come highest degree first, the order in
+    which _horner consumes them.
+    """
+    table = np.zeros((max(len(c) for c in coeffs), len(coeffs)))
+    for j, c in enumerate(coeffs):
+        table[: len(c), j] = c
+    return tuple(table[::-1])
+
+
+def _horner(rows, x):
+    """Polynomial j of _horner_rows at x[..., j], bit for bit as polyval gives it.
+
+    The steps are polyval's: start from c[-1] + x*0, then form c[-i] + acc*x.
+    A padded zero row keeps acc at +0.0, so the padding changes no bit, and
+    the x*0 seed and the zero-coefficient adds stay, so that a -0.0 input
+    keeps its sign of zero.
+    """
+    acc = rows[0] + x * 0
+    for c in rows[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _channel_pair(path, eps):
+    """The path's pair (e1, e2) packed on a trailing axis, shape eps.shape + (2,)."""
+    e1, e2 = path(eps)
+    out = np.empty(np.shape(eps) + (2,))
+    out[..., 0] = e1
+    out[..., 1] = e2
+    return out
+
+
 def _two_user_pieces(lam1, rho1, lam2, rho2):
     L1, Lp1 = node_from_edge(lam1)
     L2, Lp2 = node_from_edge(lam2)
     R1, Rp1 = node_from_edge(rho1)
     R2, Rp2 = node_from_edge(rho2)
-
-    rho1c, rho2c = rho1.coeffs, rho2.coeffs
-    L1c, L2c = L1.coeffs, L2.coeffs
-    R1c, R2c = R1.coeffs, R2.coeffs
+    rho = _horner_rows(rho1.coeffs, rho2.coeffs)
+    R = _horner_rows(R1.coeffs, R2.coeffs)
+    Rp = np.array([Rp1, Rp2])
 
     def check_update(x):
         x = np.asarray(x, dtype=float)
-        return np.stack(
-            [
-                1.0 - _poly.polyval(1.0 - x[..., 0], rho1c),
-                1.0 - _poly.polyval(1.0 - x[..., 1], rho2c),
-            ],
-            axis=-1,
-        )
+        return 1.0 - _horner(rho, 1.0 - x)
 
     def check_energy(x):
         x = np.asarray(x, dtype=float)
-        t1 = x[..., 0] + (_poly.polyval(1.0 - x[..., 0], R1c) - 1.0) / Rp1
-        t2 = x[..., 1] + (_poly.polyval(1.0 - x[..., 1], R2c) - 1.0) / Rp2
-        return Lp1 * t1 + Lp2 * t2
+        t = x + (_horner(R, 1.0 - x) - 1.0) / Rp
+        return Lp1 * t[..., 0] + Lp2 * t[..., 1]
 
-    pieces = {
-        "lam1c": lam1.coeffs,
-        "lam2c": lam2.coeffs,
-        "L1c": L1c,
-        "L2c": L2c,
-        "Lp1": Lp1,
-        "Lp2": Lp2,
+    return {
+        "lam": _horner_rows(lam1.coeffs, lam2.coeffs),
+        # L1 and L2 in the order the bit maps read them: L at x, and L at
+        # the swapped state (L2 at x[..., 1] first)
+        "L": _horner_rows(L1.coeffs, L2.coeffs),
+        "L_swapped": _horner_rows(L2.coeffs, L1.coeffs),
+        "weights": np.array([Lp1, Lp2]),
         "check_update": check_update,
         "check_energy": check_energy,
     }
-    return pieces
 
 
 def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
@@ -166,29 +199,27 @@ def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
     """
     gamma, p, path = params.gamma, params.p, params.path
     pieces = _two_user_pieces(params.lam1, params.rho1, params.lam2, params.rho2)
-    lam1c, lam2c = pieces["lam1c"], pieces["lam2c"]
-    L1c, L2c = pieces["L1c"], pieces["L2c"]
+    lam, L, L_swapped = pieces["lam"], pieces["L"], pieces["L_swapped"]
 
     def psi(y, e):
         return (1.0 - gamma) * e + gamma * (1.0 - p + p * y)
 
     def bit_update(y, eps):
         y = np.asarray(y, dtype=float)
-        e1, e2 = path(eps)
-        u1 = psi(_poly.polyval(y[..., 1], L2c), e1) * _poly.polyval(y[..., 0], lam1c)
-        u2 = psi(_poly.polyval(y[..., 0], L1c), e2) * _poly.polyval(y[..., 1], lam2c)
-        return np.stack([u1, u2], axis=-1)
+        return psi(_horner(L_swapped, y[..., ::-1]), _channel_pair(path, eps)) * _horner(lam, y)
 
     def bit_energy(x, eps):
         x = np.asarray(x, dtype=float)
-        e1, e2 = path(eps)
-        l1 = _poly.polyval(x[..., 0], L1c)
-        l2 = _poly.polyval(x[..., 1], L2c)
-        return psi(l1, e2) * l2 + psi(l2, e1) * l1 - gamma * p * l1 * l2
+        l = _horner(L, x)
+        l1, l2 = l[..., 0], l[..., 1]
+        # term j is psi(l_other, e_j) * l_j; the sum is commutative, so this
+        # is psi(l1, e2) * l2 + psi(l2, e1) * l1 to the bit
+        t = psi(l[..., ::-1], _channel_pair(path, eps)) * l
+        return t[..., 0] + t[..., 1] - gamma * p * l1 * l2
 
     return SystemDefinition(
         d=2,
-        weights=np.array([pieces["Lp1"], pieces["Lp2"]]),
+        weights=pieces["weights"],
         bit_update=bit_update,
         check_update=pieces["check_update"],
         bit_energy=bit_energy,
@@ -218,27 +249,22 @@ def make_emac(
     approximately (declared informational).
     """
     pieces = _two_user_pieces(lam1, rho1, lam2, rho2)
-    lam1c, lam2c = pieces["lam1c"], pieces["lam2c"]
-    L1c, L2c = pieces["L1c"], pieces["L2c"]
+    lam, L, L_swapped = pieces["lam"], pieces["L"], pieces["L_swapped"]
 
     def bit_update(y, eps):
         y = np.asarray(y, dtype=float)
-        p1 = eps + (1.0 - eps) * _poly.polyval(y[..., 1], L2c) / 2.0
-        p2 = eps + (1.0 - eps) * _poly.polyval(y[..., 0], L1c) / 2.0
-        return np.stack(
-            [p1 * _poly.polyval(y[..., 0], lam1c), p2 * _poly.polyval(y[..., 1], lam2c)],
-            axis=-1,
-        )
+        e = np.asarray(eps)[..., None]
+        return (e + (1.0 - e) * _horner(L_swapped, y[..., ::-1]) / 2.0) * _horner(lam, y)
 
     def bit_energy(x, eps):
         x = np.asarray(x, dtype=float)
-        l1 = _poly.polyval(x[..., 0], L1c)
-        l2 = _poly.polyval(x[..., 1], L2c)
+        l = _horner(L, x)
+        l1, l2 = l[..., 0], l[..., 1]
         return eps * (l1 + l2) + (1.0 - eps) * l1 * l2 / 2.0
 
     return SystemDefinition(
         d=2,
-        weights=np.array([pieces["Lp1"], pieces["Lp2"]]),
+        weights=pieces["weights"],
         bit_update=bit_update,
         check_update=pieces["check_update"],
         bit_energy=bit_energy,

@@ -201,7 +201,7 @@ class FixedPointRecord:
 
 
 def _residual_sup(sys, X, eps):
-    return np.max(np.abs(X - _step_raw(sys, X, eps)), axis=-1)
+    return np.abs(X - _step_raw(sys, X, eps)).max(axis=-1)
 
 
 def _newton_batch(sys, X0, eps):

@@ -119,7 +119,9 @@ def _central_difference(fn, x, h: float) -> np.ndarray:
 
 def _step_raw(sys: SystemDefinition, x: np.ndarray, eps) -> np.ndarray:
     """One recursion step without validation; clamps rounding overshoot."""
-    return np.clip(sys.bit_update(sys.check_update(x), eps), 0.0, 1.0)
+    # the method forms here and in the loops below: np.clip and np.max add a
+    # few us of dispatch per call, which the one-row steps pay thousands of times
+    return sys.bit_update(sys.check_update(x), eps).clip(0.0, 1.0)
 
 
 def step(sys: SystemDefinition, x, eps) -> np.ndarray:
@@ -184,20 +186,20 @@ def _iterate(sys, X, eps, tol, max_iter, observe=None):
         if it % CYCLE_CHECK_EVERY == CYCLE_CHECK_EVERY - 2:
             fingerprint = X.sum(axis=-1)
         elif it % CYCLE_CHECK_EVERY == 0:
-            moved = np.max(np.abs(delta), axis=-1) > tol
+            moved = np.abs(delta).max(axis=-1) > tol
             suspects = np.flatnonzero(moved & ~cycled & (X.sum(axis=-1) == fingerprint))
             snapshot = X[suspects]
             confirm_at = it + 2
         elif it == confirm_at:
             # back where it was two steps ago, and not at a fixed point
             back = np.all(X[suspects] == snapshot, axis=-1)
-            moving = np.max(np.abs(delta[suspects]), axis=-1) > tol
+            moving = np.abs(delta[suspects]).max(axis=-1) > tol
             cycled[suspects[back & moving]] = True
             any_cycled = bool(cycled.any())
             suspects = snapshot = None
         if any_cycled:
             delta[cycled] = 0.0
-        if np.max(np.abs(delta)) <= tol:
+        if np.abs(delta).max() <= tol:
             converged = not any_cycled
             break
     return X, it, converged

@@ -283,3 +283,116 @@ def test_protograph_maps_bit_exact_against_edge_pair_loops(spec, n):
         for eps in (0.0, 0.4294, 1.0):
             assert np.array_equal(sys.bit_update(x, eps), ref_f(x, eps))
             assert np.array_equal(sys.bit_energy(x, eps), ref_F(x, eps))
+
+
+def _per_component_two_user_maps(lam1, rho1, lam2, rho2, channel):
+    """The per-component polyval maps of the two-user systems, kept as the reference.
+
+    channel is ("sw", gamma, p, path) or ("emac",).
+    """
+    from numpy.polynomial import polynomial as P
+
+    L1, Lp1 = st.node_from_edge(lam1)
+    L2, Lp2 = st.node_from_edge(lam2)
+    R1, Rp1 = st.node_from_edge(rho1)
+    R2, Rp2 = st.node_from_edge(rho2)
+
+    def check_update(x):
+        return np.stack([1.0 - P.polyval(1.0 - x[..., 0], rho1.coeffs),
+                         1.0 - P.polyval(1.0 - x[..., 1], rho2.coeffs)], axis=-1)
+
+    def check_energy(x):
+        t1 = x[..., 0] + (P.polyval(1.0 - x[..., 0], R1.coeffs) - 1.0) / Rp1
+        t2 = x[..., 1] + (P.polyval(1.0 - x[..., 1], R2.coeffs) - 1.0) / Rp2
+        return Lp1 * t1 + Lp2 * t2
+
+    if channel[0] == "sw":
+        _, gamma, p, path = channel
+
+        def psi(y, e):
+            return (1.0 - gamma) * e + gamma * (1.0 - p + p * y)
+
+        def bit_update(y, eps):
+            e1, e2 = path(eps)
+            u1 = psi(P.polyval(y[..., 1], L2.coeffs), e1) * P.polyval(y[..., 0], lam1.coeffs)
+            u2 = psi(P.polyval(y[..., 0], L1.coeffs), e2) * P.polyval(y[..., 1], lam2.coeffs)
+            return np.stack([u1, u2], axis=-1)
+
+        def bit_energy(x, eps):
+            e1, e2 = path(eps)
+            l1 = P.polyval(x[..., 0], L1.coeffs)
+            l2 = P.polyval(x[..., 1], L2.coeffs)
+            return psi(l1, e2) * l2 + psi(l2, e1) * l1 - gamma * p * l1 * l2
+    else:
+        def bit_update(y, eps):
+            p1 = eps + (1.0 - eps) * P.polyval(y[..., 1], L2.coeffs) / 2.0
+            p2 = eps + (1.0 - eps) * P.polyval(y[..., 0], L1.coeffs) / 2.0
+            return np.stack([p1 * P.polyval(y[..., 0], lam1.coeffs),
+                             p2 * P.polyval(y[..., 1], lam2.coeffs)], axis=-1)
+
+        def bit_energy(x, eps):
+            l1 = P.polyval(x[..., 0], L1.coeffs)
+            l2 = P.polyval(x[..., 1], L2.coeffs)
+            return eps * (l1 + l2) + (1.0 - eps) * l1 * l2 / 2.0
+
+    return check_update, bit_update, check_energy, bit_energy
+
+
+def test_horner_matches_polyval_per_component_with_signed_zeros():
+    from numpy.polynomial import polynomial as P
+    from saturate.models import _horner, _horner_rows
+
+    pairs = [([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),  # unequal degrees: padded
+             ([0.0, 0.0, 0.0, 1.0], [0.0, 0.3, 0.0, 0.7]),
+             ([0.0, 0.2, 0.0, 0.0, 0.8], [0.5, 0.5])]
+    x = np.array([[-0.0, -0.0], [0.0, 0.0], [1.0, 1.0], [-0.0, 0.5], [0.25, -0.0], [0.7, 0.1]])
+    for c1, c2 in pairs:
+        for z in (x, x[0], x.reshape(2, 3, 2)):
+            got = _horner(_horner_rows(np.array(c1), np.array(c2)), z)
+            want = np.stack([P.polyval(z[..., 0], c1), P.polyval(z[..., 1], c2)], axis=-1)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _two_user_cases():
+    lam, rho = st.EdgePolynomial.regular(3), st.EdgePolynomial.regular(6)
+    paths = [st.DiagonalPath(), st.ScaledPath(theta=0.5),
+             st.TablePath(knots=[0.0, 0.5, 1.0], eps1=[0.0, 0.4, 1.0], eps2=[0.0, 0.6, 1.0])]
+    for path in paths:
+        for gamma in (0.0, 0.5):
+            for p in (0.0, 0.5, 1.0):
+                channel = ("sw", gamma, p, path)
+                sys = st.make_slepian_wolf(
+                    st.SlepianWolfParams(lam, rho, lam, rho, gamma=gamma, p=p, path=path))
+                yield sys, (lam, rho, lam, rho, channel)
+    # an irregular second user of higher degrees, so every table is padded
+    lam2 = st.EdgePolynomial.from_degree_map({"2": 0.3, "5": 0.7})
+    rho2 = st.EdgePolynomial.from_degree_map({"4": 0.5, "9": 0.5})
+    for pair in ((lam, rho, lam, rho), (lam, rho, lam2, rho2), (lam2, rho2, lam, rho)):
+        yield st.make_emac(*pair), pair + (("emac",),)
+
+
+def test_two_user_maps_bit_exact_against_per_component_polyval():
+    rng = np.random.default_rng(10)
+    n, k = 23, 3
+    X = rng.random((n, 2))
+    X[rng.random((n, 2)) < 0.15] = 0.0
+    X[rng.random((n, 2)) < 0.15] = 1.0
+    X[:5] = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 0.5]]
+    e_rows = rng.random(n)
+    e_rows[:3] = (0.0, 1.0, 0.5)
+    X3 = rng.random((k, n, 2))
+    X3[:, :5] = X[:5]
+    e_chains = np.array([[0.0], [0.4294], [1.0]])
+    for sys, args in _two_user_cases():
+        ref_g, ref_f, ref_G, ref_F = _per_component_two_user_maps(*args)
+        inputs = [(x, eps) for x in X[:6] for eps in (0.0, 0.4294, 1.0)]
+        inputs += [(X, eps) for eps in (0.0, 0.4294, 1.0)]
+        inputs += [(X, e_rows), (X3, e_chains)]
+        for x, eps in inputs:
+            for got, want in ((sys.check_update(x), ref_g(x)), (sys.check_energy(x), ref_G(x)),
+                              (sys.bit_update(x, eps), ref_f(x, eps)),
+                              (sys.bit_energy(x, eps), ref_F(x, eps))):
+                # equal values, and equal signs of zero
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -11,6 +11,7 @@ from saturate.potential import (
     BISECT_MAX_HALVINGS,
     BP_BISECT_DEPTH,
     CLUSTER_RADIUS,
+    FP_GRID,
     FP_MAX_SEEDS,
     FP_RESIDUAL_TOL,
     ZERO_TOL,
@@ -18,6 +19,9 @@ from saturate.potential import (
     _branch_points,
     _cluster,
     _lattice_rows,
+    _make_record,
+    _newton_batch,
+    _seed_lattice_2d,
     _threshold_bisect,
     check_jacobian,
 )
@@ -309,6 +313,49 @@ def test_fixed_points_appends_ones_row_to_the_lattice(lift36, monkeypatch):
     recs = st.fixed_points(lift36, 1.0)
     x_star = st.iterate_limit(lift36, lift36.ones(), 1.0).limit
     assert any(np.max(np.abs(r.x - x_star)) < 1e-8 for r in recs)
+
+
+def _seedless_fixed_points(sys, eps):
+    # fixed_points' d = 2 enumeration without the all-ones limit among its seeds
+    cands, res = _newton_batch(sys, _seed_lattice_2d(FP_GRID), eps)
+    good = (res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7)
+    records = [_make_record(sys, p, eps) for p in _cluster(cands[good], res[good], CLUSTER_RADIUS)]
+    return [r for r in records if r is not None]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_fixed_points_same_without_the_all_ones_seed(p, lam36, rho36):
+    # SW gamma=0: the one-row all-ones limit that fixed_points puts among its
+    # Newton seeds adds no fixed point that the seed lattice misses
+    grids = np.concatenate([np.linspace(0.005, 1.0, 16), np.linspace(0.4294, 0.431, 8)])
+    for theta in (0.0, 0.5, 1.0):
+        sys = st.make_slepian_wolf(st.SlepianWolfParams(
+            lam36, rho36, lam36, rho36, gamma=0.0, p=p, path=st.ScaledPath(theta=theta)))
+        for eps in grids.tolist():
+            with_seed = np.array([r.x for r in st.fixed_points(sys, eps)]).reshape(-1, 2)
+            seedless = np.array([r.x for r in _seedless_fixed_points(sys, eps)]).reshape(-1, 2)
+            assert len(with_seed) == len(seedless), (theta, eps)
+            for a, b in ((with_seed, seedless), (seedless, with_seed)):
+                for x in a:
+                    assert np.min(np.max(np.abs(b - x), axis=-1)) <= CLUSTER_RADIUS, (theta, eps)
+
+
+def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
+    # bp, potential and Maxwell thresholds at tol 1e-5, to the last bit
+    pinned = {
+        ("sw", 0.5): (0.06211471651405716, 0.3280525214239006, 0.3280546913037936),
+        ("sw", 1.0): (0.046237946510402694, 0.24671554640758137, 0.24671267299183325),
+        ("emac", None): (0.12255477993017962, 0.33231735296260456, 0.3323169132473562),
+    }
+    for (kind, theta), want in pinned.items():
+        if kind == "sw":
+            sys = st.make_slepian_wolf(st.SlepianWolfParams(
+                lam36, rho36, lam36, rho36, gamma=0.5, p=0.5, path=st.ScaledPath(theta=theta)))
+        else:
+            sys = st.make_emac(lam36, rho36, lam36, rho36)
+        got = (st.bp_threshold(sys, tol=1e-5), st.potential_threshold(sys, tol=1e-5),
+               st.maxwell_threshold(sys, tol=1e-5))
+        assert got == want, (kind, theta)
 
 
 def _lattice_seeds(sys, monkeypatch):
