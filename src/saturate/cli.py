@@ -28,7 +28,7 @@ from .coupled import (
     hessian_bound,
     min_coupling_width,
 )
-from .potential import BISECT_TOL, energy_gap, threshold_report
+from .potential import BISECT_TOL, _energy_gaps, threshold_report
 from .system import verify_admissible
 from .verify import corrupt_bit_energy, lemma_battery
 
@@ -157,7 +157,9 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     bound_value = hessian_bound(system) if want_bound else None
     runs = []
     failed_numerics = False
-    for eps in eps_values if mode in ("limit", "both") else []:
+    run_eps = eps_values if mode in ("limit", "both") else []
+    gaps = _energy_gaps(system, run_eps) if want_bound else [None] * len(run_eps)
+    for eps, gap in zip(run_eps, gaps):
         state, rep = coupled_limit(system, spec, eps, max_iter=max_iter,
                                    record_every=record_every)
         snaps = rep.snapshots or [(rep.iterations, state.rows)]
@@ -183,7 +185,6 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
             "snapshots_recorded": len(snaps),
         }
         if want_bound:
-            gap = energy_gap(system, eps)
             if math.isinf(gap):
                 entry["width_bound"] = 0.0
             elif gap <= 0.0:

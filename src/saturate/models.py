@@ -226,7 +226,6 @@ def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
         check_energy=pieces["check_energy"],
         name=f"slepian_wolf(gamma={gamma}, p={p})",
         zero_param_exact=(gamma == 0.0),
-        trial_entropy_scale=1.0 / (1.0 - gamma),
     )
 
 
@@ -271,7 +270,6 @@ def make_emac(
         check_energy=pieces["check_energy"],
         name="emac",
         zero_param_exact=False,
-        trial_entropy_scale=1.0,
     )
 
 
@@ -410,7 +408,6 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         check_energy=check_energy,
         name=f"protograph{H.tolist()}",
         zero_param_exact=(len(spec.punctured_columns) == 0),
-        trial_entropy_scale=None,
     )
 
 

@@ -113,17 +113,33 @@ def _subtree_midpoints(lo: float, hi: float, levels: int, tol: float) -> list:
             + _subtree_midpoints(mid, hi, levels - 1, tol))
 
 
+def _predicted_midpoints(lo: float, hi: float, halvings: int, tol: float, prior: float) -> list:
+    """The midpoints the one-probe walk from [lo, hi] visits if the threshold is prior."""
+    mids = []
+    for _ in range(halvings):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = (mid, hi) if mid < prior else (lo, mid)
+    return mids
+
+
 def _threshold_bisect(true_below, tol: float, name: str,
-                      max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1) -> float:
+                      max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1,
+                      prior: Optional[float] = None) -> float:
     """Bisect [0,1] for the edge of a predicate that holds below a threshold.
 
     true_below maps a 1-d array of eps values to a bool array of verdicts.
     One call evaluates every midpoint of the next depth bisection levels
     (2**depth - 1 of them, fewer where the tol or max_halvings stop prunes
-    the tree), and the first call also holds 1.0 and 1e-9. The walk below is
-    the one-probe loop, looking its verdicts up in the last call, so for a
-    predicate that depends on eps alone the result is the same float at
-    every depth.
+    the tree), and the first call also holds 1.0 and 1e-9. With a prior
+    estimate of the threshold, a call instead holds every midpoint the walk
+    would visit if the threshold were prior, and the next call starts only
+    where a verdict departs from that prediction, predicting again from
+    there. The walk below is the one-probe loop, looking its verdicts up in
+    the last call, so for a predicate that depends on eps alone the result is
+    the same float at every depth and for every prior.
     """
 
     def probe(eps_values):
@@ -132,9 +148,15 @@ def _threshold_bisect(true_below, tol: float, name: str,
         eps = np.array(sorted(set(eps_values)), dtype=float)
         return dict(zip(eps.tolist(), np.asarray(true_below(eps), dtype=bool).tolist()))
 
+    def midpoints(lo, hi, halvings):
+        if prior is None:
+            return _subtree_midpoints(lo, hi, min(depth, halvings), tol)
+        return _predicted_midpoints(lo, hi, halvings, tol, prior)
+
+    span = depth if prior is None else max_halvings  # levels that one call covers
     lo, hi = 1e-9, 1.0
-    verdict = probe([1.0, lo] + _subtree_midpoints(lo, hi, min(depth, max_halvings), tol))
-    levels_left = depth  # levels of the last call's subtree the walk has not used
+    verdict = probe([1.0, lo] + midpoints(lo, hi, max_halvings))
+    levels_left = span  # levels of the last call the walk has not used
     if verdict[1.0]:
         return 1.0
     if not verdict[lo]:
@@ -144,9 +166,9 @@ def _threshold_bisect(true_below, tol: float, name: str,
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if levels_left == 0:
-            verdict = probe(_subtree_midpoints(lo, hi, min(depth, max_halvings - i), tol))
-            levels_left = depth
+        if levels_left == 0 or mid not in verdict:
+            verdict = probe(midpoints(lo, hi, max_halvings - i))
+            levels_left = span
         levels_left -= 1
         if verdict[mid]:
             lo = mid
@@ -204,37 +226,66 @@ def _residual_sup(sys, X, eps):
     return np.abs(X - _step_raw(sys, X, eps)).max(axis=-1)
 
 
-def _newton_batch(sys, X0, eps):
-    """Damped Newton on the fixed-point residual, all seeds in lockstep."""
-    X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0).copy()
+def _newton_jacobian(sys, X, eps):
+    """I - (d step / d x)^T at each row of X, with eps one value per row."""
+    # [n, j, k] = d step_k / d x_j
+    Jstep = _central_difference(lambda Z: _step_raw(sys, Z, eps[:, None]), X, NEWTON_FD_STEP)
     eye = np.eye(sys.d)
+    J = eye[None, :, :] - np.swapaxes(Jstep, -1, -2)
+    return J + 1e-13 * eye  # keep fold-point solves finite
+
+
+def _is_singular(J) -> bool:
+    try:
+        np.linalg.solve(J, np.zeros(len(J)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _newton_batch(sys, X0, eps):
+    """Damped Newton on the fixed-point residual, all seeds in lockstep.
+
+    eps is a scalar or one value per row. Each row's steps depend on that
+    row alone, except that a singular Jacobian stops every row of its eps
+    where it stands, as a call holding only that eps would stop: the rows of
+    the other eps go on, and each eps's rows end as in a call of their own.
+    """
+    X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0).copy()
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), X.shape[:-1])
+    stopped = np.zeros(len(X), bool)
     for _ in range(NEWTON_MAX_ITER):
         R = X - _step_raw(sys, X, eps)
         res = np.max(np.abs(R), axis=-1)
-        active = res > NEWTON_RES_TOL
-        if not active.any():
+        active = np.flatnonzero((res > NEWTON_RES_TOL) & ~stopped)
+        if not len(active):
             break
-        Xa = X[active]
-        Ra = R[active]
-        res_a = res[active]
-        # [n, j, k] = d step_k / d x_j
-        Jstep = _central_difference(lambda Z: _step_raw(sys, Z, eps), Xa, NEWTON_FD_STEP)
-        J = eye[None, :, :] - np.swapaxes(Jstep, -1, -2)
-        J = J + 1e-13 * eye  # keep fold-point solves finite
+        J = _newton_jacobian(sys, X[active], eps[active])
         try:
-            dx = np.linalg.solve(J, Ra[..., None])[..., 0]
+            dx = np.linalg.solve(J, R[active, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            break
+            # a call of one eps ends at its first singular solve: stop the
+            # rows of every eps with one and solve for the rest
+            singular = eps[active][[_is_singular(m) for m in J]]
+            stopped |= np.any(eps[:, None] == singular, axis=-1)
+            keep = ~stopped[active]
+            active, J = active[keep], J[keep]
+            if not len(active):
+                break
+            dx = np.linalg.solve(J, R[active, :, None])[..., 0]
+        Xa = X[active]
+        res_a = res[active]
+        eps_a = eps[active]
         t = np.ones(len(Xa))
         cand = np.clip(Xa - dx, 0.0, 1.0)
-        rc = _residual_sup(sys, cand, eps)
+        rc = _residual_sup(sys, cand, eps_a)
         for _ in range(8):
             bad = rc > (1.0 - 0.25 * t) * res_a
             if not bad.any():
                 break
             t[bad] *= NEWTON_DAMPING
             cand[bad] = np.clip(Xa[bad] - t[bad, None] * dx[bad], 0.0, 1.0)
-            rc[bad] = _residual_sup(sys, cand[bad], eps)
+            rc[bad] = _residual_sup(sys, cand[bad], eps_a[bad])
         X[active] = cand
     return X, _residual_sup(sys, X, eps)
 
@@ -304,58 +355,100 @@ def _lattice_rows(d: int, per_axis: int, n: int) -> np.ndarray:
     return rows
 
 
+def _records(sys, cands, res, eps) -> list[FixedPointRecord]:
+    """The fixed-point records of one eps from its solved seeds, sorted by x."""
+    good = (res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7)
+    pts = _cluster(cands[good], res[good], CLUSTER_RADIUS)
+    records = [r for r in (_make_record(sys, p, eps) for p in pts) if r is not None]
+    records.sort(key=lambda r: tuple(r.x))
+    return records
+
+
 def fixed_points(sys: SystemDefinition, eps: float,
                  max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointRecord]:
     """Numerically enumerate the nontrivial fixed points at a given eps.
 
     d=2 systems get damped-Newton solves from a lattice of seeds (interior,
-    boundary faces, and diagonal) plus the all-ones limit, which also finds
-    unstable points; other dimensions fall back to forward iteration from a
-    lattice with an all-ones row appended, which finds the stable ones.
-    Enumeration is heuristic: nothing proves completeness.
+    boundary faces, and diagonal), which also finds unstable points; other
+    dimensions fall back to forward iteration from a lattice with an
+    all-ones row appended, which finds the stable ones. max_iter bounds that
+    iteration. Enumeration is heuristic: nothing proves completeness.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     if sys.d == 2:
-        ones_lim = iterate_limit(sys, sys.ones(), eps, max_iter=max_iter).limit
-        seeds = np.concatenate([_seed_lattice_2d(FP_GRID), ones_lim[None, :]], axis=0)
-        cands, res = _newton_batch(sys, seeds, eps)
-    else:
-        per_axis = max(2, int(min(5, math.floor(FP_MAX_SEEDS ** (1.0 / sys.d)))))
-        seeds = np.vstack([_lattice_rows(sys.d, per_axis, FP_MAX_SEEDS), sys.ones()])
-        cands, it, conv = iterate_batch(sys, seeds, eps, max_iter=max_iter)
-        res = _residual_sup(sys, cands, eps)
-        if not conv:
-            log.debug("fixed_points: %d of %d lattice rows still moving after %d iterations "
-                      "(%s, eps=%g)", np.count_nonzero(res > DEFAULT_ITER_TOL), len(seeds), it,
-                      "period-2 cycles" if it < max_iter else "budget exhausted", eps)
-    good = (res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7)
-    pts = _cluster(cands[good], res[good], CLUSTER_RADIUS)
-    records = []
-    for p in pts:
-        rec = _make_record(sys, p, eps)
-        if rec is not None:
-            records.append(rec)
-    records.sort(key=lambda r: tuple(r.x))
-    return records
+        return _fixed_points_batch(sys, [eps], max_iter)[0]
+    per_axis = max(2, int(min(5, math.floor(FP_MAX_SEEDS ** (1.0 / sys.d)))))
+    seeds = np.vstack([_lattice_rows(sys.d, per_axis, FP_MAX_SEEDS), sys.ones()])
+    cands, it, conv = iterate_batch(sys, seeds, eps, max_iter=max_iter)
+    res = _residual_sup(sys, cands, eps)
+    if not conv:
+        log.debug("fixed_points: %d of %d lattice rows still moving after %d iterations "
+                  "(%s, eps=%g)", np.count_nonzero(res > DEFAULT_ITER_TOL), len(seeds), it,
+                  "period-2 cycles" if it < max_iter else "budget exhausted", eps)
+    return _records(sys, cands, res, eps)
+
+
+def _fixed_points_batch(sys, eps_values, max_iter) -> list[list[FixedPointRecord]]:
+    """fixed_points at every eps of eps_values, one record list per eps.
+
+    For d=2 the seed lattice is tiled over all eps and solved in one Newton
+    batch with a per-row eps, whose rows end as in one call per eps, so
+    every list equals that eps's fixed_points call. Other dimensions iterate
+    their lattice once per eps, through fixed_points.
+    """
+    eps_values = [float(e) for e in eps_values]
+    if sys.d != 2:
+        return [fixed_points(sys, e, max_iter=max_iter) for e in eps_values]
+    if not all(0.0 < e <= 1.0 for e in eps_values):
+        raise ValueError("eps must lie in (0, 1]")
+    seeds = _seed_lattice_2d(FP_GRID)
+    n = len(seeds)
+    cands, res = _newton_batch(sys, np.tile(seeds, (len(eps_values), 1)),
+                               np.repeat(eps_values, n))
+    return [_records(sys, cands[i * n:(i + 1) * n], res[i * n:(i + 1) * n], e)
+            for i, e in enumerate(eps_values)]
 
 
 def energy_gap(sys: SystemDefinition, eps: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Minimum potential over the nontrivial fixed points; +inf when none exist."""
-    fps = fixed_points(sys, eps, max_iter=max_iter)
-    if not fps:
-        return math.inf
-    return min(r.potential_value for r in fps)
+    return _min_potential(fixed_points(sys, eps, max_iter=max_iter))
+
+
+def _min_potential(records) -> float:
+    return min((r.potential_value for r in records), default=math.inf)
+
+
+def _energy_gaps(sys, eps_values, max_iter: int = DEFAULT_MAX_ITER) -> list[float]:
+    """energy_gap at every eps of eps_values, from one _fixed_points_batch call."""
+    return [_min_potential(recs) for recs in _fixed_points_batch(sys, eps_values, max_iter)]
 
 
 def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest eps at which every nontrivial fixed point has nonnegative potential."""
+    """Largest eps at which every nontrivial fixed point has nonnegative potential.
+
+    On d=2 systems the bisection is evaluated in eps batches predicted from
+    maxwell_threshold, which it runs first (see _potential_bisect); the
+    result cannot depend on that estimate.
+    """
+    prior = maxwell_threshold(sys, tol, max_iter=max_iter) if sys.d == 2 else None
+    return _potential_bisect(sys, tol, max_iter, prior)
+
+
+def _potential_bisect(sys, tol, max_iter, prior) -> float:
+    """The potential-threshold bisection, predicted from prior when it is not None.
+
+    Each call of the predicate enumerates the fixed points of all its eps in
+    one _fixed_points_batch call. A prior pays off on d=2, where that call is
+    one Newton batch; in other dimensions every eps iterates its own lattice,
+    so a mispredicted eps costs a whole enumeration and callers pass None.
+    """
 
     def nonneg(eps: np.ndarray) -> np.ndarray:
-        return np.array([energy_gap(sys, e, max_iter=max_iter) >= 0.0 for e in eps.tolist()])
+        return np.array([gap >= 0.0 for gap in _energy_gaps(sys, eps, max_iter)])
 
-    return _threshold_bisect(nonneg, tol, "potential_threshold")
+    return _threshold_bisect(nonneg, tol, "potential_threshold", prior=prior)
 
 
 def epsilon_of_x(sys: SystemDefinition, x) -> Optional[float]:
@@ -578,14 +671,19 @@ class ThresholdReport:
 
 
 def threshold_report(sys: SystemDefinition, gap_grid=None, tol: float = BISECT_TOL) -> ThresholdReport:
-    """Compute all three thresholds and an energy-gap curve."""
+    """Compute all three thresholds and an energy-gap curve.
+
+    The Maxwell threshold comes first and is the prior of the potential
+    bisection on d=2 systems; the gap curve is one _fixed_points_batch call.
+    """
     bp = bp_threshold(sys, tol)
-    pot = potential_threshold(sys, tol)
     mx = maxwell_threshold(sys, tol)
+    pot = _potential_bisect(sys, tol, DEFAULT_MAX_ITER, mx if sys.d == 2 else None)
     if gap_grid is None:
         lo = max(bp - 0.02, 0.02)
         gap_grid = np.linspace(lo, min(1.0, pot + 0.1), 13)
-    curve = [(float(e), float(energy_gap(sys, float(e)))) for e in gap_grid]
+    gap_grid = [float(e) for e in gap_grid]
+    curve = list(zip(gap_grid, _energy_gaps(sys, gap_grid)))
     rep = ThresholdReport(
         system=sys.name,
         bp_threshold=bp,

@@ -54,9 +54,6 @@ class SystemDefinition:
     # systems with surviving cross terms); the zero-parameter boundary checks
     # are then informational.
     zero_param_exact: bool = True
-    # P(x) = -trial_entropy_scale * Q(x) where the relation is known; None
-    # where it is only conjectured.
-    trial_entropy_scale: Optional[float] = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 import saturate.cli
 from saturate.cli import main
+
+# the package re-exports the function potential() under the submodule's name
+potential_module = importlib.import_module("saturate.potential")
 
 PROTO = {"type": "protograph", "matrix": [[3, 3]]}
 REG36 = {"2": 1.0}
@@ -268,3 +272,14 @@ def test_csv_floats_roundtrip(tmp_path):
     assert float(eps_text) == 0.456789123456789
     assert float(gap_text) == json.loads((out / "threshold_report.json").read_text())[
         "energy_gap_curve"][0][1]
+
+
+def test_coupled_width_bounds_take_one_fixed_point_batch(tmp_path, monkeypatch):
+    # the energy gaps of every eps come from one enumeration call
+    calls = []
+    batch = potential_module._fixed_points_batch
+    monkeypatch.setattr(potential_module, "_fixed_points_batch",
+                        lambda sys, eps, max_iter: calls.append(list(eps)) or batch(sys, eps, max_iter))
+    cfg = {"system": PROTO, "analysis": {"L": 4, "w": 2, "eps_values": [0.45, 0.50]}}
+    assert main(["coupled", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    assert calls == [[0.45, 0.50]]

@@ -191,12 +191,6 @@ def test_sw_gamma_zero_bp_matches_scalar(sw_free, thresholds36):
     assert st.bp_threshold(sw_free) == pytest.approx(thresholds36["bp"], abs=1e-6)
 
 
-def test_trial_entropy_scales(sw_half, emac36, sys36):
-    assert sw_half.trial_entropy_scale == pytest.approx(2.0)
-    assert emac36.trial_entropy_scale == 1.0
-    assert sys36.trial_entropy_scale is None
-
-
 def _edge_pair_protograph_maps(spec):
     """The d^2 edge-pair loops of the protograph maps, kept as the reference."""
     H = spec.H

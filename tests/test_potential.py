@@ -5,23 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 import saturate as st
 from saturate.potential import (
     BISECT_MAX_HALVINGS,
     BP_BISECT_DEPTH,
     CLUSTER_RADIUS,
-    FP_GRID,
     FP_MAX_SEEDS,
     FP_RESIDUAL_TOL,
     ZERO_TOL,
     _branch_crossing,
     _branch_points,
     _cluster,
+    _fixed_points_batch,
     _lattice_rows,
-    _make_record,
-    _newton_batch,
-    _seed_lattice_2d,
     _threshold_bisect,
     check_jacobian,
 )
@@ -157,6 +156,40 @@ def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_h
         assert set(seq) <= {e for c in calls for e in c}
 
 
+@settings(max_examples=300, deadline=None)
+@given(edge=hyp.floats(0.0, 1.0), tol=hyp.sampled_from([0.0, 1e-6, 1e-3, 0.3]),
+       prior=hyp.one_of(hyp.sampled_from([0.0, 1.0, -0.5, 1.5, -math.inf, math.inf]),
+                        hyp.floats(), hyp.sampled_from(["edge-", "edge+"])))
+def test_prior_gives_the_one_probe_float(edge, tol, prior):
+    # the walk reads only verdicts, so no prior can move the result
+    if prior == "edge-":
+        prior = edge - tol / 8
+    elif prior == "edge+":
+        prior = edge + tol / 8
+    ref = _one_probe_bisect(lambda e: e < edge, tol)
+    calls = []
+
+    def batched(eps):
+        calls.append(len(eps))
+        return eps < edge
+
+    assert _threshold_bisect(batched, tol, "synthetic", prior=prior) == ref
+    assert max(calls) <= BISECT_MAX_HALVINGS + 2
+
+
+@pytest.mark.parametrize("edge", _EDGES)
+def test_exact_prior_settles_in_one_call(edge):
+    calls = []
+
+    def batched(eps):
+        calls.append(eps.tolist())
+        return eps < edge
+
+    got = _threshold_bisect(batched, 1e-6, "synthetic", prior=edge)
+    assert got == _one_probe_bisect(lambda e: e < edge, 1e-6)
+    assert len(calls) == 1
+
+
 def _one_probe_bp(sys, tol, max_iter=DEFAULT_MAX_ITER):
     def dies(eps):
         res = st.iterate_limit(sys, sys.ones(), eps, max_iter=max_iter)
@@ -273,6 +306,40 @@ def test_maxwell_invariant_under_lifting(sys36, lift36):
     assert abs(st.maxwell_threshold(sys36, tol=tol) - st.maxwell_threshold(lift36, tol=tol)) <= tol
 
 
+def _sw_half_on(lam36, rho36, theta):
+    """Slepian-Wolf gamma=0.5, p=0.5 on the scaled path of slope theta."""
+    return st.make_slepian_wolf(st.SlepianWolfParams(
+        lam36, rho36, lam36, rho36, gamma=0.5, p=0.5, path=st.ScaledPath(theta=theta)))
+
+
+def _count_batches(monkeypatch):
+    calls = []
+    batch = potential_module._fixed_points_batch
+    monkeypatch.setattr(potential_module, "_fixed_points_batch",
+                        lambda sys, eps, max_iter: calls.append(list(eps)) or batch(sys, eps, max_iter))
+    return calls
+
+
+def test_potential_threshold_is_one_batch_after_maxwell(lam36, rho36, monkeypatch):
+    # d=2: Maxwell's eps=1 enumeration, then the whole bisection in one call
+    calls = _count_batches(monkeypatch)
+    assert st.potential_threshold(_sw_half_on(lam36, rho36, 0.5), tol=1e-5) == 0.3280525214239006
+    assert len(calls) == 2 and calls[0] == [1.0] and 1e-9 in calls[1]
+
+
+def test_threshold_report_batches_its_enumerations(lam36, rho36, monkeypatch):
+    # one call for the potential bisection and one for the gap curve, counted
+    # rather than timed, so a per-eps loop fails here
+    calls = _count_batches(monkeypatch)
+    grid = [0.1, 0.2, 0.3, 0.4]
+    rep = st.threshold_report(_sw_half_on(lam36, rho36, 0.5), gap_grid=grid, tol=1e-5)
+    assert rep.potential_threshold == 0.3280525214239006
+    assert len(calls) == 3
+    assert calls[0] == [1.0]  # maxwell_threshold
+    assert 1e-9 in calls[1] and 1.0 in calls[1]  # the potential bisection
+    assert calls[2] == grid
+
+
 def test_maxwell_makes_one_fixed_points_call(sw_half, monkeypatch):
     calls = []
     enumerate_at = potential_module.fixed_points
@@ -315,29 +382,62 @@ def test_fixed_points_appends_ones_row_to_the_lattice(lift36, monkeypatch):
     assert any(np.max(np.abs(r.x - x_star)) < 1e-8 for r in recs)
 
 
-def _seedless_fixed_points(sys, eps):
-    # fixed_points' d = 2 enumeration without the all-ones limit among its seeds
-    cands, res = _newton_batch(sys, _seed_lattice_2d(FP_GRID), eps)
-    good = (res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7)
-    records = [_make_record(sys, p, eps) for p in _cluster(cands[good], res[good], CLUSTER_RADIUS)]
-    return [r for r in records if r is not None]
+@pytest.mark.parametrize("name", ["sys36", "emac36", "sw_half", "sw_free"])
+def test_fixed_points_contain_the_all_ones_limit(name, request):
+    # fixed_points seeds Newton from its lattice alone; the eps=1 limit from
+    # all-ones, once a seed of its own, is still among the points it finds
+    sys = request.getfixturevalue(name)
+    x_star = st.iterate_limit(sys, sys.ones(), 1.0).limit
+    recs = st.fixed_points(sys, 1.0)
+    assert min(np.max(np.abs(r.x - x_star)) for r in recs) <= 1e-8
 
 
-@pytest.mark.parametrize("p", [0.3, 0.5])
-def test_fixed_points_same_without_the_all_ones_seed(p, lam36, rho36):
-    # SW gamma=0: the one-row all-ones limit that fixed_points puts among its
-    # Newton seeds adds no fixed point that the seed lattice misses
-    grids = np.concatenate([np.linspace(0.005, 1.0, 16), np.linspace(0.4294, 0.431, 8)])
-    for theta in (0.0, 0.5, 1.0):
-        sys = st.make_slepian_wolf(st.SlepianWolfParams(
-            lam36, rho36, lam36, rho36, gamma=0.0, p=p, path=st.ScaledPath(theta=theta)))
-        for eps in grids.tolist():
-            with_seed = np.array([r.x for r in st.fixed_points(sys, eps)]).reshape(-1, 2)
-            seedless = np.array([r.x for r in _seedless_fixed_points(sys, eps)]).reshape(-1, 2)
-            assert len(with_seed) == len(seedless), (theta, eps)
-            for a, b in ((with_seed, seedless), (seedless, with_seed)):
-                for x in a:
-                    assert np.min(np.max(np.abs(b - x), axis=-1)) <= CLUSTER_RADIUS, (theta, eps)
+def _pinned_systems(lam36, rho36):
+    return [_sw_half_on(lam36, rho36, 0.5), _sw_half_on(lam36, rho36, 1.0),
+            st.make_emac(lam36, rho36, lam36, rho36), st.regular_protograph(3, 6)]
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.x, b.x)
+        assert (a.eps_root, a.potential_value, a.residual, a.gradient_norm) == (
+            b.eps_root, b.potential_value, b.residual, b.gradient_norm)
+
+
+def test_fixed_points_batch_equals_per_eps_calls(lam36, rho36):
+    # the seed lattice tiled over 31 eps in one Newton batch, record for record
+    eps_values = np.linspace(0.02, 1.0, 31).tolist()
+    for sys in _pinned_systems(lam36, rho36):
+        batch = _fixed_points_batch(sys, eps_values, DEFAULT_MAX_ITER)
+        assert sum(map(len, batch)) > len(eps_values)
+        for eps, recs in zip(eps_values, batch):
+            _assert_same_records(recs, st.fixed_points(sys, eps))
+
+
+@pytest.mark.parametrize("rows", ["all", "some"])
+def test_singular_jacobian_stops_only_its_own_eps(rows, sw_half, monkeypatch):
+    # a singular solve stops every row of its eps, as a call of that eps
+    # alone stops, and no row of any other eps
+    eps_values, bad = [0.3, 0.35, 0.5, 1.0], 0.35
+    want = {eps: st.fixed_points(sw_half, eps) for eps in eps_values}
+    assert want[bad]
+    jacobian = potential_module._newton_jacobian
+
+    def singular_at_bad(sys, X, eps):
+        J = jacobian(sys, X, eps)
+        hit = eps == bad
+        if rows == "some":  # one column of the seed lattice
+            hit &= X[:, 0] == 0.97
+        J[hit] = 0.0
+        return J
+
+    monkeypatch.setattr(potential_module, "_newton_jacobian", singular_at_bad)
+    alone = st.fixed_points(sw_half, bad)
+    assert not alone  # every row of bad stopped where its seed stood
+    batch = _fixed_points_batch(sw_half, eps_values, DEFAULT_MAX_ITER)
+    for eps, recs in zip(eps_values, batch):
+        _assert_same_records(recs, alone if eps == bad else want[eps])
 
 
 def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
@@ -349,8 +449,7 @@ def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
     }
     for (kind, theta), want in pinned.items():
         if kind == "sw":
-            sys = st.make_slepian_wolf(st.SlepianWolfParams(
-                lam36, rho36, lam36, rho36, gamma=0.5, p=0.5, path=st.ScaledPath(theta=theta)))
+            sys = _sw_half_on(lam36, rho36, theta)
         else:
             sys = st.make_emac(lam36, rho36, lam36, rho36)
         got = (st.bp_threshold(sys, tol=1e-5), st.potential_threshold(sys, tol=1e-5),

@@ -1,3 +1,7 @@
+import dataclasses
+
+import numpy as np
+
 import saturate.verify as verify_mod
 from saturate.verify import corrupt_bit_energy, lemma_battery
 
@@ -19,3 +23,25 @@ def test_stationary_fixed_points_catches_a_corrupt_bit_energy(sys36, thresholds3
     # alone; only differences of the closed-form potential can see it
     rep = lemma_battery(corrupt_bit_energy(sys36), L=4, w=2, thresholds=thresholds36)
     assert "stationary_fixed_points" in [c.name for c in rep.failed()]
+
+
+def test_zero_state_stationary_catches_a_linear_bit_energy_term(sys36, thresholds36):
+    # a bit-energy term linear at 0 leaves every update map, and so every
+    # fixed point and the zero-state checks of the constructor, alone
+    orig = sys36.bit_energy
+    mutant = dataclasses.replace(
+        sys36, bit_energy=lambda x, eps: orig(x, eps) + 1e-3 * np.asarray(x)[..., 0])
+    rep = lemma_battery(mutant, L=4, w=2, thresholds=thresholds36)
+    assert "zero_state_stationary" in [c.name for c in rep.failed()]
+
+
+def test_lemma_battery_enumerates_fixed_points_in_one_batch(sys36, thresholds36, monkeypatch):
+    calls = []
+    batch = verify_mod._fixed_points_batch
+    monkeypatch.setattr(verify_mod, "_fixed_points_batch",
+                        lambda sys, eps, max_iter: calls.append(list(eps)) or batch(sys, eps, max_iter))
+    rep = lemma_battery(sys36, L=4, w=2, thresholds=thresholds36)
+    assert rep.ok
+    assert len(calls) == 1
+    # eps_values[1:] and the 20-point compare_mins grid, each once
+    assert len(calls[0]) == len(set(calls[0])) == 22
