@@ -14,6 +14,7 @@ from .system import (
     DEFAULT_MAX_ITER,
     SystemDefinition,
     _central_difference,
+    _check_state,
     _step_raw,
     iterate_batch,
     iterate_limit,
@@ -34,8 +35,8 @@ NEWTON_FD_STEP = 1e-7  # central-difference step of the Newton Jacobians
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
 FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
 FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
-# bisection levels that one batched bp_threshold pass probes (2**5 - 1 = 31
-# eps rows per pass)
+# bisection levels that one batched pass of bp_threshold, of a Maxwell
+# crossing and of epsilon_of_x probes (2**5 - 1 = 31 eps rows per pass)
 BP_BISECT_DEPTH = 5
 # grid points of the pinned component on each branch that maxwell_threshold walks
 BRANCH_POINTS = 50
@@ -127,8 +128,8 @@ def _predicted_midpoints(lo: float, hi: float, halvings: int, tol: float, prior:
 
 def _threshold_bisect(true_below, tol: float, name: str,
                       max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1,
-                      prior: Optional[float] = None) -> float:
-    """Bisect [0,1] for the edge of a predicate that holds below a threshold.
+                      prior: Optional[float] = None, bracket: Optional[tuple] = None) -> float:
+    """Bisect [0,1] or a bracket for the edge of a predicate that holds below a threshold.
 
     true_below maps a 1-d array of eps values to a bool array of verdicts.
     One call evaluates every midpoint of the next depth bisection levels
@@ -139,7 +140,10 @@ def _threshold_bisect(true_below, tol: float, name: str,
     where a verdict departs from that prediction, predicting again from
     there. The walk below is the one-probe loop, looking its verdicts up in
     the last call, so for a predicate that depends on eps alone the result is
-    the same float at every depth and for every prior.
+    the same float at every depth and for every prior. A bracket (lo, hi)
+    replaces [1e-9, 1] by an interval whose end verdicts the caller holds
+    (true at lo, false at hi): the walk never probes its ends, and when
+    hi - lo <= tol, hi <= lo included, returns the midpoint without a call.
     """
 
     def probe(eps_values):
@@ -154,12 +158,13 @@ def _threshold_bisect(true_below, tol: float, name: str,
         return _predicted_midpoints(lo, hi, halvings, tol, prior)
 
     span = depth if prior is None else max_halvings  # levels that one call covers
-    lo, hi = 1e-9, 1.0
-    verdict = probe([1.0, lo] + midpoints(lo, hi, max_halvings))
+    lo, hi = (1e-9, 1.0) if bracket is None else bracket
+    first = ([1.0, lo] if bracket is None else []) + midpoints(lo, hi, max_halvings)
+    verdict = probe(first) if first else {}  # empty only if the walk makes no halving
     levels_left = span  # levels of the last call the walk has not used
-    if verdict[1.0]:
+    if bracket is None and verdict[1.0]:
         return 1.0
-    if not verdict[lo]:
+    if bracket is None and not verdict[lo]:
         log.warning("%s: predicate already fails as eps -> 0+ (degenerate)", name)
         return 0.0
     for i in range(max_halvings):
@@ -455,9 +460,10 @@ def epsilon_of_x(sys: SystemDefinition, x) -> Optional[float]:
     """The unique channel parameter supporting x as a fixed point, if any.
 
     Bisection along the most eps-sensitive component, then a full-vector
-    residual test; None when x is not a fixed point for any eps.
+    residual test; None when x is not a fixed point for any eps. Raises
+    unless x is a nonzero state in [0,1]^d.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_state(sys, x)
     if np.max(np.abs(x)) <= 1e-12:
         raise ValueError("the zero state is excluded (fixed point at every eps)")
     s0 = _step_raw(sys, x, 0.0)
@@ -466,19 +472,14 @@ def epsilon_of_x(sys: SystemDefinition, x) -> Optional[float]:
     if s1[j] - s0[j] <= 1e-14:
         return None
 
-    def h(e):
-        return _step_raw(sys, x, e)[j] - x[j]
-
-    if h(0.0) > FP_RESIDUAL_TOL or h(1.0) < -FP_RESIDUAL_TOL:
+    if s0[j] - x[j] > FP_RESIDUAL_TOL or s1[j] - x[j] < -FP_RESIDUAL_TOL:
         return None
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_MAX_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        if h(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+
+    def below(eps):  # h(eps) <= 0, with eps the batch axis
+        return _step_raw(sys, np.tile(x, (len(eps), 1)), eps)[:, j] - x[j] <= 0.0
+
+    root = _threshold_bisect(below, 0.0, "epsilon_of_x", depth=BP_BISECT_DEPTH,
+                             bracket=(0.0, 1.0))
     if float(_residual_sup(sys, x, root)) >= FP_RESIDUAL_TOL:
         return None
     return root
@@ -498,8 +499,9 @@ def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
 
     The Maxwell construction along the fixed-point branches. Every fixed
     point at eps=1 with negative potential seeds a branch, walked down in eps
-    until Q turns nonnegative; the crossing is bisected on eps by Newton
-    solves seeded by linear interpolation until the bracket is at most tol/4.
+    until Q turns nonnegative; the crossing is bisected on eps to tol/4 by
+    Newton solves seeded by linear interpolation between the branch points
+    around it, one Newton batch per pass of BP_BISECT_DEPTH levels.
     Returns the smallest crossing, or 1.0 when no seed has Q < 0; a walk that
     ends with Q still negative contributes the smallest eps it reached and
     logs a warning. Only the eps=1 enumeration is shared with
@@ -524,15 +526,13 @@ def _branch_crossing(sys, x0, tol):
                     x0, hi[1])
         return float(hi[1])
     (x_lo, e_lo), (x_hi, e_hi) = (x, eps), hi
-    while e_hi - e_lo > tol / 4:
-        mid = 0.5 * (e_lo + e_hi)
-        seed = x_lo + (mid - e_lo) / (e_hi - e_lo) * (x_hi - x_lo)
-        x_mid = _newton_batch(sys, seed[None, :], mid)[0][0]
-        if potential(sys, x_mid, mid) >= 0.0:
-            x_lo, e_lo = x_mid, mid
-        else:
-            x_hi, e_hi = x_mid, mid
-    return float(0.5 * (e_lo + e_hi))
+
+    def nonneg(mid):  # Newton solves seeded by interpolation between the ends
+        seeds = x_lo + ((mid - e_lo) / (e_hi - e_lo))[:, None] * (x_hi - x_lo)
+        return potential(sys, _newton_batch(sys, seeds, mid)[0], mid) >= 0.0
+
+    return float(_threshold_bisect(nonneg, tol / 4, "maxwell_threshold",
+                                   depth=BP_BISECT_DEPTH, bracket=(e_lo, e_hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,16 @@ def _check_eps(eps) -> None:
         raise ValueError("eps outside [0,1]")
 
 
+def _check_state(sys: SystemDefinition, x) -> np.ndarray:
+    """x as a float array; raises unless its last axis has length d and it lies in [0,1]^d."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != sys.d:
+        raise ValueError(f"state has shape {x.shape}; the system has dimension {sys.d}")
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
+        raise ValueError("state outside [0,1]^d")
+    return x
+
+
 def _central_difference(fn, x, h: float) -> np.ndarray:
     """Central differences of fn at x along each coordinate, in one batched call.
 
@@ -129,11 +139,7 @@ def step(sys: SystemDefinition, x, eps) -> np.ndarray:
     inputs leave [0,1] or the un-clamped update leaves [0,1]^d by more than
     rounding noise, which signals a broken system.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != sys.d:
-        raise ValueError(f"state has dimension {x.shape[-1]}, system has {sys.d}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("state outside [0,1]^d")
+    x = _check_state(sys, x)
     eps_arr = np.asarray(eps, dtype=float)
     try:
         fits = np.broadcast_shapes(eps_arr.shape, x.shape[:-1]) == x.shape[:-1]
@@ -164,7 +170,7 @@ def _iterate(sys, X, eps, tol, max_iter, observe=None):
     observe(delta, X), when given, runs after every step with that step's raw
     change, before the cycle exit zeroes any row, and the new iterates.
     """
-    X = np.clip(np.asarray(X, dtype=float), 0.0, 1.0).copy()
+    X = np.array(X, dtype=float)  # a state in [0,1]^d, checked by the callers
     cycled = np.zeros(X.shape[0], bool)
     any_cycled = False
     # period-2 detection: row sums two steps before a check, then the rows
@@ -227,10 +233,11 @@ def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
     and converged is then False. Iterates are never altered: every returned
     row is the plain recursion's iterate after the returned number of steps,
     so a batch without cycles gives the same limits and iteration count as a
-    loop without the check. Raises if an eps lies outside [0, 1].
+    loop without the check. Raises if an eps lies outside [0, 1] or a row
+    of X outside [0,1]^d, or if X's rows are not d long.
     """
     _check_eps(eps)
-    return _iterate(sys, X, eps, tol, max_iter)
+    return _iterate(sys, _check_state(sys, X), eps, tol, max_iter)
 
 
 _DIR_NAME = {1: "up", -1: "down", 0: "none"}
@@ -245,11 +252,11 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
     budget. monotone_direction classifies the first step and monotone_ok
     says whether no later step moved against it by more than MONO_SLACK;
     both are checked step by step, without storing the trajectory. Raises
-    if eps lies outside [0, 1].
+    if eps lies outside [0, 1] or x0 is not a state in [0,1]^d.
     """
     _check_eps(eps)
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    path = [np.clip(x0, 0.0, 1.0)] if keep_path else None
+    x0 = _check_state(sys, x0).reshape(1, sys.d)
+    path = [x0] if keep_path else None
     direction = None  # of the first step: 1 up, -1 down, 0 neither
     mono = True
 

@@ -1,11 +1,14 @@
 import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import saturate.cli
-from saturate.cli import main
+from jsonschema.validators import validator_for
+from saturate.cli import _parser, main
+from saturate.config import load_config, schema_for
 
 # the package re-exports the function potential() under the submodule's name
 potential_module = importlib.import_module("saturate.potential")
@@ -283,3 +286,30 @@ def test_coupled_width_bounds_take_one_fixed_point_batch(tmp_path, monkeypatch):
     cfg = {"system": PROTO, "analysis": {"L": 4, "w": 2, "eps_values": [0.45, 0.50]}}
     assert main(["coupled", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
     assert calls == [[0.45, 0.50]]
+
+
+@pytest.mark.parametrize("command", ["threshold", "coupled", "verify"])
+def test_command_schemas_are_valid_schemas(command):
+    # load_config validates against these without re-checking them
+    schema = schema_for(command)
+    validator_for(schema).check_schema(schema)
+
+
+SATBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "satbench" / "configs"
+
+
+@pytest.mark.parametrize("name, command, analysis", [
+    ("single-system-threshold.json", "threshold", {"bisect_tol": 1e-5}),
+    ("single-system-verify.json", "verify", {}),
+    ("coupled-chain-36.json", "coupled", {}),
+    ("coupled-chain-emac.json", "coupled", {}),
+])
+def test_benchmark_configs_load_as_the_benchmark_drives_them(tmp_path, name, command, analysis):
+    # the benchmark sets analysis.seed in every config and passes --jobs 1;
+    # both stay accepted until the benchmark stops using them
+    cfg = json.loads((SATBENCH_CONFIGS / name).read_text())
+    cfg["analysis"].update(analysis, seed=7)
+    path = _write(tmp_path, cfg, name)
+    assert load_config(path, command)["analysis"]["seed"] == 7
+    args = _parser().parse_args([command, "--config", path, "--out", str(tmp_path), "--jobs", "1"])
+    assert (args.command, args.jobs) == (command, 1)

@@ -103,13 +103,19 @@ def test_bp_threshold_decoupled_slepian_wolf(sw_free):
     assert st.bp_threshold(sw_free) == pytest.approx(0.42944, abs=1e-3)
 
 
-def _one_probe_bisect(true_below, tol, max_halvings=BISECT_MAX_HALVINGS):
-    """The bisection with one eps per predicate call, kept as the reference."""
-    if true_below(1.0):
+def _one_probe_bisect(true_below, tol, max_halvings=BISECT_MAX_HALVINGS, bracket=None):
+    """The bisection with one eps per predicate call, kept as the reference.
+
+    With a bracket (lo, hi) it bisects that interval and never probes its ends.
+    """
+    if bracket is not None:
+        lo, hi = bracket
+    elif true_below(1.0):
         return 1.0
-    if not true_below(1e-9):
+    elif not true_below(1e-9):
         return 0.0
-    lo, hi = 1e-9, 1.0
+    else:
+        lo, hi = 1e-9, 1.0
     for _ in range(max_halvings):
         if hi - lo <= tol:
             break
@@ -124,36 +130,60 @@ def _one_probe_bisect(true_below, tol, max_halvings=BISECT_MAX_HALVINGS):
 _EDGES = np.random.default_rng(11).random(4).tolist()
 
 
-@pytest.mark.parametrize("edge, inclusive, tol, max_halvings", [
-    *[(e, False, 1e-6, BISECT_MAX_HALVINGS) for e in _EDGES],
-    (0.5 * (1e-9 + 1.0), True, 1e-6, BISECT_MAX_HALVINGS),  # edge on the first midpoint
-    (1.0, True, 1e-6, BISECT_MAX_HALVINGS),  # holds at 1.0
-    (1.0, False, 1e-6, BISECT_MAX_HALVINGS),  # fails only at 1.0
-    (5e-10, False, 1e-6, BISECT_MAX_HALVINGS),  # fails already at 1e-9
-    (_EDGES[0], False, 1.0, BISECT_MAX_HALVINGS),
-    (_EDGES[0], False, 3.0, BISECT_MAX_HALVINGS),
-    (_EDGES[1], False, 1e-6, 7),  # max_halvings cut, not a multiple of the depth
-    (_EDGES[2], False, 0.0, BISECT_MAX_HALVINGS),  # halves until midpoints repeat in the last bit
-])
-def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_halvings):
+_MULTISECTION_CASES = [
+    *[(e, False, 1e-6, BISECT_MAX_HALVINGS, None) for e in _EDGES],
+    (0.5 * (1e-9 + 1.0), True, 1e-6, BISECT_MAX_HALVINGS, None),  # edge on the first midpoint
+    (1.0, True, 1e-6, BISECT_MAX_HALVINGS, None),  # holds at 1.0
+    (1.0, False, 1e-6, BISECT_MAX_HALVINGS, None),  # fails only at 1.0
+    (5e-10, False, 1e-6, BISECT_MAX_HALVINGS, None),  # fails already at 1e-9
+    (_EDGES[0], False, 1.0, BISECT_MAX_HALVINGS, None),
+    (_EDGES[0], False, 3.0, BISECT_MAX_HALVINGS, None),
+    (_EDGES[1], False, 1e-6, 7, None),  # max_halvings cut, not a multiple of the depth
+    (_EDGES[2], False, 0.0, BISECT_MAX_HALVINGS, None),  # halves until midpoints repeat in the last bit
+    # brackets whose end verdicts the caller holds: the ends are never probed
+    (_EDGES[1], False, 1e-6, BISECT_MAX_HALVINGS, (0.45, 0.52)),
+    (_EDGES[2], True, 0.0, BISECT_MAX_HALVINGS, (0.0, 1.0)),  # tol 0, as epsilon_of_x bisects
+    (_EDGES[0], False, 2.5e-6, BISECT_MAX_HALVINGS, (0.12, 0.1292)),  # tol/4 of a Maxwell bracket
+    (_EDGES[3], False, 1e-6, 7, (0.0, 0.5)),
+    (0.4, False, 1e-6, BISECT_MAX_HALVINGS, (0.4, 0.4)),  # hi == lo: no call
+    (0.4, False, 1e-6, BISECT_MAX_HALVINGS, (0.42, 0.38)),  # hi < lo: no call
+    (0.4, False, 1e-6, BISECT_MAX_HALVINGS, (0.4, 0.4 + 5e-7)),  # already within tol
+]
+
+
+def _multisection_id(case):
+    # pytest's own id of the four leading values, with a bracket appended
+    bracket = case[-1]
+    return "-".join(map(str, case[:-1])) + (f"-in-{bracket[0]}-{bracket[1]}" if bracket else "")
+
+
+@pytest.mark.parametrize("edge, inclusive, tol, max_halvings, bracket", _MULTISECTION_CASES,
+                         ids=map(_multisection_id, _MULTISECTION_CASES))
+def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_halvings, bracket):
     def holds(eps):
         return eps <= edge if inclusive else eps < edge
 
     seq = []
-    ref = _one_probe_bisect(lambda e: seq.append(e) or holds(e), tol, max_halvings)
+    ref = _one_probe_bisect(lambda e: seq.append(e) or holds(e), tol, max_halvings, bracket)
+    halvings = len(seq) if bracket else max(len(seq) - 2, 0)
     for depth in (1, 3, BP_BISECT_DEPTH):
         calls = []
 
         def batched(eps):
-            assert eps.ndim == 1
+            assert eps.ndim == 1 and len(eps)
             calls.append(eps.tolist())
             return holds(eps)
 
-        assert _threshold_bisect(batched, tol, "synthetic", max_halvings, depth=depth) == ref
-        halvings = max(len(seq) - 2, 0)
-        assert len(calls) == max(1, -(-halvings // depth))
-        assert max(map(len, calls)) <= 2 ** depth + 1
-        assert set(seq) <= {e for c in calls for e in c}
+        got = _threshold_bisect(batched, tol, "synthetic", max_halvings, depth=depth,
+                                bracket=bracket)
+        assert got == ref
+        passes = -(-halvings // depth)  # a bracket's walk makes no call without a halving
+        assert len(calls) == (passes if bracket else max(1, passes))
+        assert max(map(len, calls), default=0) <= 2 ** depth + 1
+        probed = {e for c in calls for e in c}
+        assert set(seq) <= probed
+        if bracket:
+            assert not probed & set(bracket)
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,6 +379,17 @@ def test_maxwell_makes_one_fixed_points_call(sw_half, monkeypatch):
     assert calls == [1.0]
 
 
+def test_maxwell_bisects_each_crossing_in_batched_passes(lam36, rho36, monkeypatch):
+    # one Newton batch per pass of BP_BISECT_DEPTH levels, not one per halving
+    # (70 calls with one row per halving)
+    calls = []
+    solve = potential_module._newton_batch
+    monkeypatch.setattr(potential_module, "_newton_batch",
+                        lambda sys, X0, eps: calls.append(len(X0)) or solve(sys, X0, eps))
+    assert st.maxwell_threshold(_sw_half_on(lam36, rho36, 0.5), tol=1e-5) == 0.3280546913037936
+    assert len(calls) <= 20
+
+
 def test_maxwell_walk_ending_early_warns(sys36, monkeypatch, caplog):
     # a branch that ends while Q is still negative contributes the smallest eps it reached
     monkeypatch.setattr(potential_module, "_branch_points",
@@ -495,6 +536,25 @@ def test_fixed_points_lattice_at_d40_builds_only_the_kept_rows(monkeypatch):
 def test_epsilon_of_x_round_trip(sys36):
     fp = st.iterate_limit(sys36, sys36.ones(), 0.45).limit
     assert st.epsilon_of_x(sys36, fp) == pytest.approx(0.45, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("sys36", (0.4500000000842569, 0.47000000004605036, 0.49000000003249433, 1.0)),
+    ("emac36", (0.45000000000332085, 0.47000000000076936, 0.49000000000343635, 1.0)),
+    ("lift36", (0.4500000000842569, 0.47000000004605036, 0.49000000003249433, 1.0)),
+])
+def test_epsilon_of_x_pinned(name, want, request):
+    # the bisection over (0, 1) at tol 0, to the last bit, at all-ones limits
+    sys = request.getfixturevalue(name)
+    got = tuple(st.epsilon_of_x(sys, st.iterate_limit(sys, sys.ones(), eps).limit)
+                for eps in (0.45, 0.47, 0.49, 1.0))
+    assert got == want
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.3, 0.3], [2.0, -1.0], [math.nan, 0.5]])
+def test_epsilon_of_x_rejects_what_is_not_a_state(sys36, x):
+    with pytest.raises(ValueError, match="state"):
+        st.epsilon_of_x(sys36, x)
 
 
 def test_epsilon_of_x_full_erasure_endpoint(emac36):

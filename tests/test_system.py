@@ -42,8 +42,33 @@ def test_step_protograph_ones():
 def test_step_domain_errors(sys36):
     with pytest.raises(ValueError):
         st.step(sys36, [1.2, 0.5], 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        st.step(sys36, np.ones(3), 0.5)
     with pytest.raises(ValueError):
         st.step(sys36, [0.5, 0.5], 1.5)
+
+
+_NOT_STATES = {  # of the (3,6) protograph, d=2
+    "three entries": (np.ones(3), "shape"),
+    "outside [0,1]": (np.array([2.0, -1.0]), "outside"),
+    "NaN entry": (np.array([np.nan, 0.5]), "outside"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_NOT_STATES))
+def test_iterate_limit_rejects_what_is_not_a_state(sys36, bad, caplog):
+    # not a "limit" read from a column the system never wrote, nor a silent clip
+    x, match = _NOT_STATES[bad]
+    with pytest.raises(ValueError, match=match):
+        st.iterate_limit(sys36, x, 0.4)
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("bad", list(_NOT_STATES))
+def test_iterate_batch_rejects_what_is_not_a_state(sys36, bad):
+    x, match = _NOT_STATES[bad]
+    with pytest.raises(ValueError, match=match):
+        iterate_batch(sys36, np.stack([x, x]), 0.4)
 
 
 def test_step_per_row_eps(sw_half):
