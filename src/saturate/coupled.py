@@ -470,10 +470,11 @@ def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BIS
     lasts as long as its slowest chain, the probe nearest the coupled
     threshold, whose decoding front stalls there for many steps.
 
-    A probe that exhausts max_iter without reaching the zero state counts as
-    not collapsing (a warning names its eps), so near saturation the answer
-    is budget-limited from below. Each pass logs every probe's eps, step
-    count and verdict at debug level.
+    A probe collapses when its chain ends with max below ZERO_TOL, as in
+    bp_threshold. A probe still moving after max_iter steps is named in a
+    warning; unless its chain is already below ZERO_TOL it counts as not
+    collapsing, so near saturation the answer is budget-limited from below.
+    Each pass logs every probe's eps, step count and verdict at debug level.
     """
     spec = CouplingSpec(L=L, w=w)
 
@@ -482,7 +483,7 @@ def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BIS
         rows, steps, sup_change = _iterate_chains(sys, spec, start, eps[:, None],
                                                   DEFAULT_ITER_TOL, max_iter)
         converged = sup_change <= DEFAULT_ITER_TOL
-        verdict = converged & (np.max(rows, axis=(-2, -1)) < ZERO_TOL)
+        verdict = np.max(rows, axis=(-2, -1)) < ZERO_TOL
         if log.isEnabledFor(logging.DEBUG):
             log.debug("coupled_bp_threshold pass: %s", ", ".join(
                 f"(eps={e:.9g}, steps={s}, {'dies' if v else 'survives'})"

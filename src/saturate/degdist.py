@@ -7,12 +7,12 @@ Coefficients are stored densely with index = degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
 
-MAX_DEGREE = 64
+MAX_DEGREE = 64  # highest edge degree; a node polynomial reaches MAX_DEGREE + 1
 _NORM_TOL = 1e-12
 
 
@@ -39,10 +39,9 @@ class EdgePolynomial:
     """Edge-perspective degree distribution: nonnegative, sums to 1, no x^0 term."""
 
     coeffs: np.ndarray
-    max_degree: int = field(default=MAX_DEGREE, repr=False)
 
     def __post_init__(self):
-        c = _as_coeffs(self.coeffs, self.max_degree)
+        c = _as_coeffs(self.coeffs, MAX_DEGREE)
         if c[0] != 0.0:
             raise ValueError("edge-perspective polynomial must have zero constant term")
         if abs(c.sum() - 1.0) > _NORM_TOL:
@@ -81,10 +80,9 @@ class NodePolynomial:
     """Node-perspective polynomial L(x) (or R(x)): L(0) = 0, L(1) = 1."""
 
     coeffs: np.ndarray
-    max_degree: int = field(default=MAX_DEGREE, repr=False)
 
     def __post_init__(self):
-        c = _as_coeffs(self.coeffs, self.max_degree)
+        c = _as_coeffs(self.coeffs, MAX_DEGREE + 1)  # the antiderivative of an edge polynomial
         if abs(c[0]) > _NORM_TOL:
             raise ValueError("node-perspective polynomial must vanish at 0")
         if abs(c.sum() - 1.0) > _NORM_TOL:

@@ -23,7 +23,6 @@ from .system import (
 log = logging.getLogger("saturate")
 
 FP_RESIDUAL_TOL = 1e-9
-FP_GRADIENT_TOL = 1e-6
 CLUSTER_RADIUS = 1e-6
 ZERO_TOL = 1e-8
 BISECT_TOL = 1e-6
@@ -224,7 +223,6 @@ class FixedPointRecord:
     eps_root: float
     potential_value: float
     residual: float
-    gradient_norm: float
 
 
 def _residual_sup(sys, X, eps):
@@ -319,21 +317,20 @@ def _cluster(points: np.ndarray, residuals: np.ndarray, radius: float) -> np.nda
     return pts[kept]
 
 
-def _make_record(sys, x, eps) -> Optional[FixedPointRecord]:
-    resid = float(_residual_sup(sys, x, eps))
-    if resid > FP_RESIDUAL_TOL:
-        return None
-    grad = float(np.max(np.abs(potential_gradient(sys, x, eps))))
-    if grad > FP_GRADIENT_TOL:
-        log.debug("fixed point at %s rejected: gradient norm %g", x, grad)
-        return None
-    return FixedPointRecord(
-        x=np.asarray(x, dtype=float),
-        eps_root=float(eps),
-        potential_value=float(potential(sys, x, eps)),
-        residual=resid,
-        gradient_norm=grad,
-    )
+def _make_records(sys, X, eps) -> list[FixedPointRecord]:
+    """Records of the rows of X within FP_RESIDUAL_TOL, in row order; eps is a scalar or per row.
+
+    The residual alone decides: the gradient (x - step(x)) D g'(x) at such a
+    row is that residual times a weight-scaled Jacobian.
+    """
+    if not len(X):
+        return []
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), X.shape[:-1])
+    resid = _residual_sup(sys, X, eps)
+    pot = potential(sys, X, eps)
+    return [FixedPointRecord(x=X[i], eps_root=float(eps[i]), potential_value=float(pot[i]),
+                             residual=float(resid[i]))
+            for i in np.flatnonzero(resid <= FP_RESIDUAL_TOL)]
 
 
 def _seed_lattice_2d(grid: int) -> np.ndarray:
@@ -364,9 +361,7 @@ def _records(sys, cands, res, eps) -> list[FixedPointRecord]:
     """The fixed-point records of one eps from its solved seeds, sorted by x."""
     good = (res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7)
     pts = _cluster(cands[good], res[good], CLUSTER_RADIUS)
-    records = [r for r in (_make_record(sys, p, eps) for p in pts) if r is not None]
-    records.sort(key=lambda r: tuple(r.x))
-    return records
+    return sorted(_make_records(sys, pts, eps), key=lambda r: tuple(r.x))
 
 
 def fixed_points(sys: SystemDefinition, eps: float,
@@ -626,7 +621,7 @@ def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200) -> list[
     endpoint is swept down on an n_points grid while Newton solves for the
     other components and eps, so the curve runs down the stable side to the
     fold (the BP threshold) and back up the unstable side until eps leaves
-    (0, 1]. Points that fail the fixed-point record checks are left out.
+    (0, 1]. Points whose residual exceeds FP_RESIDUAL_TOL are left out.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -634,8 +629,8 @@ def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200) -> list[
     if np.max(x_star) < 1e-9:
         log.warning("trace_fixed_point_curve: all-ones limit at eps=1 is zero; empty curve")
         return []
-    records = [_make_record(sys, x, eps) for x, eps in _branch_points(sys, x_star, n_points)]
-    records = [r for r in records if r is not None]
+    xs, eps = zip(*_branch_points(sys, x_star, n_points))
+    records = _make_records(sys, np.array(xs), eps)
     if not records:
         log.warning("trace_fixed_point_curve: empty output")
     return records
@@ -670,8 +665,8 @@ class ThresholdReport:
             )
 
 
-def threshold_report(sys: SystemDefinition, gap_grid=None, tol: float = BISECT_TOL) -> ThresholdReport:
-    """Compute all three thresholds and an energy-gap curve.
+def threshold_report(sys: SystemDefinition, gap_grid, tol: float = BISECT_TOL) -> ThresholdReport:
+    """Compute all three thresholds and the energy-gap curve over gap_grid.
 
     The Maxwell threshold comes first and is the prior of the potential
     bisection on d=2 systems; the gap curve is one _fixed_points_batch call.
@@ -679,9 +674,6 @@ def threshold_report(sys: SystemDefinition, gap_grid=None, tol: float = BISECT_T
     bp = bp_threshold(sys, tol)
     mx = maxwell_threshold(sys, tol)
     pot = _potential_bisect(sys, tol, DEFAULT_MAX_ITER, mx if sys.d == 2 else None)
-    if gap_grid is None:
-        lo = max(bp - 0.02, 0.02)
-        gap_grid = np.linspace(lo, min(1.0, pot + 0.1), 13)
     gap_grid = [float(e) for e in gap_grid]
     curve = list(zip(gap_grid, _energy_gaps(sys, gap_grid)))
     rep = ThresholdReport(
@@ -694,7 +686,6 @@ def threshold_report(sys: SystemDefinition, gap_grid=None, tol: float = BISECT_T
             "bisect_tol": tol,
             "zero_tol": ZERO_TOL,
             "fp_residual_tol": FP_RESIDUAL_TOL,
-            "fp_gradient_tol": FP_GRADIENT_TOL,
         },
     )
     rep.validate()

@@ -165,13 +165,14 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
     fps_at = dict(zip(wanted, _fixed_points_batch(sys, wanted, DEFAULT_MAX_ITER)))
 
     # differences of the closed-form potential, independent of the update
-    # residual from which fixed_points builds and filters its gradient_norm
-    grad_worst, n_fps = 0.0, 0
-    for eps in eps_values[1:]:
-        for r in fps_at[eps]:
-            n_fps += 1
-            grad = _central_difference(lambda z: potential(sys, z, eps), r.x, FD_STEP)
-            grad_worst = max(grad_worst, float(np.max(np.abs(grad))))
+    # residual on which fixed_points accepts a record
+    fps = [r for eps in eps_values[1:] for r in fps_at[eps]]
+    n_fps, grad_worst = len(fps), 0.0
+    if fps:
+        eps_rows = np.array([r.eps_root for r in fps])[:, None]
+        grad = _central_difference(lambda z: potential(sys, z, eps_rows),
+                                   np.array([r.x for r in fps]), FD_STEP)
+        grad_worst = float(np.max(np.abs(grad)))
     checks.append(CheckOutcome(
         "stationary_fixed_points",
         grad_worst <= 1e-6,

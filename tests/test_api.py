@@ -1,8 +1,11 @@
 """The public signatures: fixed tolerances are module constants, not keywords."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +30,9 @@ REMOVED = {
     potential._newton_batch: {"res_tol", "max_iter", "fd_h"},
     potential._newton_pinned: {"res_tol", "fd_h"},
     potential._branch_points: {"tol"},
-    potential._make_record: {"tol"},
+    potential._make_records: {"tol"},
+    st.EdgePolynomial: {"max_degree"},
+    st.NodePolynomial: {"max_degree"},
 }
 
 PUBLIC_FUNCTIONS = [getattr(st, name) for name in st.__all__
@@ -54,3 +59,43 @@ def test_max_iter_is_named(fn):
 
 def test_fixed_point_record_has_no_q_value():
     assert "q_value" not in {f.name for f in dataclasses.fields(st.FixedPointRecord)}
+
+
+def test_fixed_point_record_has_no_gradient_norm():
+    assert "gradient_norm" not in {f.name for f in dataclasses.fields(st.FixedPointRecord)}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _defined_constants() -> dict:
+    """module.NAME -> value of every public upper-case constant a module assigns itself."""
+    found = {}
+    for name in ("potential", "system", "coupled", "degdist"):
+        module = importlib.import_module(f"saturate.{name}")
+        for node in ast.parse(inspect.getsource(module)).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    found[f"{name}.{target.id}"] = float(getattr(module, target.id))
+    return found
+
+
+def _readme_constants() -> dict:
+    """module.NAME -> value of every row of the README "Tolerances" table."""
+    section = README.read_text().split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        names_cell, values_cell = line.split("|")[1:3]
+        names = re.findall(r"`([^`]+)`", names_cell)
+        values = values_cell.split(",")
+        assert len(names) == len(values), line
+        module = names[0].split(".")[0]  # later names of a row share the first one's module
+        for name, value in zip(names, values):
+            listed[name if "." in name else f"{module}.{name}"] = float(value)
+    return listed
+
+
+def test_readme_tolerance_table_lists_every_constant():
+    assert _readme_constants() == _defined_constants()

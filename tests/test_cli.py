@@ -8,7 +8,8 @@ import pytest
 import saturate.cli
 from jsonschema.validators import validator_for
 from saturate.cli import _parser, main
-from saturate.config import load_config, schema_for
+from saturate.config import ConfigError, build_system, load_config, schema_for
+from saturate.degdist import MAX_DEGREE
 
 # the package re-exports the function potential() under the submodule's name
 potential_module = importlib.import_module("saturate.potential")
@@ -313,3 +314,11 @@ def test_benchmark_configs_load_as_the_benchmark_drives_them(tmp_path, name, com
     assert load_config(path, command)["analysis"]["seed"] == 7
     args = _parser().parse_args([command, "--config", path, "--out", str(tmp_path), "--jobs", "1"])
     assert (args.command, args.jobs) == (command, 1)
+
+
+def test_degree_cap_names_the_degree_the_config_wrote():
+    # a node polynomial has one degree more than its edge polynomial
+    assert build_system({**EMAC, "rho1": {str(MAX_DEGREE): 1.0}}).d == 2
+    too_high = MAX_DEGREE + 1
+    with pytest.raises(ConfigError, match=f"degree {too_high} exceeds maximum {MAX_DEGREE}$"):
+        build_system({**EMAC, "rho1": {str(too_high): 1.0}})

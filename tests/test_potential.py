@@ -59,8 +59,22 @@ def test_potential_near_zero_at_potential_threshold(sys36, thresholds36):
 
 
 def test_gradient_vanishes_at_fixed_points(sys36):
-    for rec in st.fixed_points(sys36, 0.47):
-        assert rec.gradient_norm <= 1e-6
+    recs = st.fixed_points(sys36, 0.47)
+    assert recs
+    for rec in recs:
+        assert np.max(np.abs(st.potential_gradient(sys36, rec.x, rec.eps_root))) <= 1e-6
+
+
+def test_fixed_points_do_not_depend_on_the_weight_scale(sys36):
+    # weights and both energies scaled together leave the recursion, and so
+    # its fixed points, unchanged; the potential gradient scales with them
+    scaled = dataclasses.replace(
+        sys36, weights=1e10 * sys36.weights,
+        bit_energy=lambda y, eps: 1e10 * sys36.bit_energy(y, eps),
+        check_energy=lambda x: 1e10 * sys36.check_energy(x))
+    want = [r.x for r in st.fixed_points(sys36, 0.47)]
+    assert len(want) == 2
+    assert np.array_equal([r.x for r in st.fixed_points(scaled, 0.47)], want)
 
 
 def test_gradient_zero_state(all_systems):
@@ -247,6 +261,21 @@ def test_bp_threshold_logs_rows_still_moving(sys36, caplog):
     assert "iteration budget exhausted" in caplog.text
     # a budget-exhausted row counts as collapsing only below zero_tol, as before
     assert got == _one_probe_bp(sys36, 1e-3, max_iter=3)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_coupled_bp_threshold_counts_a_spent_budget_below_zero_tol_as_collapsing(
+        sys36, max_iter, caplog):
+    # the rule of bp_threshold: a chain still moving when its budget runs out
+    # has collapsed if it is already below ZERO_TOL
+    spec = st.CouplingSpec(L=4, w=2)
+
+    def dies(eps):
+        return st.coupled_limit(sys36, spec, eps, max_iter=max_iter)[1].is_zero
+
+    got = st.coupled_bp_threshold(sys36, L=4, w=2, tol=1e-3, max_iter=max_iter)
+    assert "coupled_bp_threshold: " in caplog.text and "iteration budget exhausted" in caplog.text
+    assert got == _one_probe_bisect(dies, 1e-3) > 0.0
 
 
 def test_bp_threshold_logs_period_two_cycles(caplog):
@@ -442,8 +471,8 @@ def _assert_same_records(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a.x, b.x)
-        assert (a.eps_root, a.potential_value, a.residual, a.gradient_norm) == (
-            b.eps_root, b.potential_value, b.residual, b.gradient_norm)
+        assert (a.eps_root, a.potential_value, a.residual) == (
+            b.eps_root, b.potential_value, b.residual)
 
 
 def test_fixed_points_batch_equals_per_eps_calls(lam36, rho36):
