@@ -3,17 +3,38 @@
 Each factory returns a SystemDefinition with closed-form energies whose
 gradients reproduce the update maps (checked by verify_admissible). Every
 bit_update and bit_energy takes eps as a scalar or as an array that
-broadcasts against x.shape[:-1], one channel parameter per row.
+broadcasts against x.shape[:-1] without enlarging it, one channel parameter
+per row.
 
 The two-user systems evaluate their degree polynomials on the whole
 (..., 2) state in one Horner pass (_horner), one polynomial per component.
 Each component is bit-identical to numpy's polyval of that polynomial on
 that component: the x*0 seed and the adds of zero coefficients stay, so
 even the sign of a zero result is polyval's.
+
+The maps run once per recursion step, on states of a few to a few thousand
+rows, so their arrays are laid out for long numpy passes. A numpy pass that
+broadcasts a (d,) row, or reads a reversed view, against an (..., d) array
+runs inner loops only d elements long. Hence:
+
+- no (d,) row where the components agree: a coefficient row, or a channel
+  pair at a scalar eps, that is equal across components is a Python float
+  (_component_row), and an eps array is packed on the state's trailing axis
+  (_channel_pair);
+- the bit maps evaluate the node polynomials on the state as it is and
+  exchange the two components of the result once, into a contiguous array
+  (_swapped), instead of reading the state through a [..., ::-1] view;
+- the protograph maps form each (edge, exponent) power once per call, in
+  one pass over the whole array where the exponent raises every column, and
+  start each product from its first factor.
+
+Every map stays bit-identical, signs of zero included, to its reference in
+tests/test_models.py: per-component polyval and the edge-pair loops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -123,17 +144,31 @@ class SlepianWolfParams:
             raise ValueError("path must be callable")
 
 
+def _component_row(values):
+    """One value per component: a float when all are equal to the bit, else a (d,) array.
+
+    Added to or multiplied with an (..., d) array, a float is one long pass
+    over every element, where a (d,) row splits the pass into inner loops d
+    elements long. Equality includes the sign, so 0.0 and -0.0 stay apart.
+    """
+    first = values[0]
+    if all(v == first and math.copysign(1.0, v) == math.copysign(1.0, first) for v in values):
+        return float(first)
+    return np.array(values, dtype=float)
+
+
 def _horner_rows(*coeffs) -> tuple:
     """Coefficient rows that evaluate polynomial j on component j of an array.
 
     Column j of the table holds coeffs[j], lowest degree first, padded with
     zeros above its degree. The rows come highest degree first, the order in
-    which _horner consumes them.
+    which _horner consumes them, each as _component_row gives it: a float
+    where the polynomials agree (zero padding, symmetric users).
     """
     table = np.zeros((max(len(c) for c in coeffs), len(coeffs)))
     for j, c in enumerate(coeffs):
         table[: len(c), j] = c
-    return tuple(table[::-1])
+    return tuple(_component_row(r) for r in table[::-1])
 
 
 def _horner(rows, x):
@@ -151,10 +186,28 @@ def _horner(rows, x):
     return acc
 
 
-def _channel_pair(path, eps):
-    """The path's pair (e1, e2) packed on a trailing axis, shape eps.shape + (2,)."""
+def _swapped(v):
+    """v with its two components exchanged, as a new contiguous array."""
+    out = np.empty_like(v)
+    out[..., 0] = v[..., 1]
+    out[..., 1] = v[..., 0]
+    return out
+
+
+def _channel_pair(path, eps, like):
+    """The path's pair (e1, e2) at eps, laid out for arithmetic with like (..., 2).
+
+    A scalar eps gives the pair as _component_row gives it, a float when the
+    users' channels agree. An array eps, which broadcasts against
+    like.shape[:-1] without enlarging it, is packed on the trailing axis of
+    an array shaped like like, so that no later pass splits into inner loops
+    two elements long.
+    """
     e1, e2 = path(eps)
-    out = np.empty(np.shape(eps) + (2,))
+    # getattr, not np.ndim: np.ndim costs a microsecond on a Python float
+    if getattr(eps, "ndim", 0) == 0:
+        return _component_row((e1, e2))
+    out = np.empty_like(like)
     out[..., 0] = e1
     out[..., 1] = e2
     return out
@@ -167,7 +220,7 @@ def _two_user_pieces(lam1, rho1, lam2, rho2):
     R2, Rp2 = node_from_edge(rho2)
     rho = _horner_rows(rho1.coeffs, rho2.coeffs)
     R = _horner_rows(R1.coeffs, R2.coeffs)
-    Rp = np.array([Rp1, Rp2])
+    Rp = _component_row([Rp1, Rp2])
 
     def check_update(x):
         x = np.asarray(x, dtype=float)
@@ -180,10 +233,7 @@ def _two_user_pieces(lam1, rho1, lam2, rho2):
 
     return {
         "lam": _horner_rows(lam1.coeffs, lam2.coeffs),
-        # L1 and L2 in the order the bit maps read them: L at x, and L at
-        # the swapped state (L2 at x[..., 1] first)
         "L": _horner_rows(L1.coeffs, L2.coeffs),
-        "L_swapped": _horner_rows(L2.coeffs, L1.coeffs),
         "weights": np.array([Lp1, Lp2]),
         "check_update": check_update,
         "check_energy": check_energy,
@@ -199,14 +249,16 @@ def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
     """
     gamma, p, path = params.gamma, params.p, params.path
     pieces = _two_user_pieces(params.lam1, params.rho1, params.lam2, params.rho2)
-    lam, L, L_swapped = pieces["lam"], pieces["L"], pieces["L_swapped"]
+    lam, L = pieces["lam"], pieces["L"]
 
     def psi(y, e):
         return (1.0 - gamma) * e + gamma * (1.0 - p + p * y)
 
     def bit_update(y, eps):
+        # component j reads the other user's node polynomial: L2 at y[..., 1]
+        # for j = 0, L1 at y[..., 0] for j = 1
         y = np.asarray(y, dtype=float)
-        return psi(_horner(L_swapped, y[..., ::-1]), _channel_pair(path, eps)) * _horner(lam, y)
+        return psi(_swapped(_horner(L, y)), _channel_pair(path, eps, y)) * _horner(lam, y)
 
     def bit_energy(x, eps):
         x = np.asarray(x, dtype=float)
@@ -214,7 +266,7 @@ def make_slepian_wolf(params: SlepianWolfParams) -> SystemDefinition:
         l1, l2 = l[..., 0], l[..., 1]
         # term j is psi(l_other, e_j) * l_j; the sum is commutative, so this
         # is psi(l1, e2) * l2 + psi(l2, e1) * l1 to the bit
-        t = psi(l[..., ::-1], _channel_pair(path, eps)) * l
+        t = psi(_swapped(l), _channel_pair(path, eps, l)) * l
         return t[..., 0] + t[..., 1] - gamma * p * l1 * l2
 
     return SystemDefinition(
@@ -248,12 +300,13 @@ def make_emac(
     approximately (declared informational).
     """
     pieces = _two_user_pieces(lam1, rho1, lam2, rho2)
-    lam, L, L_swapped = pieces["lam"], pieces["L"], pieces["L_swapped"]
+    lam, L = pieces["lam"], pieces["L"]
+    both = DiagonalPath()  # the channel's one eps, laid out as the pair (eps, eps)
 
     def bit_update(y, eps):
         y = np.asarray(y, dtype=float)
-        e = np.asarray(eps)[..., None]
-        return (e + (1.0 - e) * _horner(L_swapped, y[..., ::-1]) / 2.0) * _horner(lam, y)
+        e = _channel_pair(both, eps, y)
+        return (e + (1.0 - e) * _swapped(_horner(L, y)) / 2.0) * _horner(lam, y)
 
     def bit_energy(x, eps):
         x = np.asarray(x, dtype=float)
@@ -361,42 +414,75 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
     row_factors = [[(j, e[j]) for j in range(d) if row[j] == i] for i in range(H.shape[0])]
     col_factors = [[(i, e[i]) for i in range(d) if col[i] == j] for j in range(n_cols)]
 
-    def product(acc, z, factors):
-        # z ** 1 is z; skipping the call saves a pass on the common exponent
-        for j, ex in factors:
-            acc = acc * (z[..., j] if ex == 1 else z[..., j] ** ex)
-        return acc
+    def power_plan(factor_lists):
+        # the columns read as they are, and for each exponent above 1 the
+        # columns raised to it. An exponent that raises every column takes
+        # one pass over the whole array; any other raises its columns one at
+        # a time, since a gathered copy costs a pass of its own and measured
+        # slower on the 2x4 lift.
+        singles, raised = set(), {}
+        for factors in factor_lists:
+            for j, ex in factors:
+                if ex == 1:
+                    singles.add(j)
+                else:
+                    raised.setdefault(ex, set()).add(j)
+        return sorted(singles), [(ex, sorted(js)) for ex, js in sorted(raised.items())]
+
+    check_plan, bit_plan = power_plan(check_factors), power_plan(bit_factors)
+    row_plan, col_plan = power_plan(row_factors), power_plan(col_factors)
+
+    def powers(z, plan):
+        # every (edge, exponent) factor once per call
+        singles, raised = plan
+        zp = {(j, 1): z[..., j] for j in singles}
+        for ex, js in raised:
+            if len(js) == d:
+                p = z ** ex
+                zp.update(((j, ex), p[..., j]) for j in js)
+            else:
+                zp.update(((j, ex), z[..., j] ** ex) for j in js)
+        return zp
+
+    def product(zp, factors, acc=None):
+        # acc, when given (the channel), is the first factor; otherwise the
+        # product starts from its first power, as 1.0 * z is z to the bit
+        for f in factors:
+            acc = zp[f] if acc is None else acc * zp[f]
+        return 1.0 if acc is None else acc
 
     def check_update(x):
         x = np.asarray(x, dtype=float)
-        om = 1.0 - x
+        zp = powers(1.0 - x, check_plan)
         out = np.empty_like(x)
         for k, factors in enumerate(check_factors):
-            out[..., k] = 1.0 - product(1.0, om, factors)
+            out[..., k] = 1.0 - product(zp, factors)
         return out
 
     def bit_update(y, eps):
         y = np.asarray(y, dtype=float)
         ce = col_eps(eps)
+        zp = powers(y, bit_plan)
         out = np.empty_like(y)
         for k, factors in enumerate(bit_factors):
-            out[..., k] = product(ce[..., col[k]], y, factors)
+            out[..., k] = product(zp, factors, ce[..., col[k]])
         return out
 
     def bit_energy(x, eps):
         x = np.asarray(x, dtype=float)
         ce = col_eps(eps)
+        zp = powers(x, col_plan)
         out = np.zeros(x.shape[:-1])
         for j, factors in enumerate(col_factors):
-            out = out + product(ce[..., j], x, factors)
+            out = out + product(zp, factors, ce[..., j])
         return out
 
     def check_energy(x):
         x = np.asarray(x, dtype=float)
-        om = 1.0 - x
+        zp = powers(1.0 - x, row_plan)
         out = np.einsum("...k,k->...", x, expo.astype(float))
         for factors in row_factors:
-            out = out - (1.0 - product(1.0, om, factors))
+            out = out - (1.0 - product(zp, factors))
         return out
 
     return SystemDefinition(

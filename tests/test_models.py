@@ -271,12 +271,39 @@ def test_protograph_maps_bit_exact_against_edge_pair_loops(spec, n):
     X = rng.random((n, sys.d))
     X[rng.random((n, sys.d)) < 0.1] = 0.0
     X[rng.random((n, sys.d)) < 0.1] = 1.0
+    X[rng.random((n, sys.d)) < 0.1] = -0.0
+    X[0, 0] = -0.0
+    eps_values = (0.0, 0.4294, 1.0)
+
+    def check(got, want):
+        # equal values, and equal signs of zero
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     for x in (X, X[0]):
-        assert np.array_equal(sys.check_update(x), ref_g(x))
-        assert np.array_equal(sys.check_energy(x), ref_G(x))
-        for eps in (0.0, 0.4294, 1.0):
-            assert np.array_equal(sys.bit_update(x, eps), ref_f(x, eps))
-            assert np.array_equal(sys.bit_energy(x, eps), ref_F(x, eps))
+        check(sys.check_update(x), ref_g(x))
+        check(sys.check_energy(x), ref_G(x))
+        for eps in eps_values:
+            check(sys.bit_update(x, eps), ref_f(x, eps))
+            check(sys.bit_energy(x, eps), ref_F(x, eps))
+    # one eps per row (the fixed-point batches): the reference takes a scalar
+    # eps, so it runs once on the rows of each value
+    which = rng.integers(len(eps_values), size=n)
+    e_rows = np.take(eps_values, which)
+    f_rows, F_rows = np.empty_like(X), np.empty(n)
+    for i, eps in enumerate(eps_values):
+        f_rows[which == i] = ref_f(X[which == i], eps)
+        F_rows[which == i] = ref_F(X[which == i], eps)
+    check(sys.bit_update(X, e_rows), f_rows)
+    check(sys.bit_energy(X, e_rows), F_rows)
+    # a (k, n, d) stack of chains with one eps per chain, shape (k, 1), as the
+    # coupled bisection calls the maps
+    X3 = np.stack([X, X[::-1], rng.random((n, sys.d))])
+    e_chains = np.array(eps_values)[:, None]
+    check(sys.check_update(X3), np.stack([ref_g(z) for z in X3]))
+    check(sys.check_energy(X3), np.stack([ref_G(z) for z in X3]))
+    check(sys.bit_update(X3, e_chains), np.stack([ref_f(z, e) for z, e in zip(X3, eps_values)]))
+    check(sys.bit_energy(X3, e_chains), np.stack([ref_F(z, e) for z, e in zip(X3, eps_values)]))
 
 
 def _per_component_two_user_maps(lam1, rho1, lam2, rho2, channel):
@@ -390,3 +417,52 @@ def test_two_user_maps_bit_exact_against_per_component_polyval():
                 # equal values, and equal signs of zero
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _coefficient_pairs():
+    """The (user 1, user 2) coefficient pairs the two-user maps evaluate."""
+    lam, rho = st.EdgePolynomial.regular(3), st.EdgePolynomial.regular(6)
+    lam2 = st.EdgePolynomial.from_degree_map({"2": 0.3, "5": 0.7})
+    rho2 = st.EdgePolynomial.from_degree_map({"4": 0.5, "9": 0.5})
+    for a, b in ((lam, lam), (rho, rho), (lam, lam2), (rho, rho2), (lam2, lam)):
+        yield a.coeffs, b.coeffs
+        yield st.node_from_edge(a)[0].coeffs, st.node_from_edge(b)[0].coeffs
+
+
+def test_horner_rows_are_floats_exactly_where_the_components_agree():
+    from saturate.models import _horner_rows
+
+    n_differ = 0
+    for c1, c2 in _coefficient_pairs():
+        rows = _horner_rows(c1, c2)
+        size = max(len(c1), len(c2))
+        assert len(rows) == size
+        for deg, row in zip(range(size - 1, -1, -1), rows):
+            pair = [c[deg] if deg < len(c) else 0.0 for c in (c1, c2)]
+            if pair[0] == pair[1]:
+                # a Python float: the pass adding it is one long loop, not a
+                # (2,) broadcast with two-element inner loops
+                assert type(row) is float and row == pair[0]
+            else:
+                n_differ += 1
+                assert isinstance(row, np.ndarray) and row.shape == (2,)
+                assert row.tolist() == pair
+        if np.array_equal(c1, c2):
+            assert all(type(row) is float for row in rows)
+    assert n_differ > 0
+    # a row of 0.0 and -0.0 differs in the sign of zero, so it stays a row
+    row = _horner_rows(np.array([0.0, 1.0]), np.array([-0.0, 1.0]))[1]
+    assert isinstance(row, np.ndarray) and np.signbit(row).tolist() == [False, True]
+
+
+def test_channel_pair_is_a_float_or_packed_like_the_state():
+    from saturate.models import _channel_pair
+
+    x = np.random.default_rng(3).random((7, 5, 2))
+    assert _channel_pair(st.DiagonalPath(), 0.3, x) == 0.3
+    assert type(_channel_pair(st.DiagonalPath(), 0.3, x)) is float
+    assert _channel_pair(st.ScaledPath(theta=0.5), 0.3, x).tolist() == [0.3, 0.15]
+    for eps in (np.full((7, 5), 0.3), np.full((7, 1), 0.3), np.float64(0.3) + np.zeros(5)):
+        pair = _channel_pair(st.ScaledPath(theta=0.5), eps, x)
+        assert pair.shape == x.shape and pair.flags.c_contiguous
+        assert np.all(pair[..., 0] == 0.3) and np.all(pair[..., 1] == 0.15)
