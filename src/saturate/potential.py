@@ -253,12 +253,13 @@ def _newton_batch(sys, X0, eps):
     row alone, except that a singular Jacobian stops every row of its eps
     where it stands, as a call holding only that eps would stop: the rows of
     the other eps go on, and each eps's rows end as in a call of their own.
+    Residuals are evaluated once and then carried from the line search.
     """
     X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0).copy()
     eps = np.broadcast_to(np.asarray(eps, dtype=float), X.shape[:-1])
+    R = X - _step_raw(sys, X, eps)
     stopped = np.zeros(len(X), bool)
     for _ in range(NEWTON_MAX_ITER):
-        R = X - _step_raw(sys, X, eps)
         res = np.max(np.abs(R), axis=-1)
         active = np.flatnonzero((res > NEWTON_RES_TOL) & ~stopped)
         if not len(active):
@@ -281,16 +282,17 @@ def _newton_batch(sys, X0, eps):
         eps_a = eps[active]
         t = np.ones(len(Xa))
         cand = np.clip(Xa - dx, 0.0, 1.0)
-        rc = _residual_sup(sys, cand, eps_a)
+        rc = cand - _step_raw(sys, cand, eps_a)
         for _ in range(8):
-            bad = rc > (1.0 - 0.25 * t) * res_a
+            bad = np.max(np.abs(rc), axis=-1) > (1.0 - 0.25 * t) * res_a
             if not bad.any():
                 break
             t[bad] *= NEWTON_DAMPING
             cand[bad] = np.clip(Xa[bad] - t[bad, None] * dx[bad], 0.0, 1.0)
-            rc[bad] = _residual_sup(sys, cand[bad], eps_a[bad])
+            rc[bad] = cand[bad] - _step_raw(sys, cand[bad], eps_a[bad])
         X[active] = cand
-    return X, _residual_sup(sys, X, eps)
+        R[active] = rc
+    return X, np.max(np.abs(R), axis=-1)
 
 
 def _cluster(points: np.ndarray, residuals: np.ndarray, radius: float) -> np.ndarray:
@@ -340,7 +342,6 @@ def _seed_lattice_2d(grid: int) -> np.ndarray:
         [
             np.stack([np.zeros(grid), ax], axis=1),
             np.stack([ax, np.zeros(grid)], axis=1),
-            np.stack([ax, ax], axis=1),
         ]
     )
     return np.concatenate([inner, faces], axis=0)
@@ -368,8 +369,8 @@ def fixed_points(sys: SystemDefinition, eps: float,
                  max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointRecord]:
     """Numerically enumerate the nontrivial fixed points at a given eps.
 
-    d=2 systems get damped-Newton solves from a lattice of seeds (interior,
-    boundary faces, and diagonal), which also finds unstable points; other
+    d=2 systems get damped-Newton solves from a lattice of seeds (interior
+    and boundary faces), which also finds unstable points; other
     dimensions fall back to forward iteration from a lattice with an
     all-ones row appended, which finds the stable ones. max_iter bounds that
     iteration. Enumeration is heuristic: nothing proves completeness.
@@ -494,33 +495,35 @@ def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
 
     The Maxwell construction along the fixed-point branches. Every fixed
     point at eps=1 with negative potential seeds a branch, walked down in eps
-    until Q turns nonnegative; the crossing is bisected on eps to tol/4 by
-    Newton solves seeded by linear interpolation between the branch points
-    around it, one Newton batch per pass of BP_BISECT_DEPTH levels.
+    until Q turns nonnegative. Each crossing lies within its bracket of branch
+    points, so only brackets starting below every bracket's top are bisected:
+    to tol/4 by Newton solves, one batch per pass of BP_BISECT_DEPTH levels.
     Returns the smallest crossing, or 1.0 when no seed has Q < 0; a walk that
     ends with Q still negative contributes the smallest eps it reached and
     logs a warning. Only the eps=1 enumeration is shared with
     potential_threshold.
     """
-    crossings = [1.0]
-    for seed in fixed_points(sys, 1.0, max_iter=max_iter):
-        if seed.potential_value < 0.0:
-            crossings.append(_branch_crossing(sys, seed.x, tol))
-    return min(crossings)
+    brackets = [_branch_bracket(sys, seed.x) for seed in fixed_points(sys, 1.0, max_iter=max_iter)
+                if seed.potential_value < 0.0]
+    top = min([1.0] + [max(lo[1], hi[1]) for lo, hi in brackets])
+    return float(min([top] + [_bisect_crossing(sys, *lo, *hi, tol) for lo, hi in brackets
+                              if min(lo[1], hi[1]) < top]))
 
 
-def _branch_crossing(sys, x0, tol):
-    """eps at which Q turns nonnegative on the branch through (x0, eps=1)."""
+def _branch_bracket(sys, x0):
+    """The first branch point from (x0, eps=1) with Q >= 0 and the one before it, as (x, eps)."""
     hi = None  # (x, eps) of the last branch point with Q < 0
     for x, eps in _branch_points(sys, x0, BRANCH_POINTS):
         if potential(sys, x, eps) >= 0.0:
-            break
+            return (x, eps), hi
         hi = (x, eps)
-    else:
-        log.warning("maxwell_threshold: branch from %s ends at eps=%g with Q still negative",
-                    x0, hi[1])
-        return float(hi[1])
-    (x_lo, e_lo), (x_hi, e_hi) = (x, eps), hi
+    log.warning("maxwell_threshold: branch from %s ends at eps=%g with Q still negative",
+                x0, hi[1])
+    return hi, hi  # the walk's last point twice
+
+
+def _bisect_crossing(sys, x_lo, e_lo, x_hi, e_hi, tol):
+    """eps at which Q turns nonnegative between the branch points (x_lo, e_lo) and (x_hi, e_hi)."""
 
     def nonneg(mid):  # Newton solves seeded by interpolation between the ends
         seeds = x_lo + ((mid - e_lo) / (e_hi - e_lo))[:, None] * (x_hi - x_lo)

@@ -126,16 +126,13 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
         seg_counts[0] += len(ups)
         seg_counts[1] += len(downs)
         for X, sign in ((ups, +1), (downs, -1)):
-            for x in X:
-                s = _step_raw(sys, x, eps)
-                z = x[None, :] + ts[:, None] * (s - x)[None, :]
-                sz = _step_raw(sys, z, eps)
-                if sign > 0 and np.any(z > sz + 1e-12):
-                    seg_bad += 1
-                if sign < 0 and np.any(z < sz - 1e-12):
-                    seg_bad += 1
-                drop = float(potential(sys, x, eps) - potential(sys, s, eps))
-                descent_worst = min(descent_worst, drop)
+            S = _step_raw(sys, X, eps)
+            Z = X[:, None, :] + ts[:, None] * (S - X)[:, None, :]  # (m, 10, d) segment points
+            SZ = _step_raw(sys, Z, eps)
+            bad = Z > SZ + 1e-12 if sign > 0 else Z < SZ - 1e-12
+            seg_bad += int(np.count_nonzero(bad.any(axis=(1, 2))))
+            drops = potential(sys, X, eps) - potential(sys, S, eps)
+            descent_worst = min([descent_worst] + drops.tolist())
     checks.append(CheckOutcome(
         "line_segment_preservation",
         seg_bad == 0,

@@ -13,14 +13,17 @@ from saturate.potential import (
     BISECT_MAX_HALVINGS,
     BP_BISECT_DEPTH,
     CLUSTER_RADIUS,
+    FP_GRID,
     FP_MAX_SEEDS,
     FP_RESIDUAL_TOL,
     ZERO_TOL,
-    _branch_crossing,
+    _bisect_crossing,
+    _branch_bracket,
     _branch_points,
     _cluster,
     _fixed_points_batch,
     _lattice_rows,
+    _seed_lattice_2d,
     _threshold_bisect,
     check_jacobian,
 )
@@ -357,7 +360,8 @@ def test_maxwell_walks_every_negative_q_branch(theta, lam36, rho36):
         # the branch through the all-ones limit crosses late (about 0.4792):
         # the real crossing is on a second branch, on the face x2 = 0
         x_star = st.iterate_limit(sys, sys.ones(), 1.0).limit
-        assert _branch_crossing(sys, x_star, tol) - pot > 2 * tol
+        lo, hi = _branch_bracket(sys, x_star)
+        assert _bisect_crossing(sys, *lo, *hi, tol) - pot > 2 * tol
 
 
 def test_maxwell_invariant_under_lifting(sys36, lift36):
@@ -410,13 +414,15 @@ def test_maxwell_makes_one_fixed_points_call(sw_half, monkeypatch):
 
 def test_maxwell_bisects_each_crossing_in_batched_passes(lam36, rho36, monkeypatch):
     # one Newton batch per pass of BP_BISECT_DEPTH levels, not one per halving
-    # (70 calls with one row per halving)
+    # (70 calls with one row per halving), and only on the one bracket of the
+    # five, (0.320, 0.354), that starts below every bracket's top: the eps=1
+    # enumeration and three passes
     calls = []
     solve = potential_module._newton_batch
     monkeypatch.setattr(potential_module, "_newton_batch",
                         lambda sys, X0, eps: calls.append(len(X0)) or solve(sys, X0, eps))
     assert st.maxwell_threshold(_sw_half_on(lam36, rho36, 0.5), tol=1e-5) == 0.3280546913037936
-    assert len(calls) <= 20
+    assert len(calls) == 4
 
 
 def test_maxwell_walk_ending_early_warns(sys36, monkeypatch, caplog):
@@ -483,6 +489,32 @@ def test_fixed_points_batch_equals_per_eps_calls(lam36, rho36):
         assert sum(map(len, batch)) > len(eps_values)
         for eps, recs in zip(eps_values, batch):
             _assert_same_records(recs, st.fixed_points(sys, eps))
+
+
+def test_seed_lattice_rows_are_distinct():
+    # identical seeds give identical candidates: each lattice point seeds once
+    seeds = _seed_lattice_2d(FP_GRID)
+    assert len(np.unique(seeds, axis=0)) == len(seeds)
+
+
+def test_newton_batch_carries_its_residuals(lam36, rho36, monkeypatch):
+    # the whole batch is stepped twice, for its start residual and for its
+    # first Newton candidates; every later step covers only the rows still
+    # moving, and the residuals returned are those of the returned rows
+    sys = _sw_half_on(lam36, rho36, 0.5)
+    seeds = _seed_lattice_2d(FP_GRID)
+    eps = np.repeat([0.3, 0.33, 0.5, 1.0], len(seeds))
+    X0 = np.tile(seeds, (4, 1))
+    shapes = []
+    step = potential_module._step_raw
+    monkeypatch.setattr(potential_module, "_step_raw",
+                        lambda sys, X, e: shapes.append(X.shape) or step(sys, X, e))
+    X, res = potential_module._newton_batch(sys, X0, eps)
+    monkeypatch.undo()
+    residual_rows = [shape[0] for shape in shapes if len(shape) == 2]  # not the Jacobian stencils
+    assert residual_rows[:2] == [len(X0), len(X0)] and len(residual_rows) > 2
+    assert max(residual_rows[2:]) < len(X0)
+    assert np.array_equal(res, potential_module._residual_sup(sys, X, eps))
 
 
 @pytest.mark.parametrize("rows", ["all", "some"])

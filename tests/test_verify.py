@@ -1,8 +1,11 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
+import saturate as st
 import saturate.verify as verify_mod
+from saturate.system import _step_raw
 from saturate.verify import corrupt_bit_energy, lemma_battery
 
 
@@ -45,3 +48,51 @@ def test_lemma_battery_enumerates_fixed_points_in_one_batch(sys36, thresholds36,
     assert len(calls) == 1
     # eps_values[1:] and the 20-point compare_mins grid, each once
     assert len(calls[0]) == len(set(calls[0])) == 22
+
+
+def _order_and_descent_details(sys, eps_values, seed):
+    """The two details lemma_battery derives from its random samples, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, 10)
+    seg_bad, counts, worst = 0, [0, 0], 0.0
+    for eps in eps_values:
+        ups, downs = verify_mod._classified_samples(sys, eps, rng)
+        counts[0] += len(ups)
+        counts[1] += len(downs)
+        for X, sign in ((ups, +1), (downs, -1)):
+            for x in X:
+                s = _step_raw(sys, x, eps)
+                z = x[None, :] + ts[:, None] * (s - x)[None, :]
+                sz = _step_raw(sys, z, eps)
+                if sign > 0 and np.any(z > sz + 1e-12):
+                    seg_bad += 1
+                if sign < 0 and np.any(z < sz - 1e-12):
+                    seg_bad += 1
+                worst = min(worst, float(st.potential(sys, x, eps) - st.potential(sys, s, eps)))
+    return {"line_segment_preservation":
+            f"{counts[0]} climbing / {counts[1]} descending samples, {seg_bad} violations",
+            "iteration_descent": f"worst potential drop along one update: {worst:.3e}"}
+
+
+@pytest.mark.parametrize("name", ["sys36", "emac36", "sw_theta_half"])
+def test_battery_samples_step_in_one_batch(name, request, lam36, rho36, monkeypatch):
+    # bp and potential thresholds at tol 1e-5 set the battery's eps values
+    if name == "sw_theta_half":
+        sys = st.make_slepian_wolf(st.SlepianWolfParams(
+            lam36, rho36, lam36, rho36, gamma=0.5, p=0.5, path=st.ScaledPath(theta=0.5)))
+        thresholds = {"bp": 0.06211471651405716, "potential": 0.3280525214239006}
+    elif name == "emac36":
+        sys = request.getfixturevalue(name)
+        thresholds = {"bp": 0.12255477993017962, "potential": 0.33231735296260456}
+    else:
+        sys = request.getfixturevalue(name)
+        thresholds = request.getfixturevalue("thresholds36")
+    calls = []
+    step = verify_mod._step_raw
+    monkeypatch.setattr(verify_mod, "_step_raw", lambda *a: calls.append(a) or step(*a))
+    rep = lemma_battery(sys, L=4, w=2, thresholds=thresholds)
+    details = {c.name: c.detail for c in rep.checks}
+    want = _order_and_descent_details(sys, rep.eps_values, 0)
+    assert {k: details[k] for k in want} == want
+    # per eps: the classifier, and S and the segment points of each sign
+    assert len([a for a in calls if a[1].ndim == 3]) == 2 * len(rep.eps_values)
