@@ -9,6 +9,7 @@ round-trip precision, and sweep cells run one after another in config order.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -108,7 +109,9 @@ def cmd_threshold(cfg: dict, out_dir: Path) -> int:
     seed = analysis.get("seed", 0)
     thetas = analysis.get("theta_values")
     for theta in [None] if thetas is None else thetas:
-        system = build_system(cfg["system"], theta=theta)
+        block = cfg["system"] if theta is None else {
+            **cfg["system"], "path": {"kind": "scaled", "theta": theta}}
+        system = build_system(block)
         rep = threshold_report(system, gap_grid=gap_grid, tol=tol)
         suffix = "" if theta is None else f"_theta_{theta:g}"
         body = _base_report("threshold", cfg, seed)
@@ -156,19 +159,15 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     spec = CouplingSpec(L=L, w=w, one_sided=one_sided)
     bound_value = hessian_bound(system) if want_bound else None
     runs = []
-    failed_numerics = False
     run_eps = eps_values if mode in ("limit", "both") else []
     gaps = _energy_gaps(system, run_eps) if want_bound else [None] * len(run_eps)
     for eps, gap in zip(run_eps, gaps):
         state, rep = coupled_limit(system, spec, eps, max_iter=max_iter,
                                    record_every=record_every)
         snaps = rep.snapshots or [(rep.iterations, state.rows)]
-        csv_rows = []
-        positions = spec.positions()
-        for it, rows in snaps:
-            for r_idx in range(rows.shape[0]):
-                for c_idx in range(rows.shape[1]):
-                    csv_rows.append((it, positions[r_idx], c_idx, rows[r_idx, c_idx]))
+        csv_rows = [(it, pos, c, v) for it, rows in snaps
+                    for pos, row in zip(spec.positions().tolist(), rows.tolist())
+                    for c, v in enumerate(row)]
         _write_csv(
             out_dir / f"coupled_profile_eps_{eps:g}.csv",
             ["iteration", "position", "component", "value"],
@@ -185,16 +184,12 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
             "snapshots_recorded": len(snaps),
         }
         if want_bound:
-            if math.isinf(gap):
-                entry["width_bound"] = 0.0
-            elif gap <= 0.0:
+            if gap <= 0.0:
                 entry["width_bound"] = None
                 entry["width_bound_note"] = "energy gap not positive at this eps"
             else:
                 entry["width_bound"] = min_coupling_width(system, eps, gap=gap,
                                                           bound=bound_value)
-        if not rep.converged:
-            failed_numerics = True
         runs.append(entry)
 
     body = _base_report("coupled", cfg, seed)
@@ -214,7 +209,7 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
         )
         body["bisect_tol"] = tol
     _write_json(out_dir / "coupled_report.json", body)
-    return EXIT_NUMERICAL if failed_numerics else EXIT_OK
+    return EXIT_OK if all(r["converged"] for r in runs) else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +232,8 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     body = _base_report("verify", cfg, seed)
     body["admissibility"] = {
         "ok": adm.ok,
-        "violations": [
-            {"condition": v.condition, "witness": v.witness, "detail": v.detail}
-            for v in adm.violations
-        ],
-        "informational": [
-            {"condition": v.condition, "witness": v.witness, "detail": v.detail}
-            for v in adm.informational
-        ],
+        "violations": [dataclasses.asdict(v) for v in adm.violations],
+        "informational": [dataclasses.asdict(v) for v in adm.informational],
         "smoothness_max_discrepancy": adm.smoothness_max_discrepancy,
         "notes": adm.notes,
     }
@@ -260,10 +249,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     body["battery"] = {
         "eps_values": list(battery.eps_values),
         "thresholds": battery.thresholds,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in battery.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in battery.checks],
         "ok": battery.ok,
     }
     _write_json(out_dir / "verify_report.json", body)

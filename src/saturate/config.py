@@ -238,12 +238,8 @@ def _build_path(block: dict | None):
     )
 
 
-def build_system(block: dict, theta: float | None = None):
-    """Construct the SystemDefinition described by a config system block.
-
-    theta, when given, overrides the Slepian-Wolf path with eps -> (eps,
-    theta*eps) (used by sweep cells).
-    """
+def build_system(block: dict):
+    """Construct the SystemDefinition described by a config system block."""
     try:
         kind = block["type"]
         if kind == "protograph":
@@ -261,7 +257,6 @@ def build_system(block: dict, theta: float | None = None):
                 _edge_poly(block["rho2"]),
             )
         if kind == "slepian_wolf":
-            path = ScaledPath(theta=theta) if theta is not None else _build_path(block.get("path"))
             params = SlepianWolfParams(
                 lam1=_edge_poly(block["lambda1"]),
                 rho1=_edge_poly(block["rho1"]),
@@ -269,7 +264,7 @@ def build_system(block: dict, theta: float | None = None):
                 rho2=_edge_poly(block["rho2"]),
                 gamma=block["gamma"],
                 p=block["p"],
-                path=path,
+                path=_build_path(block.get("path")),
             )
             return make_slepian_wolf(params)
     except (ValueError, KeyError) as e:

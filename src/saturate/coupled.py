@@ -154,14 +154,6 @@ def coupled_step_indexform(sys: SystemDefinition, X: CoupledState, eps: float) -
     L, w = spec.L, spec.w
     rows = X.rows
     d = rows.shape[1]
-    n = spec.n_rows
-
-    def g_at(pos: int) -> np.ndarray:
-        # positions outside the check-side range hold the zero state
-        if pos < -L or pos > L + w - 1:
-            return np.zeros(d)
-        return sys.check_update(rows[pos + L])
-
     out = np.zeros_like(rows)
     for i_pos in range(-L, L + w):
         acc = np.zeros(d)
@@ -170,7 +162,7 @@ def coupled_step_indexform(sys: SystemDefinition, X: CoupledState, eps: float) -
                 continue  # no bit-side system there
             inner = np.zeros(d)
             for j in range(w):
-                inner += g_at(i_pos + j - k)
+                inner += sys.check_update(rows[i_pos + j - k + L])
             acc += sys.bit_update(inner / w, eps)
         out[i_pos + L] = acc / w
     return CoupledState(rows=np.clip(out, 0.0, 1.0), spec=spec)
@@ -353,17 +345,6 @@ def verify_shift_lemmas(sys: SystemDefinition, X: CoupledState, eps: float) -> l
             f"1-norm {l1:.6e} vs last row {l1_last:.6e}",
         )
     )
-    # the same bound on the window-averaged input A g(X) can fail at the first
-    # row (its shift predecessor is outside the chain); informational only
-    Y = kernels.window_mean_forward(sys.check_update(rows), spec.w)
-    ybound = float(np.max(np.abs(shift_rows(Y) - Y)))
-    if ybound > 1.0 / spec.w + 1e-12:
-        log.info(
-            "shift bound on A g(X) exceeds 1/w at the boundary row "
-            "(%.3e vs %.3e); the hypothesis only covers the state itself",
-            ybound,
-            1.0 / spec.w,
-        )
 
     x_i0 = rows[spec.i0_row]
     u_shift = coupled_potential(sys, shift(X), eps)

@@ -359,7 +359,7 @@ class ProtographSpec:
         if np.any(H.sum(axis=1) == 0) or np.any(H.sum(axis=0) == 0):
             raise ValueError("every protograph row and column needs a nonzero entry")
         object.__setattr__(self, "H", H)
-        m, n = H.shape
+        n = H.shape[1]
         scale = np.ones(n) if self.node_scale is None else np.asarray(self.node_scale, float)
         if scale.shape != (n,):
             raise ValueError(f"node_scale must have one entry per column ({n})")

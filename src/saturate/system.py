@@ -345,7 +345,6 @@ def verify_admissible(sys: SystemDefinition, n_samples: int = 1000,
     U = rng.random((n_samples, d))
     V = rng.random((n_samples, d))
     lo, hi = np.minimum(U, V), np.maximum(U, V)
-    eps_samples = rng.random(n_samples)
     g_lo, g_hi = sys.check_update(lo), sys.check_update(hi)
     bad = np.any(g_lo > g_hi + MONO_SLACK, axis=-1)
     for i in np.flatnonzero(bad)[:3]:
@@ -366,9 +365,6 @@ def verify_admissible(sys: SystemDefinition, n_samples: int = 1000,
         ax = np.zeros((8, d))
         ax[:, k] = np.linspace(0.1, 0.9, 8)
         X = np.concatenate([X, ax], axis=0)
-    e1 = eps_samples * 0.5
-    e2 = e1 + 0.25 + 0.5 * rng.random(n_samples)
-    e2 = np.minimum(e2, 1.0)
     # strictness is vacuous at states whose bit update vanishes identically in
     # eps (no bit column is driven there); such states are never nontrivial
     # fixed points, which is where the property is used

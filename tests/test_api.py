@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import saturate as st
+import saturate.config
 from saturate.system import DEFAULT_MAX_ITER
 
 # the package re-exports the function potential() under the submodule's name
@@ -33,6 +34,7 @@ REMOVED = {
     potential._make_records: {"tol"},
     st.EdgePolynomial: {"max_degree"},
     st.NodePolynomial: {"max_degree"},
+    saturate.config.build_system: {"theta"},
 }
 
 PUBLIC_FUNCTIONS = [getattr(st, name) for name in st.__all__

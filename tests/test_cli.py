@@ -228,8 +228,14 @@ def test_verify_command_passes(tmp_path):
     assert rc == 0
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["admissibility"]["ok"] is True
+    info = rep["admissibility"]["informational"]
+    assert [v["condition"] for v in info] == ["zero_parameter"]
+    assert set(info[0]) == {"condition", "witness", "detail"}
     assert rep["battery"]["ok"] is True
     assert len(rep["battery"]["checks"]) > 20
+    for c in rep["battery"]["checks"]:
+        assert set(c) == {"name", "passed", "detail"}
+        assert isinstance(c["passed"], bool)
 
 
 def test_verify_corrupt_f_exits_4(tmp_path, capsys):
@@ -238,6 +244,14 @@ def test_verify_corrupt_f_exits_4(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert "gradient_bit" in err
+    violations = json.loads((tmp_path / "o" / "verify_report.json").read_text())[
+        "admissibility"]["violations"]
+    for v in violations:
+        assert set(v) == {"condition", "witness", "detail"}
+    grad = [v["witness"] for v in violations if v["condition"] == "gradient_bit"]
+    assert grad
+    for witness in grad:
+        assert set(witness) == {"x", "eps", "fd", "expected"}
 
 
 def test_verify_zero_samples_is_config_error(tmp_path, capsys):

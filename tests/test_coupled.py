@@ -51,9 +51,10 @@ def test_coupled_step_w1_is_single_system(sys36):
         assert np.allclose(out.rows[i], _step_raw(sys36, rows[i], 0.6), atol=1e-15)
 
 
-def test_matrix_vs_index_form(all_systems):
+@pytest.mark.parametrize("L, w", [(0, 1), (0, 3), (2, 1), (4, 3), (5, 4)])
+def test_matrix_vs_index_form(all_systems, L, w):
     rng = np.random.default_rng(1)
-    spec = st.CouplingSpec(L=4, w=3)
+    spec = st.CouplingSpec(L=L, w=w)
     for sys in all_systems:
         X = st.CoupledState(rows=rng.random((spec.n_rows, sys.d)), spec=spec)
         a = st.coupled_step(sys, X, 0.5).rows
