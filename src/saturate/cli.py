@@ -284,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted and ignored: sweep cells run one after another "
                             "in config order")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory (default: the current one)")
     return ap
 
 
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         log.error("%s", e)
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out or cfg.get("output", {}).get("dir", "."))
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:

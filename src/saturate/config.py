@@ -12,7 +12,6 @@ import numpy as np
 
 from .degdist import EdgePolynomial
 from .models import (
-    DiagonalPath,
     ProtographSpec,
     ScaledPath,
     SlepianWolfParams,
@@ -116,12 +115,6 @@ _SYSTEM = {
     ]
 }
 
-_OUTPUT = {
-    "type": "object",
-    "properties": {"dir": {"type": "string"}},
-    "additionalProperties": False,
-}
-
 # a channel value the analyses accept: eps in (0, 1]
 _CHANNEL = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 
@@ -187,7 +180,6 @@ def schema_for(command: str) -> dict:
         "properties": {
             "system": _SYSTEM,
             "analysis": _ANALYSIS[command],
-            "output": _OUTPUT,
         },
         "required": ["system", "analysis"],
         "additionalProperties": False,
@@ -228,7 +220,7 @@ def _edge_poly(mapping: dict) -> EdgePolynomial:
 
 def _build_path(block: dict | None):
     if block is None or block["kind"] == "diagonal":
-        return DiagonalPath()
+        return ScaledPath(theta=1.0)
     if block["kind"] == "scaled":
         return ScaledPath(theta=block["theta"])
     return TablePath(

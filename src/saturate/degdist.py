@@ -2,7 +2,8 @@
 
 Edge-perspective polynomials lam(x) = sum_i lam_i x^i and rho(x) describe the
 ensemble; node-perspective L(x), R(x) are their normalized antiderivatives.
-Coefficients are stored densely with index = degree.
+Coefficients are stored densely with index = degree; the systems built on
+them evaluate .coeffs themselves (models._horner).
 """
 
 from __future__ import annotations
@@ -27,13 +28,6 @@ def _as_coeffs(coeffs, max_degree: int) -> np.ndarray:
     return c
 
 
-def _check_unit_interval(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("polynomial argument outside [0, 1]")
-    return x
-
-
 @dataclass(frozen=True)
 class EdgePolynomial:
     """Edge-perspective degree distribution: nonnegative, sums to 1, no x^0 term."""
@@ -47,12 +41,6 @@ class EdgePolynomial:
         if abs(c.sum() - 1.0) > _NORM_TOL:
             raise ValueError(f"coefficients sum to {c.sum()!r}, expected 1")
         object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, x):
-        return _poly.polyval(_check_unit_interval(x), self.coeffs)
-
-    def deriv(self, x):
-        return _poly.polyval(_check_unit_interval(x), _poly.polyder(self.coeffs))
 
     @classmethod
     def from_degree_map(cls, mapping: dict) -> "EdgePolynomial":
@@ -88,15 +76,6 @@ class NodePolynomial:
         if abs(c.sum() - 1.0) > _NORM_TOL:
             raise ValueError(f"L(1) = {c.sum()!r}, expected 1")
         object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, x):
-        return _poly.polyval(_check_unit_interval(x), self.coeffs)
-
-    def deriv(self, x):
-        return _poly.polyval(_check_unit_interval(x), _poly.polyder(self.coeffs))
-
-    def deriv_at_one(self) -> float:
-        return float(np.arange(len(self.coeffs)) @ self.coeffs)
 
 
 def node_from_edge(edge: EdgePolynomial) -> tuple[NodePolynomial, float]:

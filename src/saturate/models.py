@@ -35,8 +35,8 @@ tests/test_models.py: per-component polyval and the edge-pair loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,16 +52,8 @@ _PATH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DiagonalPath:
-    """eps -> (eps, eps)."""
-
-    def __call__(self, eps: float):
-        return eps, eps
-
-
-@dataclass(frozen=True)
 class ScaledPath:
-    """eps -> (eps, theta * eps) with theta in [0, 1]."""
+    """eps -> (eps, theta * eps) with theta in [0, 1]; theta = 1 is the diagonal (eps, eps)."""
 
     theta: float
 
@@ -126,7 +118,7 @@ class SlepianWolfParams:
     rho2: EdgePolynomial
     gamma: float
     p: float
-    path: object = field(default_factory=DiagonalPath)
+    path: object = ScaledPath(theta=1.0)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -301,7 +293,7 @@ def make_emac(
     """
     pieces = _two_user_pieces(lam1, rho1, lam2, rho2)
     lam, L = pieces["lam"], pieces["L"]
-    both = DiagonalPath()  # the channel's one eps, laid out as the pair (eps, eps)
+    both = ScaledPath(theta=1.0)  # the channel's one eps, laid out as the pair (eps, eps)
 
     def bit_update(y, eps):
         y = np.asarray(y, dtype=float)

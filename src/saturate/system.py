@@ -29,7 +29,10 @@ DEFAULT_ITER_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
 # steps between period-2 cycle checks in the batch iteration
 CYCLE_CHECK_EVERY = 64
-FD_STEP = 1e-6  # central-difference step of verify_admissible's gradient checks
+# central-difference step of verify_admissible's gradient checks, and the step
+# of the lemma battery's differences of the closed-form potential
+# (stationary_fixed_points, zero_state_stationary, gradient_orthogonality)
+FD_STEP = 1e-6
 GRAD_REL_TOL = 1e-5  # relative error those checks allow
 
 
@@ -310,16 +313,6 @@ class AdmissibilityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def summary(self) -> str:
-        lines = [f"admissibility check for {self.system}: "
-                 f"{'PASS' if self.ok else 'FAIL'} ({self.n_samples} samples, seed {self.seed})"]
-        for v in self.violations:
-            lines.append(f"  VIOLATION {v.condition}: {v.detail} at {v.witness}")
-        for v in self.informational:
-            lines.append(f"  (info) {v.condition}: {v.detail} at {v.witness}")
-        lines.extend(f"  note: {n}" for n in self.notes)
-        return "\n".join(lines)
 
 
 def verify_admissible(sys: SystemDefinition, n_samples: int = 1000,

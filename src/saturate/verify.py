@@ -63,16 +63,6 @@ class BatteryReport:
     def failed(self) -> list:
         return [c for c in self.checks if not c.passed]
 
-    def summary(self) -> str:
-        lines = [
-            f"lemma battery for {self.system} at eps = "
-            f"{tuple(round(e, 6) for e in self.eps_values)}: "
-            f"{'PASS' if self.ok else 'FAIL'}"
-        ]
-        for c in self.checks:
-            lines.append(f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        return "\n".join(lines)
-
 
 def corrupt_bit_energy(sys: SystemDefinition) -> SystemDefinition:
     """Deliberately break the bit-side energy (adds x1^2): a mutation probe

@@ -11,6 +11,7 @@ import pytest
 
 import saturate as st
 import saturate.config
+import saturate.verify
 from saturate.system import DEFAULT_MAX_ITER
 
 # the package re-exports the function potential() under the submodule's name
@@ -65,6 +66,22 @@ def test_fixed_point_record_has_no_q_value():
 
 def test_fixed_point_record_has_no_gradient_norm():
     assert "gradient_norm" not in {f.name for f in dataclasses.fields(st.FixedPointRecord)}
+
+
+def test_second_copies_are_gone():
+    # ScaledPath(theta=1.0) is the diagonal path; degree polynomials are
+    # evaluated from .coeffs; the CLI writes reports with dataclasses.asdict;
+    # --out alone sets the output directory
+    assert not hasattr(st, "DiagonalPath")
+    edge = st.EdgePolynomial.regular(3)
+    node, _ = st.node_from_edge(edge)
+    assert not callable(edge) and not callable(node)
+    assert not hasattr(edge, "deriv") and not hasattr(node, "deriv")
+    assert not hasattr(node, "deriv_at_one")
+    assert not hasattr(st.AdmissibilityReport, "summary")
+    assert not hasattr(saturate.verify.BatteryReport, "summary")
+    for command in ("threshold", "coupled", "verify"):
+        assert "output" not in saturate.config.schema_for(command)["properties"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

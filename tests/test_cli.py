@@ -9,7 +9,9 @@ import saturate.cli
 from jsonschema.validators import validator_for
 from saturate.cli import _parser, main
 from saturate.config import ConfigError, build_system, load_config, schema_for
+from saturate.coupled import CheckOutcome
 from saturate.degdist import MAX_DEGREE
+from saturate.verify import BatteryReport
 
 # the package re-exports the function potential() under the submodule's name
 potential_module = importlib.import_module("saturate.potential")
@@ -71,6 +73,21 @@ def test_threshold_empty_grid_is_config_error(tmp_path, capsys):
 def test_threshold_unknown_key_rejected(tmp_path):
     cfg = {"system": PROTO, "analysis": {"gap_grid": [0.4], "nonsense": True}}
     assert main(["threshold", "--config", _write(tmp_path, cfg)]) == 2
+    # the output directory is set by --out alone
+    cfg = {"system": PROTO, "analysis": {"gap_grid": [0.4]}, "output": {"dir": "o"}}
+    assert main(["threshold", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_threshold_writes_a_non_finite_gap_as_text(tmp_path):
+    # below the BP threshold there is no nontrivial fixed point: the gap is inf
+    cfg = {"system": PROTO, "analysis": {"gap_grid": [0.3, 0.47]}}
+    out = tmp_path / "o"
+    assert main(["threshold", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "threshold_report.json").read_text())
+    assert rep["energy_gap_curve"][0] == [0.3, "inf"]
+    assert isinstance(rep["energy_gap_curve"][1][1], float)
+    rows = (out / "energy_gap.csv").read_text().splitlines()
+    assert rows[1].split(",")[1] == "inf"
 
 
 def test_threshold_missing_config(tmp_path):
@@ -252,6 +269,23 @@ def test_verify_corrupt_f_exits_4(tmp_path, capsys):
     assert grad
     for witness in grad:
         assert set(witness) == {"x", "eps", "fd", "expected"}
+
+
+def test_verify_battery_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def failing_battery(sys, eps_values, L, w, seed):
+        return BatteryReport(system=sys.name, eps_values=(0.3, 0.45, 0.6),
+                             thresholds={"bp": 0.4, "potential": 0.48},
+                             checks=[CheckOutcome("compare_mins", True, "ok"),
+                                     CheckOutcome("shift_energy@0.600", False, "forced")])
+
+    monkeypatch.setattr(saturate.cli, "lemma_battery", failing_battery)
+    cfg = {"system": PROTO, "analysis": {"n_samples": 50}}
+    out = tmp_path / "o"
+    assert main(["verify", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 4
+    assert "FAIL lemma checks: shift_energy@0.600" in capsys.readouterr().err
+    rep = json.loads((out / "verify_report.json").read_text())
+    assert rep["admissibility"]["ok"] is True
+    assert rep["battery"]["ok"] is False
 
 
 def test_verify_zero_samples_is_config_error(tmp_path, capsys):

@@ -1,39 +1,29 @@
+"""Degree polynomials are coefficient holders; they are evaluated here, as the
+package evaluates them, from .coeffs (numpy's polyval, as in scalar_oracle)."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
+from numpy.polynomial import polynomial as P
 
 from saturate import EdgePolynomial, NodePolynomial, design_rate, node_from_edge
 
 
-def test_eval_zero_and_one():
-    lam = EdgePolynomial.regular(3)  # x^2
-    assert lam(0.0) == 0.0
-    assert lam(1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eval_forced_arithmetic():
-    lam = EdgePolynomial(np.array([0.0, 0.5, 0.5]))
-    assert lam(0.5) == pytest.approx(0.375, abs=1e-15)
-
-
-def test_eval_domain_error():
-    lam = EdgePolynomial.regular(3)
-    with pytest.raises(ValueError):
-        lam(1.5)
-    with pytest.raises(ValueError):
-        lam(-0.1)
+def test_regular_coefficients():
+    assert EdgePolynomial.regular(3).coeffs.tolist() == [0.0, 0.0, 1.0]  # x^2
+    assert EdgePolynomial.regular(6).coeffs.tolist() == [0.0] * 5 + [1.0]  # x^5
 
 
 def test_node_from_edge_regular():
     node, lp1 = node_from_edge(EdgePolynomial.regular(3))  # x^2 -> x^3
     assert lp1 == pytest.approx(3.0, abs=1e-12)
     xs = np.linspace(0, 1, 11)
-    assert np.allclose(node(xs), xs**3, atol=1e-12)
+    assert np.allclose(P.polyval(xs, node.coeffs), xs**3, atol=1e-12)
 
     node6, lp6 = node_from_edge(EdgePolynomial.regular(6))  # x^5 -> x^6
     assert lp6 == pytest.approx(6.0, abs=1e-12)
-    assert np.allclose(node6(xs), xs**6, atol=1e-12)
+    assert np.allclose(P.polyval(xs, node6.coeffs), xs**6, atol=1e-12)
 
 
 def test_node_from_edge_irregular():
@@ -41,8 +31,8 @@ def test_node_from_edge_irregular():
     lam = EdgePolynomial(np.array([0.0, 0.5, 0.5]))
     node, lp1 = node_from_edge(lam)
     assert lp1 == pytest.approx(12.0 / 5.0, abs=1e-12)
-    assert node(0.0) == 0.0
-    assert node(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert P.polyval(0.0, node.coeffs) == 0.0
+    assert P.polyval(1.0, node.coeffs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_design_rate_values():
@@ -99,11 +89,12 @@ def _edge_polys():
 def test_node_derivative_reproduces_edge(lam):
     node, lp1 = node_from_edge(lam)
     xs = np.linspace(0.0, 1.0, 100)
-    assert np.max(np.abs(node.deriv(xs) / lp1 - lam(xs))) < 1e-10
-    assert node.deriv_at_one() == pytest.approx(lp1, rel=1e-12)
+    node_deriv = P.polyder(node.coeffs)
+    assert np.max(np.abs(P.polyval(xs, node_deriv) / lp1 - P.polyval(xs, lam.coeffs))) < 1e-10
+    assert P.polyval(1.0, node_deriv) == pytest.approx(lp1, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_edge_polys())
 def test_normalized_eval_at_one(lam):
-    assert lam(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert P.polyval(1.0, lam.coeffs) == pytest.approx(1.0, abs=1e-12)

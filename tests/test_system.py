@@ -186,7 +186,7 @@ def test_weights_must_be_positive(sys36):
 def test_verify_admissible_passes(all_systems):
     for sys in all_systems:
         rep = st.verify_admissible(sys, n_samples=1000, seed=11)
-        assert rep.ok, rep.summary()
+        assert rep.ok, rep.violations
 
 
 def test_verify_admissible_zero_parameter_flags(sys36, emac36, sw_half, sw_free):
@@ -207,6 +207,28 @@ def test_verify_admissible_catches_corrupt_energy(sys36):
     assert "gradient_bit" in conditions
     witness = next(v for v in rep.violations if v.condition == "gradient_bit").witness
     assert "x" in witness and "fd" in witness
+
+
+@pytest.mark.parametrize("field, mutate, condition, detail", [
+    ("check_update", lambda g: lambda x: g(x) * (1.0 - x),
+     "monotone_check_update", "check_update not non-decreasing"),
+    ("bit_update", lambda f: lambda y, eps: f(y, eps) * (1.0 - y),
+     "monotone_bit_update", "bit_update not non-decreasing in the state"),
+    ("bit_update", lambda f: lambda y, eps: f(y, 1.0 - eps),
+     "strict_eps", "bit_update decreased with eps"),
+    ("bit_update", lambda f: lambda y, eps: f(y, 0.5),
+     "strict_eps", "no component strictly increased with eps"),
+    # zero at eps 0.7, where the constructor evaluates the maps at the zero state
+    ("bit_update", lambda f: lambda y, eps: f(y, eps) + 1e-3 * (eps - 0.7) ** 2,
+     "zero_state", "bit_update(0; eps) != 0"),
+    ("bit_energy", lambda F: lambda x, eps: F(x, eps) + 1e-3 * (eps - 0.7) ** 2,
+     "zero_state", "bit_energy(0; eps) != 0"),
+], ids=["check_monotone", "bit_monotone", "eps_decreasing", "eps_constant",
+        "zero_state_update", "zero_state_energy"])
+def test_verify_admissible_catches_a_broken_map(sys36, field, mutate, condition, detail):
+    mutant = dataclasses.replace(sys36, **{field: mutate(getattr(sys36, field))})
+    rep = st.verify_admissible(mutant, n_samples=200, seed=0)
+    assert (condition, detail) in {(v.condition, v.detail) for v in rep.violations}
 
 
 def test_verify_admissible_smoothness_note(sys36):

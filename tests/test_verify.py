@@ -28,6 +28,14 @@ def test_stationary_fixed_points_catches_a_corrupt_bit_energy(sys36, thresholds3
     assert "stationary_fixed_points" in [c.name for c in rep.failed()]
 
 
+def test_gradient_orthogonality_catches_a_corrupt_bit_energy(sys36, thresholds36):
+    # the one-sided fixed point comes from the update maps, so its own
+    # residual is orthogonal to SX - X whatever the energies; only
+    # differences of the closed-form coupled potential can see the corruption
+    rep = lemma_battery(corrupt_bit_energy(sys36), L=4, w=2, thresholds=thresholds36)
+    assert any(c.name.startswith("gradient_orthogonality@") for c in rep.failed())
+
+
 def test_zero_state_stationary_catches_a_linear_bit_energy_term(sys36, thresholds36):
     # a bit-energy term linear at 0 leaves every update map, and so every
     # fixed point and the zero-state checks of the constructor, alone
