@@ -15,6 +15,17 @@ def test_regular_coefficients():
     assert EdgePolynomial.regular(6).coeffs.tolist() == [0.0] * 5 + [1.0]  # x^5
 
 
+def test_eval_zero_and_one():
+    lam = EdgePolynomial.regular(3)  # x^2
+    assert P.polyval(0.0, lam.coeffs) == 0.0
+    assert P.polyval(1.0, lam.coeffs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eval_forced_arithmetic():
+    lam = EdgePolynomial(np.array([0.0, 0.5, 0.5]))
+    assert P.polyval(0.5, lam.coeffs) == pytest.approx(0.375, abs=1e-15)
+
+
 def test_node_from_edge_regular():
     node, lp1 = node_from_edge(EdgePolynomial.regular(3))  # x^2 -> x^3
     assert lp1 == pytest.approx(3.0, abs=1e-12)
