@@ -31,7 +31,7 @@ from .coupled import (
 )
 from .potential import BISECT_TOL, _energy_gaps, threshold_report
 from .system import verify_admissible
-from .verify import corrupt_bit_energy, lemma_battery
+from .verify import lemma_battery
 
 log = logging.getLogger("saturate")
 
@@ -58,15 +58,8 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isfinite(f):
-            return f
-        return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
     return obj
 
 
@@ -85,6 +78,15 @@ def _write_csv(path: Path, header: list, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _refuse_shared_names(key: str, values: list, names: list) -> None:
+    """Raise ConfigError when two entries of analysis[key] would write one file."""
+    for i, name in enumerate(names):
+        j = names.index(name)
+        if j < i:
+            raise ConfigError(f"analysis.{key} entries {values[j]!r} and {values[i]!r} "
+                              f"both write {name}")
 
 
 def _base_report(command: str, cfg: dict, seed: int) -> dict:
@@ -107,13 +109,14 @@ def cmd_threshold(cfg: dict, out_dir: Path) -> int:
     tol = analysis.get("bisect_tol", BISECT_TOL)
     gap_grid = analysis["gap_grid"]
     seed = analysis.get("seed", 0)
-    thetas = analysis.get("theta_values")
-    for theta in [None] if thetas is None else thetas:
+    cells = analysis.get("theta_values", [None])
+    suffixes = ["" if theta is None else f"_theta_{theta:g}" for theta in cells]
+    _refuse_shared_names("theta_values", cells, [f"threshold_report{s}.json" for s in suffixes])
+    for theta, suffix in zip(cells, suffixes):
         block = cfg["system"] if theta is None else {
             **cfg["system"], "path": {"kind": "scaled", "theta": theta}}
         system = build_system(block)
         rep = threshold_report(system, gap_grid=gap_grid, tol=tol)
-        suffix = "" if theta is None else f"_theta_{theta:g}"
         body = _base_report("threshold", cfg, seed)
         body.update(
             {
@@ -155,13 +158,15 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     record_every = analysis.get("record_every", 0)
     want_bound = analysis.get("width_bound", True)
     seed = analysis.get("seed", 0)
+    run_eps = eps_values if mode in ("limit", "both") else []
+    profiles = [f"coupled_profile_eps_{eps:g}.csv" for eps in run_eps]
+    _refuse_shared_names("eps_values", run_eps, profiles)
     system = build_system(cfg["system"])
     spec = CouplingSpec(L=L, w=w, one_sided=one_sided)
     bound_value = hessian_bound(system) if want_bound else None
     runs = []
-    run_eps = eps_values if mode in ("limit", "both") else []
     gaps = _energy_gaps(system, run_eps) if want_bound else [None] * len(run_eps)
-    for eps, gap in zip(run_eps, gaps):
+    for eps, gap, profile in zip(run_eps, gaps, profiles):
         state, rep = coupled_limit(system, spec, eps, max_iter=max_iter,
                                    record_every=record_every)
         snaps = rep.snapshots or [(rep.iterations, state.rows)]
@@ -169,7 +174,7 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
                     for pos, row in zip(spec.positions().tolist(), rows.tolist())
                     for c, v in enumerate(row)]
         _write_csv(
-            out_dir / f"coupled_profile_eps_{eps:g}.csv",
+            out_dir / profile,
             ["iteration", "position", "component", "value"],
             csv_rows,
         )
@@ -225,18 +230,10 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     L = analysis.get("L", 16)
     w = analysis.get("w", 3)
     system = build_system(cfg["system"])
-    if analysis.get("corrupt_f", False):
-        system = corrupt_bit_energy(system)
 
     adm = verify_admissible(system, n_samples=n_samples, seed=seed)
     body = _base_report("verify", cfg, seed)
-    body["admissibility"] = {
-        "ok": adm.ok,
-        "violations": [dataclasses.asdict(v) for v in adm.violations],
-        "informational": [dataclasses.asdict(v) for v in adm.informational],
-        "smoothness_max_discrepancy": adm.smoothness_max_discrepancy,
-        "notes": adm.notes,
-    }
+    body["admissibility"] = {"ok": adm.ok, **dataclasses.asdict(adm)}
     if not adm.ok:
         body["battery"] = None
         _write_json(out_dir / "verify_report.json", body)
@@ -246,12 +243,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         return EXIT_INVARIANT
 
     battery = lemma_battery(system, eps_values=eps_values, L=L, w=w, seed=seed)
-    body["battery"] = {
-        "eps_values": list(battery.eps_values),
-        "thresholds": battery.thresholds,
-        "checks": [dataclasses.asdict(c) for c in battery.checks],
-        "ok": battery.ok,
-    }
+    body["battery"] = {"ok": battery.ok, **dataclasses.asdict(battery)}
     _write_json(out_dir / "verify_report.json", body)
     if not battery.ok:
         names = [c.name for c in battery.failed()]

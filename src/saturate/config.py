@@ -164,7 +164,6 @@ _ANALYSIS = {
             },
             "L": {"type": "integer", "minimum": 0},
             "w": {"type": "integer", "minimum": 1},
-            "corrupt_f": {"type": "boolean"},
         },
         "required": ["n_samples"],
         "additionalProperties": False,
@@ -214,10 +213,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _edge_poly(mapping: dict) -> EdgePolynomial:
-    return EdgePolynomial.from_degree_map(mapping)
-
-
 def _build_path(block: dict | None):
     if block is None or block["kind"] == "diagonal":
         return ScaledPath(theta=1.0)
@@ -241,24 +236,15 @@ def build_system(block: dict):
                 punctured_columns=frozenset(block.get("punctured_columns", ())),
             )
             return make_protograph(spec)
+        if kind in ("emac", "slepian_wolf"):
+            lam1, rho1, lam2, rho2 = (EdgePolynomial.from_degree_map(block[key])
+                                      for key in ("lambda1", "rho1", "lambda2", "rho2"))
         if kind == "emac":
-            return make_emac(
-                _edge_poly(block["lambda1"]),
-                _edge_poly(block["rho1"]),
-                _edge_poly(block["lambda2"]),
-                _edge_poly(block["rho2"]),
-            )
+            return make_emac(lam1, rho1, lam2, rho2)
         if kind == "slepian_wolf":
-            params = SlepianWolfParams(
-                lam1=_edge_poly(block["lambda1"]),
-                rho1=_edge_poly(block["rho1"]),
-                lam2=_edge_poly(block["lambda2"]),
-                rho2=_edge_poly(block["rho2"]),
-                gamma=block["gamma"],
-                p=block["p"],
-                path=_build_path(block.get("path")),
-            )
-            return make_slepian_wolf(params)
+            return make_slepian_wolf(SlepianWolfParams(
+                lam1=lam1, rho1=rho1, lam2=lam2, rho2=rho2, gamma=block["gamma"], p=block["p"],
+                path=_build_path(block.get("path"))))
     except (ValueError, KeyError) as e:
         raise ConfigError(f"invalid system block: {e}") from e
     raise ConfigError(f"unknown system type {block.get('type')!r}")

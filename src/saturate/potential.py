@@ -300,9 +300,11 @@ def _cluster(points: np.ndarray, residuals: np.ndarray, radius: float) -> np.nda
 
     In residual order, a point is kept unless it lies within radius of a point
     kept before it. Each kept point removes its neighbours among the later
-    points in one vectorised pass.
+    points in one vectorised pass. Returns the indices of the kept points, in
+    residual order.
     """
-    pts = points[np.argsort(residuals, kind="stable")]
+    order = np.argsort(residuals, kind="stable")
+    pts = points[order]
     m = len(pts)
     alive = np.ones(m, bool)
     diff = np.empty_like(pts)
@@ -316,23 +318,23 @@ def _cluster(points: np.ndarray, residuals: np.ndarray, radius: float) -> np.nda
         buf = np.subtract(pts[rest], pts[i], out=diff[rest])
         np.abs(buf, out=buf)
         alive[rest] &= np.max(buf, axis=-1, out=dist[rest]) > radius
-    return pts[kept]
+    return order[kept]
 
 
-def _make_records(sys, X, eps) -> list[FixedPointRecord]:
-    """Records of the rows of X within FP_RESIDUAL_TOL, in row order; eps is a scalar or per row.
+def _make_records(sys, X, eps, resid) -> list[FixedPointRecord]:
+    """One record per row of X, in row order; eps is a scalar or per row.
 
-    The residual alone decides: the gradient (x - step(x)) D g'(x) at such a
-    row is that residual times a weight-scaled Jacobian.
+    resid holds the sup-norm residuals that accepted the rows (each within
+    FP_RESIDUAL_TOL), as their solver returned them. The residual alone
+    decides: the gradient (x - step(x)) D g'(x) at such a row is that
+    residual times a weight-scaled Jacobian.
     """
     if not len(X):
         return []
     eps = np.broadcast_to(np.asarray(eps, dtype=float), X.shape[:-1])
-    resid = _residual_sup(sys, X, eps)
     pot = potential(sys, X, eps)
-    return [FixedPointRecord(x=X[i], eps_root=float(eps[i]), potential_value=float(pot[i]),
-                             residual=float(resid[i]))
-            for i in np.flatnonzero(resid <= FP_RESIDUAL_TOL)]
+    return [FixedPointRecord(x=x, eps_root=e, potential_value=u, residual=r)
+            for x, e, u, r in zip(X, eps.tolist(), pot.tolist(), resid.tolist())]
 
 
 def _seed_lattice_2d(grid: int) -> np.ndarray:
@@ -360,9 +362,9 @@ def _lattice_rows(d: int, per_axis: int, n: int) -> np.ndarray:
 
 def _records(sys, cands, res, eps) -> list[FixedPointRecord]:
     """The fixed-point records of one eps from its solved seeds, sorted by x."""
-    good = (res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7)
-    pts = _cluster(cands[good], res[good], CLUSTER_RADIUS)
-    return sorted(_make_records(sys, pts, eps), key=lambda r: tuple(r.x))
+    good = np.flatnonzero((res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7))
+    kept = good[_cluster(cands[good], res[good], CLUSTER_RADIUS)]
+    return sorted(_make_records(sys, cands[kept], eps, res[kept]), key=lambda r: tuple(r.x))
 
 
 def fixed_points(sys: SystemDefinition, eps: float,
@@ -413,7 +415,7 @@ def _fixed_points_batch(sys, eps_values, max_iter) -> list[list[FixedPointRecord
 
 def energy_gap(sys: SystemDefinition, eps: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Minimum potential over the nontrivial fixed points; +inf when none exist."""
-    return _min_potential(fixed_points(sys, eps, max_iter=max_iter))
+    return _energy_gaps(sys, [eps], max_iter)[0]
 
 
 def _min_potential(records) -> float:
@@ -633,7 +635,10 @@ def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200) -> list[
         log.warning("trace_fixed_point_curve: all-ones limit at eps=1 is zero; empty curve")
         return []
     xs, eps = zip(*_branch_points(sys, x_star, n_points))
-    records = _make_records(sys, np.array(xs), eps)
+    X, eps = np.array(xs), np.array(eps)
+    resid = _residual_sup(sys, X, eps)
+    keep = resid <= FP_RESIDUAL_TOL
+    records = _make_records(sys, X[keep], eps[keep], resid[keep])
     if not records:
         log.warning("trace_fixed_point_curve: empty output")
     return records

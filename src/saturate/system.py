@@ -302,9 +302,6 @@ class Violation:
 
 @dataclass
 class AdmissibilityReport:
-    system: str
-    n_samples: int
-    seed: int
     violations: list = field(default_factory=list)
     informational: list = field(default_factory=list)
     smoothness_max_discrepancy: float = 0.0
@@ -327,7 +324,7 @@ def verify_admissible(sys: SystemDefinition, n_samples: int = 1000,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    rep = AdmissibilityReport(system=sys.name, n_samples=n_samples, seed=seed)
+    rep = AdmissibilityReport()
     d = sys.d
 
     def add(cond, witness, detail, info=False):

@@ -51,7 +51,6 @@ log = logging.getLogger("saturate")
 
 @dataclass
 class BatteryReport:
-    system: str
     eps_values: tuple
     thresholds: dict
     checks: list = field(default_factory=list)
@@ -100,11 +99,7 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
     if eps_values is None:
         eps_values = (0.85 * bp, 0.5 * (bp + pot), min(1.0, pot + 0.35 * (1.0 - pot)))
     eps_values = tuple(float(e) for e in eps_values)
-    rep = BatteryReport(
-        system=sys.name,
-        eps_values=eps_values,
-        thresholds={"bp": bp, "potential": pot},
-    )
+    rep = BatteryReport(eps_values=eps_values, thresholds={"bp": bp, "potential": pot})
     checks = rep.checks
 
     # --- single-system order and descent properties -----------------------

@@ -118,3 +118,14 @@ def _readme_constants() -> dict:
 
 def test_readme_tolerance_table_lists_every_constant():
     assert _readme_constants() == _defined_constants()
+
+
+def test_verify_surface_is_gone():
+    # the verify reports are written whole from their dataclasses, and the
+    # bit-energy mutation probe is reached through the library alone
+    assert "corrupt_f" not in saturate.config.schema_for("verify")["properties"]["analysis"][
+        "properties"]
+    assert not {"system", "n_samples", "seed"} & {
+        f.name for f in dataclasses.fields(st.AdmissibilityReport)}
+    assert "system" not in {f.name for f in dataclasses.fields(saturate.verify.BatteryReport)}
+    assert not hasattr(saturate.config, "_edge_poly")

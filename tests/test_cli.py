@@ -11,7 +11,7 @@ from saturate.cli import _parser, main
 from saturate.config import ConfigError, build_system, load_config, schema_for
 from saturate.coupled import CheckOutcome
 from saturate.degdist import MAX_DEGREE
-from saturate.verify import BatteryReport
+from saturate.verify import BatteryReport, corrupt_bit_energy
 
 # the package re-exports the function potential() under the submodule's name
 potential_module = importlib.import_module("saturate.potential")
@@ -255,8 +255,10 @@ def test_verify_command_passes(tmp_path):
         assert isinstance(c["passed"], bool)
 
 
-def test_verify_corrupt_f_exits_4(tmp_path, capsys):
-    cfg = {"system": PROTO, "analysis": {"n_samples": 200, "corrupt_f": True}}
+def test_verify_corrupt_f_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(saturate.cli, "build_system",
+                        lambda block: corrupt_bit_energy(build_system(block)))
+    cfg = {"system": PROTO, "analysis": {"n_samples": 200}}
     rc = main(["verify", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert rc == 4
     err = capsys.readouterr().err
@@ -273,7 +275,7 @@ def test_verify_corrupt_f_exits_4(tmp_path, capsys):
 
 def test_verify_battery_failure_exits_4(tmp_path, capsys, monkeypatch):
     def failing_battery(sys, eps_values, L, w, seed):
-        return BatteryReport(system=sys.name, eps_values=(0.3, 0.45, 0.6),
+        return BatteryReport(eps_values=(0.3, 0.45, 0.6),
                              thresholds={"bp": 0.4, "potential": 0.48},
                              checks=[CheckOutcome("compare_mins", True, "ok"),
                                      CheckOutcome("shift_energy@0.600", False, "forced")])
@@ -289,8 +291,10 @@ def test_verify_battery_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_zero_samples_is_config_error(tmp_path, capsys):
-    # no samples, or a channel value outside (0, 1]
-    for analysis in ({"n_samples": 0}, {"n_samples": 50, "eps_values": [0.3, 0.45, 1.7]}):
+    # no samples, a channel value outside (0, 1], or the bit-energy mutation
+    # probe as a config switch (it is reached through the library alone)
+    for analysis in ({"n_samples": 0}, {"n_samples": 50, "eps_values": [0.3, 0.45, 1.7]},
+                     {"n_samples": 50, "corrupt_f": True}):
         cfg = {"system": PROTO, "analysis": analysis}
         assert main(["verify", "--config", _write(tmp_path, cfg)]) == 2
         assert "config error" in capsys.readouterr().err
@@ -370,3 +374,58 @@ def test_degree_cap_names_the_degree_the_config_wrote():
     too_high = MAX_DEGREE + 1
     with pytest.raises(ConfigError, match=f"degree {too_high} exceeds maximum {MAX_DEGREE}$"):
         build_system({**EMAC, "rho1": {str(too_high): 1.0}})
+
+
+@pytest.mark.parametrize("command, system, analysis, message", [
+    ("coupled", PROTO, {"L": 4, "w": 2, "eps_values": [0.45, 0.4500001]},
+     "analysis.eps_values entries 0.45 and 0.4500001 both write coupled_profile_eps_0.45.csv"),
+    ("coupled", PROTO, {"L": 4, "w": 2, "eps_values": [0.5, 0.45, 0.45]},
+     "analysis.eps_values entries 0.45 and 0.45 both write coupled_profile_eps_0.45.csv"),
+    ("coupled", PROTO, {"L": 4, "w": 2, "eps_values": [0.48812151, 0.48812152], "mode": "both"},
+     "analysis.eps_values entries 0.48812151 and 0.48812152 both write "
+     "coupled_profile_eps_0.488122.csv"),
+    ("threshold", SW, {"gap_grid": [0.3], "theta_values": [0.5, 0.5000001]},
+     "analysis.theta_values entries 0.5 and 0.5000001 both write threshold_report_theta_0.5.json"),
+    ("threshold", SW, {"gap_grid": [0.3], "theta_values": [1.0, 0.25, 1.0]},
+     "analysis.theta_values entries 1.0 and 1.0 both write threshold_report_theta_1.json"),
+], ids=["coupled_near", "coupled_duplicate", "coupled_threshold", "theta_near", "theta_duplicate"])
+def test_colliding_output_names_are_refused(tmp_path, capsys, monkeypatch, command, system,
+                                            analysis, message):
+    # two values that would write one file are refused before any work
+    def no_work(block):
+        raise AssertionError("a system was built before the output names were checked")
+
+    monkeypatch.setattr(saturate.cli, "build_system", no_work)
+    out = tmp_path / "o"
+    cfg = {"system": system, "analysis": analysis}
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp_path: schema_for("plot"), "unknown command 'plot'"),
+    (lambda tmp_path: load_config(tmp_path / "bad.json", "threshold"), "is not valid JSON"),
+    (lambda tmp_path: build_system({"type": "ldpc"}), "unknown system type 'ldpc'"),
+], ids=["schema_command", "not_json", "system_type"])
+def test_config_inputs_are_checked(tmp_path, call, match):
+    (tmp_path / "bad.json").write_text("{not json")
+    with pytest.raises(ConfigError, match=match):
+        call(tmp_path)
+
+
+SW_UNEQUAL_RATES = {**SW, "lambda2": {"3": 1.0}, "rho2": {"6": 1.0}}
+
+
+@pytest.mark.parametrize("setup, cfg, err", [
+    (lambda tmp_path: (tmp_path / "file").write_text("x") and str(tmp_path / "file" / "o"),
+     {"system": PROTO, "analysis": {"gap_grid": [0.4]}},
+     "config error: cannot create output dir"),
+    (lambda tmp_path: str(tmp_path / "o"),
+     {"system": SW_UNEQUAL_RATES, "analysis": {"gap_grid": [0.4]}},
+     "config error: invalid system block: users must share a design rate"),
+], ids=["out_under_a_file", "config_error_in_command"])
+def test_main_config_errors_exit_2(tmp_path, capsys, setup, cfg, err):
+    out = setup(tmp_path)
+    assert main(["threshold", "--config", _write(tmp_path, cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(err)

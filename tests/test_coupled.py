@@ -472,3 +472,13 @@ def test_coupled_bp_threshold_logs_probes(sys36, caplog):
 def test_coupled_limit_rejects_eps_outside_unit_interval(sys36, eps):
     with pytest.raises(ValueError, match="eps outside"):
         st.coupled_limit(sys36, st.CouplingSpec(L=4, w=2), eps)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (np.zeros((10, 2)), "state needs 11 rows, got 10"),
+    (np.full((11, 2), 1.5), r"coupled state outside \[0,1\]"),
+    (np.full((11, 2), -0.5), r"coupled state outside \[0,1\]"),
+], ids=["row_count", "above_one", "below_zero"])
+def test_coupled_state_refuses_bad_rows(rows, match):
+    with pytest.raises(ValueError, match=match):
+        st.CoupledState(rows=rows, spec=st.CouplingSpec(L=4, w=3))

@@ -109,3 +109,10 @@ def test_node_derivative_reproduces_edge(lam):
 @given(_edge_polys())
 def test_normalized_eval_at_one(lam):
     assert P.polyval(1.0, lam.coeffs) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0]]], ids=["empty", "2d"])
+@pytest.mark.parametrize("cls", [EdgePolynomial, NodePolynomial])
+def test_coefficients_must_be_a_nonempty_list(cls, coeffs):
+    with pytest.raises(ValueError, match="nonempty 1-d sequence"):
+        cls(np.array(coeffs))

@@ -466,3 +466,43 @@ def test_channel_pair_is_a_float_or_packed_like_the_state():
         pair = _channel_pair(st.ScaledPath(theta=0.5), eps, x)
         assert pair.shape == x.shape and pair.flags.c_contiguous
         assert np.all(pair[..., 0] == 0.3) and np.all(pair[..., 1] == 0.15)
+
+
+_REG36 = (st.EdgePolynomial.regular(3), st.EdgePolynomial.regular(6)) * 2
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: st.TablePath(knots=[0, 1], eps1=[0, 0.5, 1], eps2=[0, 1]), "matching 1-d"),
+    (lambda: st.TablePath(knots=[0, 0.5, 0.5, 1], eps1=[0, 0.2, 0.3, 1], eps2=[0, 0.2, 0.3, 1]),
+     "strictly increasing"),
+    (lambda: st.TablePath(knots=[0, 0.9], eps1=[0, 1], eps2=[0, 1]), "reach eps=1"),
+    (lambda: st.TablePath(knots=[0, 1], eps1=[0, 1.5], eps2=[0, 1]), r"lie in \[0, 1\]"),
+    (lambda: st.SlepianWolfParams(*_REG36, gamma=1.0, p=0.5), r"gamma must lie in \[0, 1\)"),
+    (lambda: st.SlepianWolfParams(*_REG36, gamma=-0.1, p=0.5), r"gamma must lie in \[0, 1\)"),
+    (lambda: st.SlepianWolfParams(*_REG36, gamma=0.5, p=1.5), r"p must lie in \[0, 1\]"),
+    (lambda: st.SlepianWolfParams(*_REG36, gamma=0.5, p=0.5, path="diagonal"),
+     "path must be callable"),
+    (lambda: st.ProtographSpec(H=np.array([3, 3])), "2-d and nonempty"),
+    (lambda: st.ProtographSpec(H=np.array([[1.5, 3.0]])), "nonnegative integers"),
+    (lambda: st.ProtographSpec(H=np.array([[3, 3]]), node_scale=[1.0]), "one entry per column"),
+    (lambda: st.ProtographSpec(H=np.array([[3, 3]]), node_scale=[1.0, 0.0]),
+     r"lie in \(0, 1\]"),
+    (lambda: st.ProtographSpec(H=np.array([[3, 3]]), node_scale=[1.0, 1.2]),
+     r"lie in \(0, 1\]"),
+    (lambda: st.ProtographSpec(H=np.array([[3, 3]]), punctured_columns=frozenset({2})),
+     "out of range"),
+    (lambda: st.regular_protograph(3, 7), "multiple of dv"),
+], ids=["table_shapes", "table_knots_repeat", "table_knots_short", "table_values_range",
+        "gamma_one", "gamma_negative", "p_range", "path_not_callable", "proto_1d",
+        "proto_fractional", "scale_shape", "scale_zero", "scale_above_one", "punctured_index",
+        "regular_dc_dv"])
+def test_model_inputs_are_checked(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_protograph_accepts_integral_floats(sys36):
+    spec = st.ProtographSpec(H=np.array([[3.0, 3.0]]))
+    assert spec.H.dtype == np.int64 and spec.H.tolist() == [[3, 3]]
+    x = np.random.default_rng(1).random((5, 2))
+    assert np.array_equal(_step_raw(st.make_protograph(spec), x, 0.45), _step_raw(sys36, x, 0.45))

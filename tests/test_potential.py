@@ -737,14 +737,14 @@ def test_cluster_matches_greedy_loop(seed):
     pts = centres[picks] + rng.uniform(-1.5, 1.5, (300, d)) * CLUSTER_RADIUS
     pts[::17] = centres[picks[::17]]
     res = rng.integers(0, 5, 300) * 1e-12
-    got = _cluster(pts, res, CLUSTER_RADIUS)
+    got = pts[_cluster(pts, res, CLUSTER_RADIUS)]
     want = _greedy_loop_cluster(pts, res, CLUSTER_RADIUS)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert len(got) > len(centres)  # the radius-scale offsets do split clusters
 
 
 def test_cluster_empty():
-    assert _cluster(np.empty((0, 3)), np.empty(0), CLUSTER_RADIUS).shape == (0, 3)
+    assert _cluster(np.empty((0, 3)), np.empty(0), CLUSTER_RADIUS).shape == (0,)
 
 
 def test_thresholds_invariant_under_lifting(sys36, lift36):
@@ -752,3 +752,27 @@ def test_thresholds_invariant_under_lifting(sys36, lift36):
     tol = 1e-4
     for threshold in (st.bp_threshold, st.potential_threshold):
         assert abs(threshold(sys36, tol=tol) - threshold(lift36, tol=tol)) <= 2 * tol
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda sys: st.fixed_points(sys, 0.0), r"eps must lie in \(0, 1\]"),
+    (lambda sys: st.fixed_points(sys, 1.5), r"eps must lie in \(0, 1\]"),
+    (lambda sys: _fixed_points_batch(sys, [0.5, 1.5], DEFAULT_MAX_ITER),
+     r"eps must lie in \(0, 1\]"),
+    (lambda sys: _fixed_points_batch(sys, [0.0], DEFAULT_MAX_ITER), r"eps must lie in \(0, 1\]"),
+    (lambda sys: st.potential_quadrature(sys, np.array([0.3, 0.4]), 0.5, path="curved"),
+     "unknown path 'curved'"),
+    (lambda sys: st.trace_fixed_point_curve(sys, 1), "n_points must be >= 2"),
+], ids=["fp_zero", "fp_above_one", "batch_above_one", "batch_zero", "quadrature_path",
+        "curve_points"])
+def test_potential_inputs_are_checked(sys36, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(sys36)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the d≠2 lattice iteration finds only "
+                                       "stable fixed points")
+def test_lift_enumerates_the_fixed_points_of_its_base(sys36, lift36):
+    # at eps 0.47 [[3,3]] has an unstable (0.1625·1) and a stable (0.3994·1)
+    # nontrivial fixed point; its 2x4 lift is the same ensemble
+    assert len(st.fixed_points(lift36, 0.47)) == len(st.fixed_points(sys36, 0.47))

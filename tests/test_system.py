@@ -387,3 +387,16 @@ def test_central_difference_equals_a_per_coordinate_loop(sys36, lift36, shape):
             e[j] = h
             want = (fn(x + e) - fn(x - e)) / (2.0 * h)
             assert np.array_equal(np.take(got, j, axis=x.ndim - 1), want)
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"d": 0}, "dimension must be positive"),
+    ({"weights": np.ones(3)}, r"weights must have shape \(2,\)"),
+    ({"bit_update": lambda x, eps: x + 0.1}, r"bit_update\(0; 0.7\) must vanish"),
+    ({"check_update": lambda x: x + 0.1}, r"check_update\(0\) must vanish"),
+    ({"bit_energy": lambda x, eps: np.sum(x, axis=-1) + 0.1}, r"bit_energy\(0; 0.7\) must vanish"),
+    ({"check_energy": lambda x: np.sum(x, axis=-1) + 0.1}, r"check_energy\(0\) must vanish"),
+], ids=["d", "weights_shape", "bit_update", "check_update", "bit_energy", "check_energy"])
+def test_system_definition_refuses_a_broken_mutant(sys36, changes, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(sys36, **changes)
