@@ -150,7 +150,6 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     analysis = cfg["analysis"]
     L = analysis["L"]
     w = analysis["w"]
-    eps_values = analysis["eps_values"]
     one_sided = analysis.get("one_sided", False)
     mode = analysis.get("mode", "limit")
     tol = analysis.get("bisect_tol", BISECT_TOL)
@@ -158,7 +157,7 @@ def cmd_coupled(cfg: dict, out_dir: Path) -> int:
     record_every = analysis.get("record_every", 0)
     want_bound = analysis.get("width_bound", True)
     seed = analysis.get("seed", 0)
-    run_eps = eps_values if mode in ("limit", "both") else []
+    run_eps = analysis["eps_values"] if mode in ("limit", "both") else []
     profiles = [f"coupled_profile_eps_{eps:g}.csv" for eps in run_eps]
     _refuse_shared_names("eps_values", run_eps, profiles)
     system = build_system(cfg["system"])

@@ -148,7 +148,12 @@ _ANALYSIS = {
             "width_bound": {"type": "boolean"},
             "seed": {"type": "integer"},
         },
-        "required": ["L", "w", "eps_values"],
+        "required": ["L", "w"],
+        # modes limit (the default) and both run a chain at each of eps_values;
+        # the "type" keeps jsonschema's best_match from reporting this branch's
+        # error ahead of a missing L or w
+        "if": {"properties": {"mode": {"const": "threshold"}}, "required": ["mode"]},
+        "else": {"type": "object", "required": ["eps_values"]},
         "additionalProperties": False,
     },
     "verify": {

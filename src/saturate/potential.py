@@ -14,10 +14,8 @@ from .system import (
     DEFAULT_MAX_ITER,
     SystemDefinition,
     _central_difference,
-    _check_state,
     _step_raw,
     iterate_batch,
-    iterate_limit,
 )
 
 log = logging.getLogger("saturate")
@@ -34,8 +32,8 @@ NEWTON_FD_STEP = 1e-7  # central-difference step of the Newton Jacobians
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
 FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
 FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
-# bisection levels that one batched pass of bp_threshold, of a Maxwell
-# crossing and of epsilon_of_x probes (2**5 - 1 = 31 eps rows per pass)
+# bisection levels that one batched pass of bp_threshold and of a Maxwell
+# crossing probes (2**5 - 1 = 31 eps rows per pass)
 BP_BISECT_DEPTH = 5
 # grid points of the pinned component on each branch that maxwell_threshold walks
 BRANCH_POINTS = 50
@@ -138,11 +136,12 @@ def _threshold_bisect(true_below, tol: float, name: str,
     would visit if the threshold were prior, and the next call starts only
     where a verdict departs from that prediction, predicting again from
     there. The walk below is the one-probe loop, looking its verdicts up in
-    the last call, so for a predicate that depends on eps alone the result is
-    the same float at every depth and for every prior. A bracket (lo, hi)
-    replaces [1e-9, 1] by an interval whose end verdicts the caller holds
-    (true at lo, false at hi): the walk never probes its ends, and when
-    hi - lo <= tol, hi <= lo included, returns the midpoint without a call.
+    the last call and calling again at the first midpoint that call lacks, so
+    for a predicate that depends on eps alone the result is the same float at
+    every depth and for every prior. A bracket (lo, hi) replaces [1e-9, 1]
+    by an interval whose end verdicts the caller holds (true at lo, false at
+    hi): the walk never probes its ends, and when hi - lo <= tol, hi <= lo
+    included, returns the midpoint without a call.
     """
 
     def probe(eps_values):
@@ -156,11 +155,9 @@ def _threshold_bisect(true_below, tol: float, name: str,
             return _subtree_midpoints(lo, hi, min(depth, halvings), tol)
         return _predicted_midpoints(lo, hi, halvings, tol, prior)
 
-    span = depth if prior is None else max_halvings  # levels that one call covers
     lo, hi = (1e-9, 1.0) if bracket is None else bracket
     first = ([1.0, lo] if bracket is None else []) + midpoints(lo, hi, max_halvings)
     verdict = probe(first) if first else {}  # empty only if the walk makes no halving
-    levels_left = span  # levels of the last call the walk has not used
     if bracket is None and verdict[1.0]:
         return 1.0
     if bracket is None and not verdict[lo]:
@@ -170,10 +167,8 @@ def _threshold_bisect(true_below, tol: float, name: str,
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if levels_left == 0 or mid not in verdict:
+        if mid not in verdict:
             verdict = probe(midpoints(lo, hi, max_halvings - i))
-            levels_left = span
-        levels_left -= 1
         if verdict[mid]:
             lo = mid
         else:
@@ -321,22 +316,6 @@ def _cluster(points: np.ndarray, residuals: np.ndarray, radius: float) -> np.nda
     return order[kept]
 
 
-def _make_records(sys, X, eps, resid) -> list[FixedPointRecord]:
-    """One record per row of X, in row order; eps is a scalar or per row.
-
-    resid holds the sup-norm residuals that accepted the rows (each within
-    FP_RESIDUAL_TOL), as their solver returned them. The residual alone
-    decides: the gradient (x - step(x)) D g'(x) at such a row is that
-    residual times a weight-scaled Jacobian.
-    """
-    if not len(X):
-        return []
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), X.shape[:-1])
-    pot = potential(sys, X, eps)
-    return [FixedPointRecord(x=x, eps_root=e, potential_value=u, residual=r)
-            for x, e, u, r in zip(X, eps.tolist(), pot.tolist(), resid.tolist())]
-
-
 def _seed_lattice_2d(grid: int) -> np.ndarray:
     ax = np.linspace(0.03, 0.97, grid)
     inner = np.array([(a, b) for a in ax for b in ax])
@@ -360,11 +339,21 @@ def _lattice_rows(d: int, per_axis: int, n: int) -> np.ndarray:
     return rows
 
 
-def _records(sys, cands, res, eps) -> list[FixedPointRecord]:
-    """The fixed-point records of one eps from its solved seeds, sorted by x."""
+def _records(sys, cands, res, eps: float) -> list[FixedPointRecord]:
+    """The fixed-point records of one eps from its solved seeds, sorted by x.
+
+    A seed is accepted on its sup-norm residual res alone, as its solver
+    returned it: the gradient (x - step(x)) D g'(x) at such a row is that
+    residual times a weight-scaled Jacobian.
+    """
     good = np.flatnonzero((res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7))
     kept = good[_cluster(cands[good], res[good], CLUSTER_RADIUS)]
-    return sorted(_make_records(sys, cands[kept], eps, res[kept]), key=lambda r: tuple(r.x))
+    if not len(kept):
+        return []
+    pot = potential(sys, cands[kept], eps).tolist()
+    records = [FixedPointRecord(x=x, eps_root=float(eps), potential_value=u, residual=r)
+               for x, u, r in zip(cands[kept], pot, res[kept].tolist())]
+    return sorted(records, key=lambda r: tuple(r.x))
 
 
 def fixed_points(sys: SystemDefinition, eps: float,
@@ -452,43 +441,6 @@ def _potential_bisect(sys, tol, max_iter, prior) -> float:
         return np.array([gap >= 0.0 for gap in _energy_gaps(sys, eps, max_iter)])
 
     return _threshold_bisect(nonneg, tol, "potential_threshold", prior=prior)
-
-
-def epsilon_of_x(sys: SystemDefinition, x) -> Optional[float]:
-    """The unique channel parameter supporting x as a fixed point, if any.
-
-    Bisection along the most eps-sensitive component, then a full-vector
-    residual test; None when x is not a fixed point for any eps. Raises
-    unless x is a nonzero state in [0,1]^d.
-    """
-    x = _check_state(sys, x)
-    if np.max(np.abs(x)) <= 1e-12:
-        raise ValueError("the zero state is excluded (fixed point at every eps)")
-    s0 = _step_raw(sys, x, 0.0)
-    s1 = _step_raw(sys, x, 1.0)
-    j = int(np.argmax(s1 - s0))
-    if s1[j] - s0[j] <= 1e-14:
-        return None
-
-    if s0[j] - x[j] > FP_RESIDUAL_TOL or s1[j] - x[j] < -FP_RESIDUAL_TOL:
-        return None
-
-    def below(eps):  # h(eps) <= 0, with eps the batch axis
-        return _step_raw(sys, np.tile(x, (len(eps), 1)), eps)[:, j] - x[j] <= 0.0
-
-    root = _threshold_bisect(below, 0.0, "epsilon_of_x", depth=BP_BISECT_DEPTH,
-                             bracket=(0.0, 1.0))
-    if float(_residual_sup(sys, x, root)) >= FP_RESIDUAL_TOL:
-        return None
-    return root
-
-
-def fixed_point_potential(sys: SystemDefinition, x) -> float:
-    """Q(x): the potential of a fixed point at its own supporting eps."""
-    root = epsilon_of_x(sys, x)
-    if root is None:
-        raise ValueError("x is not a fixed point of the recursion for any eps")
-    return float(potential(sys, x, root))
 
 
 def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
@@ -617,31 +569,6 @@ def _branch_points(sys, x0, n_points):
         yield np.insert(u_try[:-1], j, c), min(u_try[-1], 1.0)
         slope = (u_try - u) / (c - last_c)
         u, last_c = u_try, c
-
-
-def trace_fixed_point_curve(sys: SystemDefinition, n_points: int = 200) -> list[FixedPointRecord]:
-    """Trace the fixed-point branch through the all-ones limit at eps=1.
-
-    Continuation in any dimension: the largest component of the eps=1
-    endpoint is swept down on an n_points grid while Newton solves for the
-    other components and eps, so the curve runs down the stable side to the
-    fold (the BP threshold) and back up the unstable side until eps leaves
-    (0, 1]. Points whose residual exceeds FP_RESIDUAL_TOL are left out.
-    """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    x_star = iterate_limit(sys, sys.ones(), 1.0).limit
-    if np.max(x_star) < 1e-9:
-        log.warning("trace_fixed_point_curve: all-ones limit at eps=1 is zero; empty curve")
-        return []
-    xs, eps = zip(*_branch_points(sys, x_star, n_points))
-    X, eps = np.array(xs), np.array(eps)
-    resid = _residual_sup(sys, X, eps)
-    keep = resid <= FP_RESIDUAL_TOL
-    records = _make_records(sys, X[keep], eps[keep], resid[keep])
-    if not records:
-        log.warning("trace_fixed_point_curve: empty output")
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,6 @@ class IterationResult:
     limit: np.ndarray
     iterations: int
     converged: bool
-    monotone_direction: str  # "up" | "down" | "none"
     monotone_ok: bool = True
     path: Optional[np.ndarray] = None  # iterates, only when requested
 
@@ -243,19 +242,16 @@ def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
     return _iterate(sys, _check_state(sys, X), eps, tol, max_iter)
 
 
-_DIR_NAME = {1: "up", -1: "down", 0: "none"}
-
-
 def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_ITER_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, keep_path: bool = False) -> IterationResult:
     """Run the recursion from x0 until the sup-norm step change drops below tol.
 
     A start in an exact period-2 cycle stops early with converged False (the
     rule is in iterate_batch); iterations < max_iter tells it from a spent
-    budget. monotone_direction classifies the first step and monotone_ok
-    says whether no later step moved against it by more than MONO_SLACK;
-    both are checked step by step, without storing the trajectory. Raises
-    if eps lies outside [0, 1] or x0 is not a state in [0,1]^d.
+    budget. monotone_ok says whether no step after the first moved against
+    the first step's direction by more than MONO_SLACK; it is checked step by
+    step, without storing the trajectory. Raises if eps lies outside [0, 1]
+    or x0 is not a state in [0,1]^d.
     """
     _check_eps(eps)
     x0 = _check_state(sys, x0).reshape(1, sys.d)
@@ -282,7 +278,6 @@ def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_IT
         limit=X[0],
         iterations=it,
         converged=bool(conv),
-        monotone_direction=_DIR_NAME[direction or 0],
         monotone_ok=mono,
         path=np.concatenate(path, axis=0) if keep_path else None,
     )

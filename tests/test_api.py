@@ -21,8 +21,6 @@ potential = importlib.import_module("saturate.potential")
 REMOVED = {
     st.fixed_points: {"tol", "cluster_radius", "grid", "max_seeds", "iter_tol"},
     st.bp_threshold: {"zero_tol", "iter_tol"},
-    st.epsilon_of_x: {"tol"},
-    st.trace_fixed_point_curve: {"tol"},
     st.potential_quadrature: {"n_nodes"},
     st.coupled_limit: {"zero_tol"},
     st.coupled_bp_threshold: {"zero_tol", "iter_tol"},
@@ -32,7 +30,7 @@ REMOVED = {
     potential._newton_batch: {"res_tol", "max_iter", "fd_h"},
     potential._newton_pinned: {"res_tol", "fd_h"},
     potential._branch_points: {"tol"},
-    potential._make_records: {"tol"},
+    potential._records: {"tol"},
     st.EdgePolynomial: {"max_degree"},
     st.NodePolynomial: {"max_degree"},
     saturate.config.build_system: {"theta"},
@@ -129,3 +127,28 @@ def test_verify_surface_is_gone():
         f.name for f in dataclasses.fields(st.AdmissibilityReport)}
     assert "system" not in {f.name for f in dataclasses.fields(saturate.verify.BatteryReport)}
     assert not hasattr(saturate.config, "_edge_poly")
+
+
+def test_unread_analysis_helpers_are_gone():
+    # no command, report or check read them; maxwell_threshold walks the
+    # fixed-point branches through _branch_points itself
+    for name in ("epsilon_of_x", "fixed_point_potential", "trace_fixed_point_curve"):
+        assert not hasattr(st, name) and not hasattr(potential, name)
+    assert "monotone_direction" not in {f.name for f in dataclasses.fields(st.IterationResult)}
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "saturate").glob("*.py"))
+
+
+@pytest.mark.parametrize("source", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(source):
+    tree = ast.parse(source.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"unused imports: {sorted(imported - used)}"

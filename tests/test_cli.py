@@ -184,12 +184,12 @@ def test_coupled_zero_window_is_config_error(tmp_path, capsys):
 
 
 def test_coupled_threshold_mode(tmp_path):
+    # threshold mode runs no chain at an eps of its own, so it needs no eps_values
     cfg = {
         "system": PROTO,
         "analysis": {
             "L": 8,
             "w": 2,
-            "eps_values": [0.45],
             "mode": "threshold",
             "bisect_tol": 1e-3,
             "max_iter": 30000,
@@ -201,6 +201,17 @@ def test_coupled_threshold_mode(tmp_path):
     assert rc == 0
     rep = json.loads((out / "coupled_report.json").read_text())
     assert 0.44 < rep["coupled_bp_threshold"] < 0.50
+    assert rep["runs"] == [] and sorted(p.name for p in out.iterdir()) == ["coupled_report.json"]
+
+
+@pytest.mark.parametrize("mode", [None, "limit", "both"])
+def test_coupled_chains_need_eps_values(tmp_path, capsys, mode):
+    analysis = {"L": 4, "w": 2, "width_bound": False}
+    if mode is not None:
+        analysis["mode"] = mode
+    cfg = {"system": PROTO, "analysis": analysis}
+    assert main(["coupled", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'eps_values' is a required property" in capsys.readouterr().err
 
 
 def test_coupled_width_bound_reported(tmp_path):

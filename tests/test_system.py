@@ -107,7 +107,6 @@ def test_iterate_limit_eps_zero(sys36):
     res = st.iterate_limit(sys36, sys36.ones(), 0.0)
     assert res.converged
     assert np.max(res.limit) == 0.0
-    assert res.monotone_direction == "down"
 
 
 def test_iterate_limit_below_threshold(sys36):
@@ -121,7 +120,6 @@ def test_iterate_limit_above_threshold_matches_scalar_oracle(sys36):
     ref, _ = de_limit(0.45, LAM_36, RHO_36)
     assert res.converged
     assert np.allclose(res.limit, ref, atol=1e-9)
-    assert res.monotone_direction == "down"
 
 
 def test_iterate_limit_keep_path(sys36):
@@ -137,8 +135,7 @@ def test_monotone_direction_up(sys36):
     fps = st.fixed_points(sys36, 0.46)
     mid = 0.5 * (fps[0].x + fps[1].x)
     res = st.iterate_limit(sys36, mid, 0.46)
-    assert res.monotone_direction == "up"
-    assert res.monotone_ok
+    assert res.monotone_ok and np.all(res.limit > mid)
     assert np.allclose(res.limit, fps[1].x, atol=1e-8)
 
 
@@ -264,7 +261,7 @@ def _plain_iterate_batch(sys, X, eps, tol, max_iter):
         if np.max(np.abs(delta)) <= tol:
             converged = True
             break
-    return X, it, converged, dirs, mono
+    return X, it, converged, mono
 
 
 def _lattice(d, per_axis=3):
@@ -290,7 +287,7 @@ def test_lattice_batch_matches_plain_loop(lift36, eps):
     X, it, conv = iterate_batch(lift36, seeds, eps)
     # iterates are never altered, so the reference run for the same number of
     # steps ends bit for bit where the cycle exit stopped
-    Xr, itr, convr, _, _ = _plain_iterate_batch(
+    Xr, itr, convr, _ = _plain_iterate_batch(
         lift36, seeds, eps, DEFAULT_ITER_TOL, DEFAULT_MAX_ITER if eps < 1.0 else it
     )
     assert np.array_equal(X, Xr)
@@ -319,27 +316,25 @@ def _logistic():
 
 
 def test_iterate_limit_monotone_matches_per_step_loop(sys36, lift36):
-    # (system, start, eps, max_iter, expected direction, expected monotone_ok)
+    # (system, start, eps, max_iter, expected monotone_ok; None for a cycle exit)
     cases = [
-        (sys36, np.ones(2), 0.45, DEFAULT_MAX_ITER, "down", True),
-        (sys36, np.full(2, 0.3), 0.46, DEFAULT_MAX_ITER, "up", True),
-        (sys36, np.ones(2), 0.0, DEFAULT_MAX_ITER, "down", True),
-        (_logistic(), np.full(1, 0.9), 1.0, 200, "down", False),
-        (_rotation(3), np.eye(3)[0], 1.0, 3 * CYCLE_CHECK_EVERY, "none", True),
-        (lift36, np.eye(lift36.d)[0], 1.0, DEFAULT_MAX_ITER, None, None),
+        (sys36, np.ones(2), 0.45, DEFAULT_MAX_ITER, True),
+        (sys36, np.full(2, 0.3), 0.46, DEFAULT_MAX_ITER, True),
+        (sys36, np.ones(2), 0.0, DEFAULT_MAX_ITER, True),
+        (_logistic(), np.full(1, 0.9), 1.0, 200, False),
+        (_rotation(3), np.eye(3)[0], 1.0, 3 * CYCLE_CHECK_EVERY, True),
+        (lift36, np.eye(lift36.d)[0], 1.0, DEFAULT_MAX_ITER, None),
     ]
-    names = {1: "up", -1: "down", 0: "none"}
-    for sys, x0, eps, max_iter, direction, ok in cases:
+    for sys, x0, eps, max_iter, ok in cases:
         res = st.iterate_limit(sys, x0, eps, max_iter=max_iter)
         # the reference has no cycle exit, so it runs for the steps taken
-        Xr, itr, _, dirs, mono = _plain_iterate_batch(sys, x0[None, :], eps, DEFAULT_ITER_TOL,
-                                                      res.iterations)
+        Xr, itr, _, mono = _plain_iterate_batch(sys, x0[None, :], eps, DEFAULT_ITER_TOL,
+                                                   res.iterations)
         assert res.iterations == itr
         assert np.array_equal(res.limit, Xr[0])
-        assert res.monotone_direction == names[int(dirs[0])]
         assert res.monotone_ok == bool(mono[0])
-        if direction is not None:
-            assert (res.monotone_direction, res.monotone_ok) == (direction, ok)
+        if ok is not None:
+            assert res.monotone_ok == ok
         else:
             assert not res.converged and res.iterations < max_iter
 
