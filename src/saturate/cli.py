@@ -112,10 +112,12 @@ def cmd_threshold(cfg: dict, out_dir: Path) -> int:
     cells = analysis.get("theta_values", [None])
     suffixes = ["" if theta is None else f"_theta_{theta:g}" for theta in cells]
     _refuse_shared_names("theta_values", cells, [f"threshold_report{s}.json" for s in suffixes])
+    # the configured system is built even where the theta cells replace its
+    # path, so that its model constructors check the path block too
+    system = build_system(cfg["system"])
     for theta, suffix in zip(cells, suffixes):
-        block = cfg["system"] if theta is None else {
-            **cfg["system"], "path": {"kind": "scaled", "theta": theta}}
-        system = build_system(block)
+        if theta is not None:
+            system = build_system({**cfg["system"], "path": {"kind": "scaled", "theta": theta}})
         rep = threshold_report(system, gap_grid=gap_grid, tol=tol)
         body = _base_report("threshold", cfg, seed)
         body.update(

@@ -31,6 +31,7 @@ from .system import (
     DEFAULT_ITER_TOL,
     FD_STEP,
     MONO_SLACK,
+    OVERSHOOT_TOL,
     SystemDefinition,
     _central_difference,
     _check_eps,
@@ -101,7 +102,7 @@ class CoupledState:
         rows = np.asarray(self.rows, dtype=float)
         if rows.shape[0] != self.spec.n_rows:
             raise ValueError(f"state needs {self.spec.n_rows} rows, got {rows.shape[0]}")
-        if rows.min() < -1e-14 or rows.max() > 1.0 + 1e-14:
+        if rows.min() < -OVERSHOOT_TOL or rows.max() > 1.0 + OVERSHOOT_TOL:
             raise ValueError("coupled state outside [0,1]")
         self.rows = np.clip(rows, 0.0, 1.0)
 

@@ -29,6 +29,8 @@ NEWTON_DAMPING = 0.5
 NEWTON_MAX_ITER = 50
 NEWTON_RES_TOL = 1e-12
 NEWTON_FD_STEP = 1e-7  # central-difference step of the Newton Jacobians
+# added to the diagonal of every Newton Jacobian: keeps fold-point solves finite
+NEWTON_RIDGE = 1e-13
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
 FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
 FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
@@ -230,7 +232,7 @@ def _newton_jacobian(sys, X, eps):
     Jstep = _central_difference(lambda Z: _step_raw(sys, Z, eps[:, None]), X, NEWTON_FD_STEP)
     eye = np.eye(sys.d)
     J = eye[None, :, :] - np.swapaxes(Jstep, -1, -2)
-    return J + 1e-13 * eye  # keep fold-point solves finite
+    return J + NEWTON_RIDGE * eye
 
 
 def _is_singular(J) -> bool:
@@ -512,7 +514,7 @@ def _newton_pinned(sys, j, c, u0):
             break
         J = _central_difference(resid, u, NEWTON_FD_STEP).T
         try:
-            du = np.linalg.solve(J + 1e-13 * eye, r)
+            du = np.linalg.solve(J + NEWTON_RIDGE * eye, r)
         except np.linalg.LinAlgError:
             break
         t = 1.0

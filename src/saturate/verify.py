@@ -114,7 +114,7 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
             S = _step_raw(sys, X, eps)
             Z = X[:, None, :] + ts[:, None] * (S - X)[:, None, :]  # (m, 10, d) segment points
             SZ = _step_raw(sys, Z, eps)
-            bad = Z > SZ + 1e-12 if sign > 0 else Z < SZ - 1e-12
+            bad = Z > SZ + MONO_SLACK if sign > 0 else Z < SZ - MONO_SLACK
             seg_bad += int(np.count_nonzero(bad.any(axis=(1, 2))))
             drops = potential(sys, X, eps) - potential(sys, S, eps)
             descent_worst = min([descent_worst] + drops.tolist())
@@ -197,8 +197,8 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
     for eps in eps_values:
         basic, brep = coupled_limit(sys, spec, eps)
         onesided, orep = coupled_limit(sys, ospec, eps)
-        dom = bool(np.all(onesided.rows >= basic.rows - 1e-12))
-        nondecr = bool(np.all(np.diff(onesided.rows, axis=0) >= -1e-12))
+        dom = bool(np.all(onesided.rows >= basic.rows - MONO_SLACK))
+        nondecr = bool(np.all(np.diff(onesided.rows, axis=0) >= -MONO_SLACK))
         checks.append(CheckOutcome(
             f"coupled_monotone_dominance@{eps:.3f}",
             brep.monotone_ok and orep.monotone_ok and dom and nondecr,

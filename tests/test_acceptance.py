@@ -9,7 +9,6 @@ import sys as _sys
 import time
 
 import numpy as np
-import pytest
 
 import saturate as st
 from saturate.potential import potential_gradient

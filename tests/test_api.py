@@ -4,7 +4,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +43,18 @@ REMOVED = {
 PUBLIC_FUNCTIONS = [getattr(st, name) for name in st.__all__
                     if inspect.isfunction(getattr(st, name))]
 
+ROOT = Path(__file__).resolve().parents[1]
+PROTO = {"type": "protograph", "matrix": [[3, 3]]}
+
+
+def _refusal(tmp_path, command: str, cfg: dict) -> str:
+    """The message with which load_config refuses cfg."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(saturate.config.ConfigError) as refused:
+        saturate.config.load_config(path, command)
+    return str(refused.value)
+
 
 @pytest.mark.parametrize("fn", PUBLIC_FUNCTIONS, ids=lambda fn: fn.__name__)
 def test_no_public_function_takes_open_keywords(fn):
@@ -66,7 +82,7 @@ def test_fixed_point_record_has_no_gradient_norm():
     assert "gradient_norm" not in {f.name for f in dataclasses.fields(st.FixedPointRecord)}
 
 
-def test_second_copies_are_gone():
+def test_second_copies_are_gone(tmp_path):
     # ScaledPath(theta=1.0) is the diagonal path; degree polynomials are
     # evaluated from .coeffs; the CLI writes reports with dataclasses.asdict;
     # --out alone sets the output directory
@@ -78,11 +94,14 @@ def test_second_copies_are_gone():
     assert not hasattr(node, "deriv_at_one")
     assert not hasattr(st.AdmissibilityReport, "summary")
     assert not hasattr(saturate.verify.BatteryReport, "summary")
-    for command in ("threshold", "coupled", "verify"):
-        assert "output" not in saturate.config.schema_for(command)["properties"]
+    for command, analysis in (("threshold", {"gap_grid": [0.4]}),
+                              ("coupled", {"L": 4, "w": 2, "eps_values": [0.4]}),
+                              ("verify", {"n_samples": 5})):
+        cfg = {"system": PROTO, "analysis": analysis, "output": {"dir": "o"}}
+        assert _refusal(tmp_path, command, cfg) == "output is not a known key"
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 
 
 def _defined_constants() -> dict:
@@ -118,11 +137,11 @@ def test_readme_tolerance_table_lists_every_constant():
     assert _readme_constants() == _defined_constants()
 
 
-def test_verify_surface_is_gone():
+def test_verify_surface_is_gone(tmp_path):
     # the verify reports are written whole from their dataclasses, and the
     # bit-energy mutation probe is reached through the library alone
-    assert "corrupt_f" not in saturate.config.schema_for("verify")["properties"]["analysis"][
-        "properties"]
+    cfg = {"system": PROTO, "analysis": {"n_samples": 5, "corrupt_f": True}}
+    assert _refusal(tmp_path, "verify", cfg) == "analysis.corrupt_f is not a known key"
     assert not {"system", "n_samples", "seed"} & {
         f.name for f in dataclasses.fields(st.AdmissibilityReport)}
     assert "system" not in {f.name for f in dataclasses.fields(saturate.verify.BatteryReport)}
@@ -137,11 +156,12 @@ def test_unread_analysis_helpers_are_gone():
     assert "monotone_direction" not in {f.name for f in dataclasses.fields(st.IterationResult)}
 
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "saturate").glob("*.py"))
+SOURCES = [p for p in sorted((ROOT / "src" / "saturate").glob("*.py")) if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
-@pytest.mark.parametrize("source", [p for p in SOURCES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("source", SOURCES + TESTS,
+                         ids=lambda p: p.name if p in SOURCES else f"tests/{p.name}")
 def test_every_import_is_used(source):
     tree = ast.parse(source.read_text())
     imported = set()
@@ -152,3 +172,13 @@ def test_every_import_is_used(source):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"unused imports: {sorted(imported - used)}"
+
+
+def test_the_cli_imports_no_jsonschema():
+    # load_config checks configs with its own table; numpy is the only
+    # runtime dependency
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, saturate.cli; print('jsonschema' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == "False\n"

@@ -1,14 +1,13 @@
 import importlib
 import json
+import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import saturate.cli
-from jsonschema.validators import validator_for
 from saturate.cli import _parser, main
-from saturate.config import ConfigError, build_system, load_config, schema_for
+from saturate.config import ConfigError, build_system, load_config
 from saturate.coupled import CheckOutcome
 from saturate.degdist import MAX_DEGREE
 from saturate.verify import BatteryReport, corrupt_bit_energy
@@ -211,7 +210,8 @@ def test_coupled_chains_need_eps_values(tmp_path, capsys, mode):
         analysis["mode"] = mode
     cfg = {"system": PROTO, "analysis": analysis}
     assert main(["coupled", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "'eps_values' is a required property" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: analysis.eps_values is required unless analysis.mode is threshold\n")
 
 
 def test_coupled_width_bound_reported(tmp_path):
@@ -352,13 +352,6 @@ def test_coupled_width_bounds_take_one_fixed_point_batch(tmp_path, monkeypatch):
     assert calls == [[0.45, 0.50]]
 
 
-@pytest.mark.parametrize("command", ["threshold", "coupled", "verify"])
-def test_command_schemas_are_valid_schemas(command):
-    # load_config validates against these without re-checking them
-    schema = schema_for(command)
-    validator_for(schema).check_schema(schema)
-
-
 SATBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "satbench" / "configs"
 
 
@@ -415,7 +408,7 @@ def test_colliding_output_names_are_refused(tmp_path, capsys, monkeypatch, comma
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda tmp_path: schema_for("plot"), "unknown command 'plot'"),
+    (lambda tmp_path: load_config(tmp_path / "bad.json", "plot"), "unknown command 'plot'"),
     (lambda tmp_path: load_config(tmp_path / "bad.json", "threshold"), "is not valid JSON"),
     (lambda tmp_path: build_system({"type": "ldpc"}), "unknown system type 'ldpc'"),
 ], ids=["schema_command", "not_json", "system_type"])
@@ -423,6 +416,39 @@ def test_config_inputs_are_checked(tmp_path, call, match):
     (tmp_path / "bad.json").write_text("{not json")
     with pytest.raises(ConfigError, match=match):
         call(tmp_path)
+
+
+BEYOND_DOUBLE = 10 ** 400  # an integer literal that no double holds
+
+
+@pytest.mark.parametrize("command, system, analysis, message", [
+    ("coupled", PROTO, {"L": 4.0, "w": 2, "eps_values": [0.45]}, "analysis.L must be an integer >= 0"),
+    ("coupled", PROTO, {"L": 4, "w": 2.0, "eps_values": [0.45]}, "analysis.w must be an integer >= 1"),
+    ("verify", PROTO, {"n_samples": 10.0}, "analysis.n_samples must be an integer >= 1"),
+    ("threshold", {**PROTO, "matrix": [[3.0, 3]]}, {"gap_grid": [0.45]},
+     "system.matrix[0][0] must be an integer"),
+    ("threshold", PROTO, {"gap_grid": [0.45], "bisect_tol": math.nan},
+     "analysis.bisect_tol must be a finite number > 0"),
+    ("threshold", PROTO, {"gap_grid": [math.nan]}, "analysis.gap_grid[0] must be a number in (0, 1]"),
+    ("coupled", PROTO, {"L": 4, "w": 2, "eps_values": [math.nan]},
+     "analysis.eps_values[0] must be a number in (0, 1]"),
+    ("threshold", PROTO, {"gap_grid": [0.45], "bisect_tol": BEYOND_DOUBLE},
+     "analysis.bisect_tol must be a finite number > 0"),
+    ("threshold", {**PROTO, "node_scale": [BEYOND_DOUBLE, 1.0]}, {"gap_grid": [0.45]},
+     "system.node_scale[0] must be a finite number"),
+    ("threshold", {**PROTO, "matrix": [[BEYOND_DOUBLE, 3]]}, {"gap_grid": [0.45]},
+     "invalid system block: "),
+], ids=["L_float", "w_float", "n_samples_float", "matrix_float", "bisect_tol_nan", "gap_grid_nan",
+        "eps_values_nan", "bisect_tol_huge", "node_scale_huge", "matrix_huge"])
+def test_non_integers_and_non_finite_numbers_exit_2(tmp_path, capsys, command, system, analysis,
+                                                   message):
+    # an integral float is not an integer, and NaN, Infinity and integers
+    # beyond the double range are not finite numbers; nothing is written
+    out = tmp_path / "o"
+    cfg = {"system": system, "analysis": analysis}
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not list(out.glob("*"))
 
 
 SW_UNEQUAL_RATES = {**SW, "lambda2": {"3": 1.0}, "rho2": {"6": 1.0}}
@@ -435,7 +461,11 @@ SW_UNEQUAL_RATES = {**SW, "lambda2": {"3": 1.0}, "rho2": {"6": 1.0}}
     (lambda tmp_path: str(tmp_path / "o"),
      {"system": SW_UNEQUAL_RATES, "analysis": {"gap_grid": [0.4]}},
      "config error: invalid system block: users must share a design rate"),
-], ids=["out_under_a_file", "config_error_in_command"])
+    (lambda tmp_path: str(tmp_path / "o"),
+     {"system": {**SW, "path": {"kind": "scaled", "theta": 2.0}},
+      "analysis": {"gap_grid": [0.4], "theta_values": [0.5]}},
+     "config error: invalid system block: theta must lie in [0, 1]"),
+], ids=["out_under_a_file", "config_error_in_command", "path_the_theta_cells_replace"])
 def test_main_config_errors_exit_2(tmp_path, capsys, setup, cfg, err):
     out = setup(tmp_path)
     assert main(["threshold", "--config", _write(tmp_path, cfg), "--out", out]) == 2

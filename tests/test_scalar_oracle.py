@@ -1,6 +1,5 @@
 """Self-consistency of the reference oracle (it anchors the acceptance suite)."""
 
-import numpy as np
 import pytest
 
 import scalar_oracle as oracle
