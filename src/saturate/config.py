@@ -150,7 +150,7 @@ _ANALYSIS = {
     "verify": _block(
         "n_samples",
         n_samples=_POSITIVE_COUNT,
-        seed=_INTEGER,
+        seed=_COUNT,  # verify draws its samples from it; the others only echo it
         eps_values=_list("a list of 3", _CHANNEL, 3, 3),
         L=_COUNT,
         w=_POSITIVE_COUNT,

@@ -117,10 +117,6 @@ class CoupledState:
     def max_entry(self) -> float:
         return float(self.rows.max())
 
-    def tied(self) -> bool:
-        r0 = self.rows[self.spec.i0_row]
-        return bool(np.all(np.abs(self.rows[self.spec.i0_row + 1 :] - r0) <= MONO_SLACK))
-
 
 def _tie(rows: np.ndarray, i0_row: int) -> np.ndarray:
     """Pin the rows above i0_row to row i0_row, along the row axis -2."""
@@ -139,10 +135,28 @@ def _coupled_step_rows(sys: SystemDefinition, rows: np.ndarray, w: int, eps) -> 
     return kernels.window_mean_adjoint(Y, w).clip(0.0, 1.0)
 
 
+def _chain_step(sys: SystemDefinition, spec: CouplingSpec, rows: np.ndarray, eps) -> np.ndarray:
+    """One update of a chain, or a stack of chains, of geometry spec.
+
+    On a one-sided spec the new rows above i0 are pinned to the new row i0.
+    """
+    new = _coupled_step_rows(sys, rows, spec.w, eps)
+    if spec.one_sided:
+        _tie(new, spec.i0_row)
+    return new
+
+
 def coupled_step(sys: SystemDefinition, X: CoupledState, eps: float) -> CoupledState:
-    """One parallel update of every position of the basic coupled chain."""
-    raw = _coupled_step_rows(sys, X.rows, X.spec.w, eps)
-    return CoupledState(rows=raw, spec=X.spec)
+    """One parallel update of every position of the chain X.spec describes.
+
+    On a one-sided spec the rows above i0 are pinned to row i0 before and
+    after the update, as coupled_limit iterates that chain; otherwise this is
+    the basic chain's update.
+    """
+    rows = X.rows
+    if X.spec.one_sided:
+        rows = _tie(rows.copy(), X.spec.i0_row)
+    return CoupledState(rows=_chain_step(sys, X.spec, rows, eps), spec=X.spec)
 
 
 def coupled_step_indexform(sys: SystemDefinition, X: CoupledState, eps: float) -> CoupledState:
@@ -168,17 +182,6 @@ def coupled_step_indexform(sys: SystemDefinition, X: CoupledState, eps: float) -
             acc += sys.bit_update(inner / w, eps)
         out[i_pos + L] = acc / w
     return CoupledState(rows=np.clip(out, 0.0, 1.0), spec=spec)
-
-
-def one_sided_step(sys: SystemDefinition, X: CoupledState, eps: float) -> CoupledState:
-    """Coupled update with positions above i0 pinned to the value at i0."""
-    if not X.spec.one_sided:
-        raise ValueError("state's coupling spec is not one-sided")
-    rows = X.rows.copy()
-    _tie(rows, X.spec.i0_row)
-    raw = _coupled_step_rows(sys, rows, X.spec.w, eps)
-    _tie(raw, X.spec.i0_row)
-    return CoupledState(rows=raw, spec=X.spec)
 
 
 @dataclass
@@ -215,9 +218,7 @@ def _iterate_chains(sys: SystemDefinition, spec: CouplingSpec, rows: np.ndarray,
     per_chain_eps = np.ndim(eps) > 0
     it = 0
     while it < max_iter and live.size:
-        new = _coupled_step_rows(sys, X, spec.w, eps)
-        if spec.one_sided:
-            _tie(new, spec.i0_row)
+        new = _chain_step(sys, spec, X, eps)
         change = new - X
         X = new
         it += 1

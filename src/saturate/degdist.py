@@ -2,8 +2,9 @@
 
 Edge-perspective polynomials lam(x) = sum_i lam_i x^i and rho(x) describe the
 ensemble; node-perspective L(x), R(x) are their normalized antiderivatives.
-Coefficients are stored densely with index = degree; the systems built on
-them evaluate .coeffs themselves (models._horner).
+Coefficients are stored densely with index = degree, as plain float arrays:
+EdgePolynomial.coeffs, and the array node_from_edge returns. The systems
+built on them evaluate these arrays themselves (models._horner).
 """
 
 from __future__ import annotations
@@ -11,21 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 MAX_DEGREE = 64  # highest edge degree; a node polynomial reaches MAX_DEGREE + 1
 _NORM_TOL = 1e-12
-
-
-def _as_coeffs(coeffs, max_degree: int) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficient list must be a nonempty 1-d sequence")
-    if c.size - 1 > max_degree:
-        raise ValueError(f"degree {c.size - 1} exceeds maximum {max_degree}")
-    if np.any(c < 0.0):
-        raise ValueError("coefficients must be nonnegative")
-    return c
 
 
 @dataclass(frozen=True)
@@ -35,10 +24,17 @@ class EdgePolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = _as_coeffs(self.coeffs, MAX_DEGREE)
+        # every test is written so that a NaN coefficient fails it
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("coefficient list must be a nonempty 1-d sequence")
+        if c.size - 1 > MAX_DEGREE:
+            raise ValueError(f"degree {c.size - 1} exceeds maximum {MAX_DEGREE}")
+        if not np.all(c >= 0.0):
+            raise ValueError("coefficients must be nonnegative")
         if c[0] != 0.0:
             raise ValueError("edge-perspective polynomial must have zero constant term")
-        if abs(c.sum() - 1.0) > _NORM_TOL:
+        if not abs(c.sum() - 1.0) <= _NORM_TOL:
             raise ValueError(f"coefficients sum to {c.sum()!r}, expected 1")
         object.__setattr__(self, "coeffs", c)
 
@@ -63,31 +59,18 @@ class EdgePolynomial:
         return cls(c)
 
 
-@dataclass(frozen=True)
-class NodePolynomial:
-    """Node-perspective polynomial L(x) (or R(x)): L(0) = 0, L(1) = 1."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = _as_coeffs(self.coeffs, MAX_DEGREE + 1)  # the antiderivative of an edge polynomial
-        if abs(c[0]) > _NORM_TOL:
-            raise ValueError("node-perspective polynomial must vanish at 0")
-        if abs(c.sum() - 1.0) > _NORM_TOL:
-            raise ValueError(f"L(1) = {c.sum()!r}, expected 1")
-        object.__setattr__(self, "coeffs", c)
-
-
-def node_from_edge(edge: EdgePolynomial) -> tuple[NodePolynomial, float]:
+def node_from_edge(edge: EdgePolynomial) -> tuple[np.ndarray, float]:
     """Integrate an edge polynomial into its node perspective.
 
-    Returns (L, L'(1)) where L(x) = int_0^x edge / int_0^1 edge, so that
+    Returns (L, L'(1)): L is the coefficient array, index = degree, of
+    L(x) = int_0^x edge / int_0^1 edge, so that L(0) = 0, L(1) = 1,
     L'(x) = L'(1) * edge(x) and L'(1) = 1 / int_0^1 edge.
     """
-    anti = _poly.polyint(edge.coeffs)
+    c = edge.coeffs
+    # [0, c_0/1, c_1/2, ...]: numpy's polyint to the bit
+    anti = np.concatenate(([0.0], c / np.arange(1, c.size + 1)))
     total = anti.sum()  # int_0^1 edge
-    node = NodePolynomial(anti / total)
-    return node, 1.0 / total
+    return anti / total, 1.0 / total
 
 
 def design_rate(lam: EdgePolynomial, rho: EdgePolynomial) -> float:

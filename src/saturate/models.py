@@ -79,15 +79,16 @@ class TablePath:
         e2 = np.asarray(self.eps2, dtype=float)
         if not (k.shape == e1.shape == e2.shape) or k.ndim != 1 or k.size < 2:
             raise ValueError("table path needs matching 1-d knot/value arrays (>= 2 points)")
-        if abs(k[0]) > _PATH_TOL or abs(e1[0]) > _PATH_TOL or abs(e2[0]) > _PATH_TOL:
+        # every test below is written so that a NaN knot or value fails it
+        if not (abs(k[0]) <= _PATH_TOL and abs(e1[0]) <= _PATH_TOL and abs(e2[0]) <= _PATH_TOL):
             raise ValueError("path must start at eps=0 with value (0, 0)")
-        if np.any(np.diff(k) <= 0):
+        if not np.all(np.diff(k) > 0):
             raise ValueError("knots must be strictly increasing")
-        if np.any(np.diff(e1) < 0) or np.any(np.diff(e2) < 0):
+        if not (np.all(np.diff(e1) >= 0) and np.all(np.diff(e2) >= 0)):
             raise ValueError("path values must be componentwise non-decreasing")
-        if k[-1] < 1.0 - _PATH_TOL:
+        if not k[-1] >= 1.0 - _PATH_TOL:
             raise ValueError("knots must reach eps=1")
-        if np.any((e1 < 0) | (e1 > 1) | (e2 < 0) | (e2 > 1)):
+        if not np.all((e1 >= 0) & (e1 <= 1) & (e2 >= 0) & (e2 <= 1)):
             raise ValueError("path values must lie in [0, 1]")
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "eps1", e1)
@@ -211,7 +212,7 @@ def _two_user_pieces(lam1, rho1, lam2, rho2):
     R1, Rp1 = node_from_edge(rho1)
     R2, Rp2 = node_from_edge(rho2)
     rho = _horner_rows(rho1.coeffs, rho2.coeffs)
-    R = _horner_rows(R1.coeffs, R2.coeffs)
+    R = _horner_rows(R1, R2)
     Rp = _component_row([Rp1, Rp2])
 
     def check_update(x):
@@ -225,7 +226,7 @@ def _two_user_pieces(lam1, rho1, lam2, rho2):
 
     return {
         "lam": _horner_rows(lam1.coeffs, lam2.coeffs),
-        "L": _horner_rows(L1.coeffs, L2.coeffs),
+        "L": _horner_rows(L1, L2),
         "weights": np.array([Lp1, Lp2]),
         "check_update": check_update,
         "check_energy": check_energy,
@@ -355,7 +356,7 @@ class ProtographSpec:
         scale = np.ones(n) if self.node_scale is None else np.asarray(self.node_scale, float)
         if scale.shape != (n,):
             raise ValueError(f"node_scale must have one entry per column ({n})")
-        if np.any((scale <= 0.0) | (scale > 1.0)):
+        if not np.all((scale > 0.0) & (scale <= 1.0)):  # NaN fails too
             raise ValueError("node_scale entries must lie in (0, 1]")
         object.__setattr__(self, "node_scale", scale)
         punct = frozenset(int(j) for j in self.punctured_columns)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import saturate as st
@@ -30,13 +31,11 @@ REMOVED = {
     st.coupled_bp_threshold: {"zero_tol", "iter_tol"},
     st.hessian_bound: {"n_samples", "per_axis", "fd_step"},
     st.verify_admissible: {"fd_step", "grad_rel_tol"},
-    st.CoupledState.tied: {"slack"},
     potential._newton_batch: {"res_tol", "max_iter", "fd_h"},
     potential._newton_pinned: {"res_tol", "fd_h"},
     potential._branch_points: {"tol"},
     potential._records: {"tol"},
     st.EdgePolynomial: {"max_degree"},
-    st.NodePolynomial: {"max_degree"},
     saturate.config.build_system: {"theta"},
 }
 
@@ -84,14 +83,18 @@ def test_fixed_point_record_has_no_gradient_norm():
 
 def test_second_copies_are_gone(tmp_path):
     # ScaledPath(theta=1.0) is the diagonal path; degree polynomials are
-    # evaluated from .coeffs; the CLI writes reports with dataclasses.asdict;
+    # plain coefficient arrays; coupled_step steps the basic and the
+    # one-sided chain; the CLI writes reports with dataclasses.asdict;
     # --out alone sets the output directory
     assert not hasattr(st, "DiagonalPath")
     edge = st.EdgePolynomial.regular(3)
     node, _ = st.node_from_edge(edge)
-    assert not callable(edge) and not callable(node)
-    assert not hasattr(edge, "deriv") and not hasattr(node, "deriv")
-    assert not hasattr(node, "deriv_at_one")
+    assert not callable(edge) and not hasattr(edge, "deriv")
+    assert type(node) is np.ndarray
+    for owner, name in ((st, "NodePolynomial"), (st.degdist, "NodePolynomial"),
+                        (st, "one_sided_step"), (st.coupled, "one_sided_step"),
+                        (st.CoupledState, "tied")):
+        assert not hasattr(owner, name), name
     assert not hasattr(st.AdmissibilityReport, "summary")
     assert not hasattr(saturate.verify.BatteryReport, "summary")
     for command, analysis in (("threshold", {"gap_grid": [0.4]}),
@@ -176,9 +179,11 @@ def test_every_import_is_used(source):
 
 def test_the_cli_imports_no_jsonschema():
     # load_config checks configs with its own table; numpy is the only
-    # runtime dependency
+    # runtime dependency, and node_from_edge integrates without
+    # numpy.polynomial (verify loads it only for the quadrature nodes)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, saturate.cli; print('jsonschema' in sys.modules)"
+    code = ("import sys, saturate.cli; "
+            "print('jsonschema' in sys.modules, 'numpy.polynomial' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert run.stdout == "False\n"
+    assert run.stdout == "False False\n"

@@ -438,12 +438,25 @@ BEYOND_DOUBLE = 10 ** 400  # an integer literal that no double holds
      "system.node_scale[0] must be a finite number"),
     ("threshold", {**PROTO, "matrix": [[BEYOND_DOUBLE, 3]]}, {"gap_grid": [0.45]},
      "invalid system block: "),
+    ("verify", PROTO, {"n_samples": 10, "seed": -1}, "analysis.seed must be an integer >= 0"),
+    ("threshold", {"type": "protograph"}, {"gap_grid": [0.45]}, "system.matrix is required"),
+    ("threshold", PROTO, [1], "analysis must be an object"),
+    ("threshold", {"type": "ldpc"}, {"gap_grid": [0.45]},
+     "system must be an object whose type is one of protograph, slepian_wolf, emac"),
+    ("threshold", {**EMAC, "lambda1": [2]}, {"gap_grid": [0.45]},
+     "system.lambda1 must be an object"),
+    ("threshold", {**EMAC, "lambda1": {"x": 1.0}}, {"gap_grid": [0.45]},
+     "system.lambda1.x is not a degree"),
 ], ids=["L_float", "w_float", "n_samples_float", "matrix_float", "bisect_tol_nan", "gap_grid_nan",
-        "eps_values_nan", "bisect_tol_huge", "node_scale_huge", "matrix_huge"])
+        "eps_values_nan", "bisect_tol_huge", "node_scale_huge", "matrix_huge", "seed_negative",
+        "matrix_missing", "analysis_list", "system_type_unknown", "degrees_list",
+        "degree_not_a_number"])
 def test_non_integers_and_non_finite_numbers_exit_2(tmp_path, capsys, command, system, analysis,
                                                    message):
     # an integral float is not an integer, and NaN, Infinity and integers
-    # beyond the double range are not finite numbers; nothing is written
+    # beyond the double range are not finite numbers; a negative verify seed,
+    # a missing key and a block of the wrong shape are refused alike; nothing
+    # is written
     out = tmp_path / "o"
     cfg = {"system": system, "analysis": analysis}
     assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2

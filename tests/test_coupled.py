@@ -90,13 +90,8 @@ def test_one_sided_upper_bounds_basic(sys36):
     onesided, _ = st.coupled_limit(sys36, ospec, 0.50)
     assert np.all(onesided.rows >= basic.rows - 1e-12)
     assert np.all(np.diff(onesided.rows, axis=0) >= -1e-12)
-    assert onesided.tied()
-
-
-def test_one_sided_step_requires_flag(sys36):
-    spec = st.CouplingSpec(L=2, w=2)
-    with pytest.raises(ValueError):
-        st.one_sided_step(sys36, st.CoupledState.ones(spec, 2), 0.5)
+    # the rows above i0 are pinned to row i0
+    assert np.all(onesided.rows[ospec.i0_row + 1 :] == onesided.rows[ospec.i0_row])
 
 
 def test_one_sided_step_dominates_basic(sys36):
@@ -108,7 +103,7 @@ def test_one_sided_step_dominates_basic(sys36):
     rows = np.sort(rng.random((spec.n_rows, 2)), axis=0)
     rows[ospec.i0_row + 1 :] = rows[ospec.i0_row]
     basic = st.coupled_step(sys36, st.CoupledState(rows=rows.copy(), spec=spec), 0.5)
-    onesided = st.one_sided_step(sys36, st.CoupledState(rows=rows.copy(), spec=ospec), 0.5)
+    onesided = st.coupled_step(sys36, st.CoupledState(rows=rows.copy(), spec=ospec), 0.5)
     assert np.allclose(onesided.rows[: ospec.i0_row + 1],
                        basic.rows[: ospec.i0_row + 1], atol=1e-15)
 
@@ -116,7 +111,7 @@ def test_one_sided_step_dominates_basic(sys36):
     o = st.CoupledState.ones(ospec, sys36.d)
     for _ in range(12):
         b = st.coupled_step(sys36, b, 0.5)
-        o = st.one_sided_step(sys36, o, 0.5)
+        o = st.coupled_step(sys36, o, 0.5)
         assert np.all(o.rows >= b.rows - 1e-12)
 
 
@@ -155,6 +150,18 @@ def test_coupled_limit_recording_keeps_the_run(sys36):
     n = rep_b.iterations
     assert [it for it, _ in rep_b.snapshots] == list(range(0, n, 7)) + [n]
     assert np.array_equal(rep_b.snapshots[-1][1], b.rows)
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["basic", "one_sided"])
+def test_coupled_step_walks_the_coupled_limit_run(sys36, one_sided):
+    # one update per chain geometry: coupled_step, iterated from all-ones,
+    # lands on coupled_limit's rows after as many steps
+    spec = st.CouplingSpec(L=8, w=3, one_sided=one_sided)
+    limit, rep = st.coupled_limit(sys36, spec, 0.5)
+    X = st.CoupledState.ones(spec, sys36.d)
+    for _ in range(rep.iterations):
+        X = st.coupled_step(sys36, X, 0.5)
+    assert np.array_equal(X.rows, limit.rows)
 
 
 def test_coupled_limit_table_path_slepian_wolf(lam36, rho36):

@@ -1,5 +1,5 @@
-"""Degree polynomials are coefficient holders; they are evaluated here, as the
-package evaluates them, from .coeffs (numpy's polyval, as in scalar_oracle)."""
+"""Degree polynomials are plain coefficient arrays; they are evaluated here, as
+the package evaluates them (numpy's polyval, as in scalar_oracle)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 from numpy.polynomial import polynomial as P
 
-from saturate import EdgePolynomial, NodePolynomial, design_rate, node_from_edge
+from saturate import EdgePolynomial, design_rate, node_from_edge
 
 
 def test_regular_coefficients():
@@ -30,11 +30,11 @@ def test_node_from_edge_regular():
     node, lp1 = node_from_edge(EdgePolynomial.regular(3))  # x^2 -> x^3
     assert lp1 == pytest.approx(3.0, abs=1e-12)
     xs = np.linspace(0, 1, 11)
-    assert np.allclose(P.polyval(xs, node.coeffs), xs**3, atol=1e-12)
+    assert np.allclose(P.polyval(xs, node), xs**3, atol=1e-12)
 
     node6, lp6 = node_from_edge(EdgePolynomial.regular(6))  # x^5 -> x^6
     assert lp6 == pytest.approx(6.0, abs=1e-12)
-    assert np.allclose(P.polyval(xs, node6.coeffs), xs**6, atol=1e-12)
+    assert np.allclose(P.polyval(xs, node6), xs**6, atol=1e-12)
 
 
 def test_node_from_edge_irregular():
@@ -42,8 +42,8 @@ def test_node_from_edge_irregular():
     lam = EdgePolynomial(np.array([0.0, 0.5, 0.5]))
     node, lp1 = node_from_edge(lam)
     assert lp1 == pytest.approx(12.0 / 5.0, abs=1e-12)
-    assert P.polyval(0.0, node.coeffs) == 0.0
-    assert P.polyval(1.0, node.coeffs) == pytest.approx(1.0, abs=1e-12)
+    assert P.polyval(0.0, node) == 0.0
+    assert P.polyval(1.0, node) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_design_rate_values():
@@ -69,13 +69,11 @@ def test_edge_polynomial_validation():
     too_big[69] = 1.0
     with pytest.raises(ValueError, match="degree"):
         EdgePolynomial(too_big)
-
-
-def test_node_polynomial_validation():
-    with pytest.raises(ValueError):
-        NodePolynomial(np.array([0.1, 0.9]))  # L(0) != 0
-    with pytest.raises(ValueError):
-        NodePolynomial(np.array([0.0, 0.5]))  # L(1) != 1
+    # a NaN coefficient fails every test it meets
+    with pytest.raises(ValueError, match="nonnegative"):
+        EdgePolynomial(np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        EdgePolynomial.from_degree_map({"2": np.nan})
 
 
 def test_from_degree_map():
@@ -100,7 +98,7 @@ def _edge_polys():
 def test_node_derivative_reproduces_edge(lam):
     node, lp1 = node_from_edge(lam)
     xs = np.linspace(0.0, 1.0, 100)
-    node_deriv = P.polyder(node.coeffs)
+    node_deriv = P.polyder(node)
     assert np.max(np.abs(P.polyval(xs, node_deriv) / lp1 - P.polyval(xs, lam.coeffs))) < 1e-10
     assert P.polyval(1.0, node_deriv) == pytest.approx(lp1, rel=1e-12)
 
@@ -112,7 +110,18 @@ def test_normalized_eval_at_one(lam):
 
 
 @pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0]]], ids=["empty", "2d"])
-@pytest.mark.parametrize("cls", [EdgePolynomial, NodePolynomial])
+@pytest.mark.parametrize("cls", [EdgePolynomial])
 def test_coefficients_must_be_a_nonempty_list(cls, coeffs):
     with pytest.raises(ValueError, match="nonempty 1-d sequence"):
         cls(np.array(coeffs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(hyp.dictionaries(hyp.integers(1, 64), hyp.floats(1e-3, 1.0), min_size=1, max_size=8))
+def test_node_from_edge_is_polyint_to_the_bit(weights):
+    total = sum(weights.values())
+    lam = EdgePolynomial.from_degree_map({str(k): v / total for k, v in weights.items()})
+    node, lp1 = node_from_edge(lam)
+    anti = P.polyint(lam.coeffs)
+    assert np.array_equal(node, anti / anti.sum())
+    assert lp1 == 1.0 / anti.sum()

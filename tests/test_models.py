@@ -323,8 +323,8 @@ def _per_component_two_user_maps(lam1, rho1, lam2, rho2, channel):
                          1.0 - P.polyval(1.0 - x[..., 1], rho2.coeffs)], axis=-1)
 
     def check_energy(x):
-        t1 = x[..., 0] + (P.polyval(1.0 - x[..., 0], R1.coeffs) - 1.0) / Rp1
-        t2 = x[..., 1] + (P.polyval(1.0 - x[..., 1], R2.coeffs) - 1.0) / Rp2
+        t1 = x[..., 0] + (P.polyval(1.0 - x[..., 0], R1) - 1.0) / Rp1
+        t2 = x[..., 1] + (P.polyval(1.0 - x[..., 1], R2) - 1.0) / Rp2
         return Lp1 * t1 + Lp2 * t2
 
     if channel[0] == "sw":
@@ -335,25 +335,25 @@ def _per_component_two_user_maps(lam1, rho1, lam2, rho2, channel):
 
         def bit_update(y, eps):
             e1, e2 = path(eps)
-            u1 = psi(P.polyval(y[..., 1], L2.coeffs), e1) * P.polyval(y[..., 0], lam1.coeffs)
-            u2 = psi(P.polyval(y[..., 0], L1.coeffs), e2) * P.polyval(y[..., 1], lam2.coeffs)
+            u1 = psi(P.polyval(y[..., 1], L2), e1) * P.polyval(y[..., 0], lam1.coeffs)
+            u2 = psi(P.polyval(y[..., 0], L1), e2) * P.polyval(y[..., 1], lam2.coeffs)
             return np.stack([u1, u2], axis=-1)
 
         def bit_energy(x, eps):
             e1, e2 = path(eps)
-            l1 = P.polyval(x[..., 0], L1.coeffs)
-            l2 = P.polyval(x[..., 1], L2.coeffs)
+            l1 = P.polyval(x[..., 0], L1)
+            l2 = P.polyval(x[..., 1], L2)
             return psi(l1, e2) * l2 + psi(l2, e1) * l1 - gamma * p * l1 * l2
     else:
         def bit_update(y, eps):
-            p1 = eps + (1.0 - eps) * P.polyval(y[..., 1], L2.coeffs) / 2.0
-            p2 = eps + (1.0 - eps) * P.polyval(y[..., 0], L1.coeffs) / 2.0
+            p1 = eps + (1.0 - eps) * P.polyval(y[..., 1], L2) / 2.0
+            p2 = eps + (1.0 - eps) * P.polyval(y[..., 0], L1) / 2.0
             return np.stack([p1 * P.polyval(y[..., 0], lam1.coeffs),
                              p2 * P.polyval(y[..., 1], lam2.coeffs)], axis=-1)
 
         def bit_energy(x, eps):
-            l1 = P.polyval(x[..., 0], L1.coeffs)
-            l2 = P.polyval(x[..., 1], L2.coeffs)
+            l1 = P.polyval(x[..., 0], L1)
+            l2 = P.polyval(x[..., 1], L2)
             return eps * (l1 + l2) + (1.0 - eps) * l1 * l2 / 2.0
 
     return check_update, bit_update, check_energy, bit_energy
@@ -426,7 +426,7 @@ def _coefficient_pairs():
     rho2 = st.EdgePolynomial.from_degree_map({"4": 0.5, "9": 0.5})
     for a, b in ((lam, lam), (rho, rho), (lam, lam2), (rho, rho2), (lam2, lam)):
         yield a.coeffs, b.coeffs
-        yield st.node_from_edge(a)[0].coeffs, st.node_from_edge(b)[0].coeffs
+        yield st.node_from_edge(a)[0], st.node_from_edge(b)[0]
 
 
 def test_horner_rows_are_floats_exactly_where_the_components_agree():
@@ -477,6 +477,9 @@ _REG36 = (st.EdgePolynomial.regular(3), st.EdgePolynomial.regular(6)) * 2
      "strictly increasing"),
     (lambda: st.TablePath(knots=[0, 0.9], eps1=[0, 1], eps2=[0, 1]), "reach eps=1"),
     (lambda: st.TablePath(knots=[0, 1], eps1=[0, 1.5], eps2=[0, 1]), r"lie in \[0, 1\]"),
+    (lambda: st.TablePath(knots=[0, np.nan, 1], eps1=[0, 0.5, 1], eps2=[0, 0.5, 1]),
+     "strictly increasing"),
+    (lambda: st.TablePath(knots=[0, 1], eps1=[0, np.nan], eps2=[0, 1]), "non-decreasing"),
     (lambda: st.SlepianWolfParams(*_REG36, gamma=1.0, p=0.5), r"gamma must lie in \[0, 1\)"),
     (lambda: st.SlepianWolfParams(*_REG36, gamma=-0.1, p=0.5), r"gamma must lie in \[0, 1\)"),
     (lambda: st.SlepianWolfParams(*_REG36, gamma=0.5, p=1.5), r"p must lie in \[0, 1\]"),
@@ -489,13 +492,15 @@ _REG36 = (st.EdgePolynomial.regular(3), st.EdgePolynomial.regular(6)) * 2
      r"lie in \(0, 1\]"),
     (lambda: st.ProtographSpec(H=np.array([[3, 3]]), node_scale=[1.0, 1.2]),
      r"lie in \(0, 1\]"),
+    (lambda: st.ProtographSpec(H=np.array([[3, 3]]), node_scale=[np.nan, 1.0]),
+     r"lie in \(0, 1\]"),
     (lambda: st.ProtographSpec(H=np.array([[3, 3]]), punctured_columns=frozenset({2})),
      "out of range"),
     (lambda: st.regular_protograph(3, 7), "multiple of dv"),
 ], ids=["table_shapes", "table_knots_repeat", "table_knots_short", "table_values_range",
-        "gamma_one", "gamma_negative", "p_range", "path_not_callable", "proto_1d",
-        "proto_fractional", "scale_shape", "scale_zero", "scale_above_one", "punctured_index",
-        "regular_dc_dv"])
+        "table_knot_nan", "table_value_nan", "gamma_one", "gamma_negative", "p_range",
+        "path_not_callable", "proto_1d", "proto_fractional", "scale_shape", "scale_zero",
+        "scale_above_one", "scale_nan", "punctured_index", "regular_dc_dv"])
 def test_model_inputs_are_checked(make, match):
     with pytest.raises(ValueError, match=match):
         make()
