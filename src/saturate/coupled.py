@@ -60,9 +60,10 @@ class CouplingSpec:
     one_sided: bool = False
 
     def __post_init__(self):
-        if self.L < 0:
+        # both tests are written so that a NaN L or w fails them
+        if not self.L >= 0:
             raise ValueError("L must be nonnegative")
-        if self.w < 1:
+        if not self.w >= 1:
             raise ValueError("window size w must be >= 1")
 
     @property

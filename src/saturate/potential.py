@@ -14,6 +14,7 @@ from .system import (
     DEFAULT_MAX_ITER,
     SystemDefinition,
     _central_difference,
+    _iterate,
     _step_raw,
     iterate_batch,
 )
@@ -37,6 +38,9 @@ FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
 # bisection levels that one batched pass of bp_threshold and of a Maxwell
 # crossing probes (2**5 - 1 = 31 eps rows per pass)
 BP_BISECT_DEPTH = 5
+# sub-solution candidates bp_threshold tries per open row and cycle check: the
+# offsets 4**0, 4**1, ... of X_t - m |delta_t|
+SUBSOLUTION_OFFSETS = 12
 # grid points of the pinned component on each branch that maxwell_threshold walks
 BRANCH_POINTS = 50
 
@@ -185,28 +189,71 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     A probe collapses when its limit has max below ZERO_TOL. Each pass of
     the bisection iterates one all-ones row per probe eps in one batch (eps
     is the per-row batch axis) and covers BP_BISECT_DEPTH levels of the
-    bisection tree. The batch stops together, so a row may run past the step
-    at which it would have stopped alone; from all-ones an admissible
-    recursion is componentwise non-increasing, so those steps only move it
-    closer to its limit. A verdict could differ from the one-probe loop's
-    only if a row's step change fell below DEFAULT_ITER_TOL while its max was
-    still at least ZERO_TOL and the extra steps then took it below ZERO_TOL.
-    A pass that ends with rows still moving (iteration budget spent, or
-    rows in period-2 cycles) logs a warning naming their eps; such a row
-    counts as not collapsing unless its max is already below ZERO_TOL.
+    bisection tree.
+
+    An admissible system's update maps are monotone in the state, so from
+    all-ones the iterates X_t fall towards the largest fixed point, and a
+    row's verdict is settled before its limit is reached. At each cycle
+    check of the batch loop a row whose max is below ZERO_TOL has died:
+    later iterates are no larger. A
+    row survives once it holds a sub-solution, a Y <= X_t with
+    step(Y) >= Y and max Y >= ZERO_TOL: then X_s >= Y at every later s.
+    The candidates are Y = clip(X_t - m |delta_t|, 0, 1), with delta_t the
+    last step's change and m = 4**0, ..., 4**(SUBSOLUTION_OFFSETS - 1), all
+    rows' candidates in one batched step. Settled rows leave the stop test,
+    and the pass ends once every row is settled or the rows still open meet
+    it. Each pass logs every probe's eps, verdict and how it was reached
+    (died, certified, or stop rule) at debug level.
+
+    The batch stops together, so an open row may run past the step at which
+    it would have stopped alone; those steps only move it closer to its
+    limit. A verdict could differ from the one-probe loop's only if a row's
+    step change fell below DEFAULT_ITER_TOL while its max was still at least
+    ZERO_TOL and the extra steps then took it below ZERO_TOL. A pass that
+    ends with open rows still moving (iteration budget spent, or rows in
+    period-2 cycles) logs a warning naming their eps; such a row counts as
+    not collapsing unless its max is already below ZERO_TOL.
     """
+    return _threshold_bisect(lambda eps: _bp_pass(sys, eps, max_iter)[0], tol,
+                             "bp_threshold", depth=BP_BISECT_DEPTH)
 
-    def dies(eps: np.ndarray) -> np.ndarray:
-        X, it, conv = iterate_batch(sys, np.ones((len(eps), sys.d)), eps, max_iter=max_iter)
-        if not conv:
-            moving = _residual_sup(sys, X, eps) > DEFAULT_ITER_TOL
-            log.warning("bp_threshold: %d of %d probes still moving after %d iterations (%s): "
-                        "eps = %s", np.count_nonzero(moving), len(eps), it,
-                        "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
-                        ", ".join(f"{e:.9g}" for e in eps[moving]))
-        return np.max(X, axis=-1) < ZERO_TOL
 
-    return _threshold_bisect(dies, tol, "bp_threshold", depth=BP_BISECT_DEPTH)
+def _bp_pass(sys, eps: np.ndarray, max_iter: int):
+    """One pass of bp_threshold: (dies, how) for the all-ones rows of eps.
+
+    how names the way each verdict was reached: "died", "certified" or
+    "stop rule" (the rules are in bp_threshold).
+    """
+    offsets = 4.0 ** np.arange(SUBSOLUTION_OFFSETS)
+    died = np.zeros(len(eps), bool)
+    certified = np.zeros(len(eps), bool)
+
+    def settle(rows, X, delta):
+        X, delta = X[rows], delta[rows]
+        low = X.max(axis=-1) < ZERO_TOL
+        Y = (X[:, None, :] - offsets[:, None] * np.abs(delta[:, None, :])).clip(0.0, 1.0)
+        stepped = _step_raw(sys, Y.reshape(-1, sys.d), np.repeat(eps[rows], len(offsets)))
+        sub = np.all(stepped.reshape(Y.shape) >= Y, axis=-1) & (Y.max(axis=-1) >= ZERO_TOL)
+        cert = sub.any(axis=-1)  # never on a low row: Y <= X
+        died[rows[low]] = True
+        certified[rows[cert]] = True
+        return low | cert
+
+    X, it, conv = _iterate(sys, np.ones((len(eps), sys.d)), eps, DEFAULT_ITER_TOL,
+                           max_iter, settle=settle)
+    verdict = died | (~certified & (np.max(X, axis=-1) < ZERO_TOL))
+    how = np.where(died, "died", np.where(certified, "certified", "stop rule"))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("bp_threshold pass of %d steps: %s", it, ", ".join(
+            f"(eps={e:.9g}, {'dies' if v else 'survives'}, {h})"
+            for e, v, h in zip(eps, verdict, how)))
+    if not conv:
+        moving = ~died & ~certified & (_residual_sup(sys, X, eps) > DEFAULT_ITER_TOL)
+        log.warning("bp_threshold: %d of %d probes still moving after %d iterations (%s): "
+                    "eps = %s", np.count_nonzero(moving), len(eps), it,
+                    "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
+                    ", ".join(f"{e:.9g}" for e in eps[moving]))
+    return verdict, how
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,23 @@ def _classify_direction(delta: np.ndarray) -> np.ndarray:
     return np.where(up, 1, np.where(down, -1, 0)).astype(np.int8)
 
 
-def _iterate(sys, X, eps, tol, max_iter, observe=None):
+def _iterate(sys, X, eps, tol, max_iter, observe=None, settle=None):
     """The batch loop behind iterate_batch and iterate_limit (rules in iterate_batch).
 
     observe(delta, X), when given, runs after every step with that step's raw
     change, before the cycle exit zeroes any row, and the new iterates.
+
+    settle(rows, X, delta), when given, runs two steps after every cycle
+    check, once that check's suspects are confirmed or cleared. rows holds
+    the indices of the rows neither cycled nor settled; it returns a bool
+    mask over them of the rows whose outcome the caller now knows. Settled
+    rows, like cycled ones, no longer count in the stop test, so the loop
+    also ends once every row is settled or cycled. They are still stepped.
     """
     X = np.array(X, dtype=float)  # a state in [0,1]^d, checked by the callers
     cycled = np.zeros(X.shape[0], bool)
+    settled = np.zeros(X.shape[0], bool)
+    left_out = None  # cycled | settled, once some row is either
     any_cycled = False
     # period-2 detection: row sums two steps before a check, then the rows
     # a check suspects, their iterates at the check, and when to confirm them
@@ -202,8 +211,14 @@ def _iterate(sys, X, eps, tol, max_iter, observe=None):
             cycled[suspects[back & moving]] = True
             any_cycled = bool(cycled.any())
             suspects = snapshot = None
-        if any_cycled:
-            delta[cycled] = 0.0
+            if settle is not None:
+                rows = np.flatnonzero(~cycled & ~settled)
+                if len(rows):
+                    settled[rows[settle(rows, X, delta)]] = True
+            if any_cycled or settled.any():
+                left_out = cycled | settled
+        if left_out is not None:
+            delta[left_out] = 0.0
         if np.abs(delta).max() <= tol:
             converged = not any_cycled
             break

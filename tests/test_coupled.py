@@ -34,6 +34,13 @@ def test_coupling_spec_validation():
         st.CouplingSpec(L=4, w=0)
 
 
+@pytest.mark.parametrize("L, w, match", [(float("nan"), 3, "L must"), (4, float("nan"), "w must"),
+                                         (float("nan"), float("nan"), "L must")])
+def test_coupling_spec_refuses_nan(L, w, match):
+    with pytest.raises(ValueError, match=match):
+        st.CouplingSpec(L=L, w=w)
+
+
 def test_coupled_step_zero_and_dead_channel(sys36):
     spec = st.CouplingSpec(L=3, w=2)
     zero = st.CoupledState.zeros(spec, sys36.d)

@@ -1,7 +1,9 @@
 import dataclasses
 import importlib
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +299,39 @@ def test_bp_threshold_logs_period_two_cycles(caplog):
     assert st.bp_threshold(flip) == 0.0
     assert "period-2 cycle exit" in caplog.text
     assert "eps = 1e-09" in caplog.text
+
+
+def test_bp_threshold_logs_each_pass(sys36, caplog):
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    got = st.bp_threshold(sys36, tol=1e-5)
+    passes = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("bp_threshold pass of ")]
+    probes = [m for p in passes
+              for m in re.findall(r"\(eps=([^,]+), (dies|survives), (died|certified|stop rule)\)", p)]
+    # 1.0, 1e-9 and 31 midpoints, two more full passes, and a last one cut by tol
+    assert len(passes) == 4 and len(probes) == 33 + 2 * 31 + 3
+    # every verdict lies on its side of the threshold, and agrees with how it was reached
+    for eps, verdict, how in probes:
+        assert (float(eps) < got) == (verdict == "dies")
+        assert how != "died" or verdict == "dies"
+        assert how != "certified" or verdict == "survives"
+    assert {how for *_, how in probes} == {"died", "certified", "stop rule"}
+
+
+@pytest.mark.parametrize("name", ["sys36", "lift36", "sw_half", "emac36"])
+def test_bp_pass_verdicts_match_one_probe_limits(name, request):
+    # certificates against the plain limit on a grid close around the threshold
+    sys = request.getfixturevalue(name)
+    center = st.bp_threshold(sys, tol=1e-6)
+    eps = np.array(sorted(center + s * 10.0**-k for k in range(3, 8) for s in (-1, 1)))
+    dies, how = potential_module._bp_pass(sys, eps, DEFAULT_MAX_ITER)
+    limits = [st.iterate_limit(sys, sys.ones(), e) for e in eps]
+    assert all(res.converged for res in limits)
+    plain = np.array([np.max(res.limit) < ZERO_TOL for res in limits])
+    assert not plain[how == "certified"].any()
+    assert plain[how == "died"].all()
+    assert np.array_equal(dies, plain)
+    assert "certified" in how
 
 
 def test_fixed_points_empty_below_threshold(sys36, thresholds36):
