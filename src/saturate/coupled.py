@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,7 +61,11 @@ class CouplingSpec:
     one_sided: bool = False
 
     def __post_init__(self):
-        # both tests are written so that a NaN L or w fails them
+        for name in ("L", "w"):
+            value = getattr(self, name)
+            # numpy integers pass; True and False do not, as in the run configs
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.L >= 0:
             raise ValueError("L must be nonnegative")
         if not self.w >= 1:
@@ -203,8 +208,9 @@ def _iterate_chains(sys: SystemDefinition, spec: CouplingSpec, rows: np.ndarray,
     chain leaves the stack on the step at which its sup-norm change drops to
     tol, so it stops on the same step, in the same state, as it would alone;
     the others go on stepping until they stall or max_iter steps are spent.
-    observe(change, X), when given, runs after every step with that step's
-    change and the new iterates of the chains still in the stack.
+    observe(it, change, X), when given, runs after every step with the
+    number of steps taken, that step's change and the new iterates of the
+    chains still in the stack.
 
     Returns (rows, iterations, sup_change): the final (k, n, d) stack, and
     per chain its step count and its last sup-norm change (inf for a chain
@@ -224,7 +230,7 @@ def _iterate_chains(sys: SystemDefinition, spec: CouplingSpec, rows: np.ndarray,
         X = new
         it += 1
         if observe is not None:
-            observe(change, X)
+            observe(it, change, X)
         # the method form: np.max(x, axis=...) adds a few us of dispatch per step
         delta = np.abs(change).max(axis=(-2, -1))
         stalled = (delta <= tol) | (it == max_iter)
@@ -252,16 +258,14 @@ def coupled_limit(sys: SystemDefinition, spec: CouplingSpec, eps: float,
     _check_eps(eps)
     start = np.ones((1, spec.n_rows, sys.d))
     snapshots = [(0, start[0].copy())] if record_every > 0 else []
-    steps = 0
     mono_ok = True
 
-    def observe(change, X):
-        nonlocal steps, mono_ok
-        steps += 1
+    def observe(it, change, X):
+        nonlocal mono_ok
         if (change > MONO_SLACK).any():
             mono_ok = False
-        if record_every > 0 and steps % record_every == 0:
-            snapshots.append((steps, X[0].copy()))
+        if record_every > 0 and it % record_every == 0:
+            snapshots.append((it, X[0].copy()))
 
     rows, iterations, sup_change = _iterate_chains(sys, spec, start, eps, tol, max_iter, observe)
     rows, it_total, delta = rows[0], int(iterations[0]), float(sup_change[0])

@@ -294,12 +294,11 @@ def _newton_batch(sys, X0, eps):
     """Damped Newton on the fixed-point residual, all seeds in lockstep.
 
     eps is a scalar or one value per row. Each row's steps depend on that
-    row alone, except that a singular Jacobian stops every row of its eps
-    where it stands, as a call holding only that eps would stop: the rows of
-    the other eps go on, and each eps's rows end as in a call of their own.
+    row alone, and a row whose Jacobian is singular stops where it stands
+    while the others go on, so a batch ends as one call per row would.
     Residuals are evaluated once and then carried from the line search.
     """
-    X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0).copy()
+    X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), X.shape[:-1])
     R = X - _step_raw(sys, X, eps)
     stopped = np.zeros(len(X), bool)
@@ -312,12 +311,9 @@ def _newton_batch(sys, X0, eps):
         try:
             dx = np.linalg.solve(J, R[active, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            # a call of one eps ends at its first singular solve: stop the
-            # rows of every eps with one and solve for the rest
-            singular = eps[active][[_is_singular(m) for m in J]]
-            stopped |= np.any(eps[:, None] == singular, axis=-1)
-            keep = ~stopped[active]
-            active, J = active[keep], J[keep]
+            singular = np.array([_is_singular(m) for m in J])
+            stopped[active[singular]] = True
+            active, J = active[~singular], J[~singular]
             if not len(active):
                 break
             dx = np.linalg.solve(J, R[active, :, None])[..., 0]
@@ -434,8 +430,8 @@ def _fixed_points_batch(sys, eps_values, max_iter) -> list[list[FixedPointRecord
     """fixed_points at every eps of eps_values, one record list per eps.
 
     For d=2 the seed lattice is tiled over all eps and solved in one Newton
-    batch with a per-row eps, whose rows end as in one call per eps, so
-    every list equals that eps's fixed_points call. Other dimensions iterate
+    batch with a per-row eps, whose rows never interact, so every list
+    equals that eps's fixed_points call. Other dimensions iterate
     their lattice once per eps, through fixed_points.
     """
     eps_values = [float(e) for e in eps_values]

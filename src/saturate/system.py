@@ -174,22 +174,18 @@ def _iterate(sys, X, eps, tol, max_iter, observe=None, settle=None):
 
     settle(rows, X, delta), when given, runs two steps after every cycle
     check, once that check's suspects are confirmed or cleared. rows holds
-    the indices of the rows neither cycled nor settled; it returns a bool
-    mask over them of the rows whose outcome the caller now knows. Settled
-    rows, like cycled ones, no longer count in the stop test, so the loop
-    also ends once every row is settled or cycled. They are still stepped.
+    the indices of the rows still in the stop test; it returns a bool mask
+    over them of the rows whose outcome the caller now knows. Settled rows,
+    like cycled ones, leave the stop test, so the loop also ends once every
+    row is settled or cycled. They are still stepped.
     """
     X = np.array(X, dtype=float)  # a state in [0,1]^d, checked by the callers
     cycled = np.zeros(X.shape[0], bool)
-    settled = np.zeros(X.shape[0], bool)
-    left_out = None  # cycled | settled, once some row is either
-    any_cycled = False
+    left_out = None  # the rows out of the stop test (cycled or settled), once there are any
     # period-2 detection: row sums two steps before a check, then the rows
-    # a check suspects, their iterates at the check, and when to confirm them
+    # a check suspects and their iterates at the check
     fingerprint = suspects = snapshot = None
-    confirm_at = -1
     it = 0
-    converged = False
     while it < max_iter:
         Xn = _step_raw(sys, X, eps)
         delta = Xn - X
@@ -197,36 +193,33 @@ def _iterate(sys, X, eps, tol, max_iter, observe=None, settle=None):
         it += 1
         if observe is not None:
             observe(delta, X)
-        if it % CYCLE_CHECK_EVERY == CYCLE_CHECK_EVERY - 2:
+        phase = it % CYCLE_CHECK_EVERY
+        if phase == CYCLE_CHECK_EVERY - 2:
             fingerprint = X.sum(axis=-1)
-        elif it % CYCLE_CHECK_EVERY == 0:
+        elif phase == 0:
             moved = np.abs(delta).max(axis=-1) > tol
             suspects = np.flatnonzero(moved & ~cycled & (X.sum(axis=-1) == fingerprint))
             snapshot = X[suspects]
-            confirm_at = it + 2
-        elif it == confirm_at:
+        elif phase == 2 and it > CYCLE_CHECK_EVERY:
             # back where it was two steps ago, and not at a fixed point
             back = np.all(X[suspects] == snapshot, axis=-1)
             moving = np.abs(delta[suspects]).max(axis=-1) > tol
             cycled[suspects[back & moving]] = True
-            any_cycled = bool(cycled.any())
-            suspects = snapshot = None
+            out = cycled.copy() if left_out is None else left_out | cycled
             if settle is not None:
-                rows = np.flatnonzero(~cycled & ~settled)
+                rows = np.flatnonzero(~out)
                 if len(rows):
-                    settled[rows[settle(rows, X, delta)]] = True
-            if any_cycled or settled.any():
-                left_out = cycled | settled
+                    out[rows[settle(rows, X, delta)]] = True
+            if out.any():
+                left_out = out
         if left_out is not None:
             delta[left_out] = 0.0
         if np.abs(delta).max() <= tol:
-            converged = not any_cycled
-            break
-    return X, it, converged
+            return X, it, not cycled.any()
+    return X, it, False
 
 
-def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER):
+def iterate_batch(sys: SystemDefinition, X, eps, max_iter: int = DEFAULT_MAX_ITER):
     """Iterate each row of X to the recursion limit.
 
     Returns (limits, iterations, converged). The batch keeps no per-row
@@ -235,10 +228,10 @@ def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
     eps is a scalar or an array of per-row channel parameters broadcasting
     against X.shape[:-1]. The stop rule is the same either way: the whole
     batch stops together, once the sup-norm change over all rows not in a
-    period-2 cycle drops to tol, so a row may run past the step at which it
-    would have stopped alone. From all-ones the iterates of an admissible
-    system are componentwise non-increasing, so those extra steps only bring
-    such a row closer to its limit.
+    period-2 cycle drops to tol = DEFAULT_ITER_TOL, so a row may run past the
+    step at which it would have stopped alone. From all-ones the iterates of
+    an admissible system are componentwise non-increasing, so those extra
+    steps only bring such a row closer to its limit.
 
     A row in an exact period-2 cycle never meets the sup-norm test, so it
     would hold the whole batch until max_iter. Every CYCLE_CHECK_EVERY steps
@@ -254,7 +247,7 @@ def iterate_batch(sys: SystemDefinition, X, eps, tol: float = DEFAULT_ITER_TOL,
     of X outside [0,1]^d, or if X's rows are not d long.
     """
     _check_eps(eps)
-    return _iterate(sys, _check_state(sys, X), eps, tol, max_iter)
+    return _iterate(sys, _check_state(sys, X), eps, DEFAULT_ITER_TOL, max_iter)
 
 
 def iterate_limit(sys: SystemDefinition, x0, eps: float, tol: float = DEFAULT_ITER_TOL,

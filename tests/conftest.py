@@ -57,3 +57,17 @@ def thresholds36(sys36):
         "bp": st.bp_threshold(sys36),
         "potential": st.potential_threshold(sys36),
     }
+
+
+@pytest.fixture(scope="session")
+def flip():
+    """A d=2 system whose recursion is not monotone: (x1, x2) -> (x1, x1 (1 - x2)).
+
+    From all-ones it alternates between (1, 1) and (1, 0) at every eps.
+    """
+    def zero(x, *_):
+        return np.zeros(np.shape(x)[:-1])
+
+    return st.SystemDefinition(
+        d=2, weights=np.ones(2), check_update=lambda x: x, bit_energy=zero, check_energy=zero,
+        bit_update=lambda y, eps: np.stack([y[..., 0], y[..., 0] * (1.0 - y[..., 1])], axis=-1))

@@ -16,6 +16,7 @@ import pytest
 
 import saturate as st
 import saturate.config
+import saturate.system
 import saturate.verify
 from saturate.system import DEFAULT_MAX_ITER
 
@@ -27,6 +28,7 @@ REMOVED = {
     st.fixed_points: {"tol", "cluster_radius", "grid", "max_seeds", "iter_tol"},
     st.bp_threshold: {"zero_tol", "iter_tol"},
     st.potential_quadrature: {"n_nodes"},
+    saturate.system.iterate_batch: {"tol"},
     st.coupled_limit: {"zero_tol"},
     st.coupled_bp_threshold: {"zero_tol", "iter_tol"},
     st.hessian_bound: {"n_samples", "per_axis", "fd_step"},

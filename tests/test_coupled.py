@@ -35,10 +35,20 @@ def test_coupling_spec_validation():
 
 
 @pytest.mark.parametrize("L, w, match", [(float("nan"), 3, "L must"), (4, float("nan"), "w must"),
-                                         (float("nan"), float("nan"), "L must")])
+                                         (float("nan"), float("nan"), "L must"),
+                                         (2.5, 3, "L must be an integer"),
+                                         (2.0, 3, "L must be an integer"),
+                                         (4, 2.0, "w must be an integer"),
+                                         (True, 3, "L must be an integer"),
+                                         (4, False, "w must be an integer")])
 def test_coupling_spec_refuses_nan(L, w, match):
     with pytest.raises(ValueError, match=match):
         st.CouplingSpec(L=L, w=w)
+
+
+def test_coupling_spec_takes_numpy_integers():
+    spec = st.CouplingSpec(L=np.int64(4), w=np.int32(3))
+    assert spec.n_rows == 11 and spec.matrix().shape == (9, 11)
 
 
 def test_coupled_step_zero_and_dead_channel(sys36):
@@ -136,6 +146,16 @@ def test_coupled_limit_dead_channel(sys36):
     spec = st.CouplingSpec(L=4, w=2)
     state, rep = st.coupled_limit(sys36, spec, 0.0)
     assert rep.is_zero and rep.iterations <= 2
+
+
+def test_coupled_limit_reports_a_rise(flip, caplog):
+    # with w = 1 each row steps alone, and flip's second component climbs
+    # back from 0 to 1 on every other step: the run is not monotone, and it
+    # never stalls before its budget
+    state, rep = st.coupled_limit(flip, st.CouplingSpec(L=1, w=1), 0.5, max_iter=5)
+    assert not rep.monotone_ok and not rep.converged
+    assert rep.iterations == 5 and "no convergence after 5 iterations" in caplog.text
+    assert np.array_equal(state.rows, np.tile([1.0, 0.0], (3, 1)))
 
 
 def test_coupled_limit_snapshots(sys36):

@@ -18,6 +18,7 @@ from saturate.potential import (
     FP_GRID,
     FP_MAX_SEEDS,
     FP_RESIDUAL_TOL,
+    NEWTON_RIDGE,
     ZERO_TOL,
     _bisect_crossing,
     _branch_bracket,
@@ -287,15 +288,9 @@ def test_coupled_bp_threshold_counts_a_spent_budget_below_zero_tol_as_collapsing
     assert got == _one_probe_bisect(dies, 1e-3) > 0.0
 
 
-def test_bp_threshold_logs_period_two_cycles(caplog):
-    # (x1, x2) -> (x1, x1 (1 - x2)) alternates between (1, 1) and (1, 0):
-    # no probe collapses, and the batch leaves through the cycle exit
-    def zero(x, *_):
-        return np.zeros(np.shape(x)[:-1])
-
-    flip = st.SystemDefinition(
-        d=2, weights=np.ones(2), check_update=lambda x: x, bit_energy=zero, check_energy=zero,
-        bit_update=lambda y, eps: np.stack([y[..., 0], y[..., 0] * (1.0 - y[..., 1])], axis=-1))
+def test_bp_threshold_logs_period_two_cycles(flip, caplog):
+    # flip alternates between (1, 1) and (1, 0): no probe collapses, and the
+    # batch leaves through the cycle exit
     assert st.bp_threshold(flip) == 0.0
     assert "period-2 cycle exit" in caplog.text
     assert "eps = 1e-09" in caplog.text
@@ -489,6 +484,44 @@ def test_branch_points_split_steps_stay_on_the_branch(lam36, rho36, monkeypatch)
         assert float(potential_module._residual_sup(sys, x, eps)) <= FP_RESIDUAL_TOL
 
 
+def test_branch_points_skip_a_grid_value_whose_solves_fail(sw_half, monkeypatch, caplog):
+    # every solve with the pinned component in [0.8, 0.85) leaves a residual
+    # above FP_RESIDUAL_TOL, so the step to 0.8 and each of its split
+    # mid-points fail, six splits deep, and 0.8 is skipped with a log line;
+    # the first solve at 0.65 is singular, so that step is split and its
+    # point still found, and the walk goes on to the end of the grid
+    caplog.set_level(logging.INFO, logger="saturate")
+    x0 = st.iterate_limit(sw_half, sw_half.ones(), 1.0).limit
+    j = int(np.argmax(x0))
+    want = list(_branch_points(sw_half, x0, 20))
+    pinned_at = [x[j] for x, _ in want]
+    prev, skip, singular = pinned_at[3], pinned_at[4], pinned_at[7]
+    assert (prev, skip, singular) == pytest.approx((0.85, 0.8, 0.65))
+    solve = potential_module._newton_pinned
+    difference = potential_module._central_difference
+    solves = []
+
+    def failing(sys, j, c, u0):
+        solves.append(c)
+        u, res = solve(sys, j, c, u0)
+        return u, (1.0 if skip <= c < prev else res)
+
+    def singular_once(fn, u, h):
+        if solves[-1] == singular and solves.count(singular) == 1:
+            return -NEWTON_RIDGE * np.eye(len(u))  # J + NEWTON_RIDGE I is zero
+        return difference(fn, u, h)
+
+    monkeypatch.setattr(potential_module, "_newton_pinned", failing)
+    monkeypatch.setattr(potential_module, "_central_difference", singular_once)
+    got = list(_branch_points(sw_half, x0, 20))
+    assert f"Newton diverged at x{j + 1}={skip:g}; point skipped" in caplog.text
+    assert sum(skip <= c < prev for c in solves) > 6 and solves.count(singular) == 2
+    kept = [p for p in want if p[0][j] != skip]
+    assert [x[j] for x, _ in got] == [x[j] for x, _ in kept]
+    for (x, eps), (x_want, eps_want) in zip(got, kept):
+        assert np.allclose(x, x_want, rtol=0.0, atol=1e-9) and eps == pytest.approx(eps_want)
+
+
 def test_fixed_points_appends_ones_row_to_the_lattice(lift36):
     # d != 2: the all-ones start rides in the lattice batch, with no one-row run
     assert not hasattr(potential_module, "iterate_limit")
@@ -558,27 +591,56 @@ def test_newton_batch_carries_its_residuals(lam36, rho36, monkeypatch):
 
 @pytest.mark.parametrize("rows", ["all", "some"])
 def test_singular_jacobian_stops_only_its_own_eps(rows, sw_half, monkeypatch):
-    # a singular solve stops every row of its eps, as a call of that eps
-    # alone stops, and no row of any other eps
+    # a singular solve stops only the rows whose Jacobian is singular, where
+    # their seeds stood; the other rows of that eps go on, no row of any other
+    # eps notices, and the batch still equals one call per eps
     eps_values, bad = [0.3, 0.35, 0.5, 1.0], 0.35
     want = {eps: st.fixed_points(sw_half, eps) for eps in eps_values}
     assert want[bad]
+    survivors = []
+    if rows == "some":  # one column of the seed lattice is singular
+        seeds = _seed_lattice_2d(FP_GRID)
+        X, res = potential_module._newton_batch(sw_half, seeds[seeds[:, 0] != 0.97], bad)
+        survivors = potential_module._records(sw_half, X, res, bad)
+        assert survivors
     jacobian = potential_module._newton_jacobian
 
     def singular_at_bad(sys, X, eps):
         J = jacobian(sys, X, eps)
         hit = eps == bad
-        if rows == "some":  # one column of the seed lattice
+        if rows == "some":
             hit &= X[:, 0] == 0.97
         J[hit] = 0.0
         return J
 
     monkeypatch.setattr(potential_module, "_newton_jacobian", singular_at_bad)
     alone = st.fixed_points(sw_half, bad)
-    assert not alone  # every row of bad stopped where its seed stood
+    # the points of the seeds whose Jacobians are not singular, and no others
+    _assert_same_records(alone, survivors)
     batch = _fixed_points_batch(sw_half, eps_values, DEFAULT_MAX_ITER)
     for eps, recs in zip(eps_values, batch):
         _assert_same_records(recs, alone if eps == bad else want[eps])
+
+
+def test_singular_seeds_do_not_hide_the_fixed_points_of_the_others(sw_half, monkeypatch):
+    # the seeds of the x1 = 0.97 lattice column have singular Jacobians at
+    # eps 0.35; the other seeds still find all four fixed points, so the
+    # energy gap that the potential threshold reads is unchanged
+    want, gap = st.fixed_points(sw_half, 0.35), st.energy_gap(sw_half, 0.35)
+    assert len(want) == 4 and gap < 0.0
+    jacobian = potential_module._newton_jacobian
+
+    def singular_column(sys, X, eps):
+        J = jacobian(sys, X, eps)
+        J[(eps == 0.35) & (X[:, 0] == 0.97)] = 0.0
+        return J
+
+    monkeypatch.setattr(potential_module, "_newton_jacobian", singular_column)
+    assert st.energy_gap(sw_half, 0.35) == gap
+    got = st.fixed_points(sw_half, 0.35)
+    assert len(got) == 4
+    for rec in got:
+        assert min(np.max(np.abs(rec.x - w.x)) for w in want) <= CLUSTER_RADIUS
 
 
 def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
