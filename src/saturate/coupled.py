@@ -70,6 +70,8 @@ class CouplingSpec:
             raise ValueError("L must be nonnegative")
         if not self.w >= 1:
             raise ValueError("window size w must be >= 1")
+        if not isinstance(self.one_sided, (bool, np.bool_)):
+            raise ValueError(f"one_sided must be a bool, got {self.one_sided!r}")
 
     @property
     def i0(self) -> int:

@@ -117,37 +117,23 @@ def _subtree_midpoints(lo: float, hi: float, levels: int, tol: float) -> list:
             + _subtree_midpoints(mid, hi, levels - 1, tol))
 
 
-def _predicted_midpoints(lo: float, hi: float, halvings: int, tol: float, prior: float) -> list:
-    """The midpoints the one-probe walk from [lo, hi] visits if the threshold is prior."""
-    mids = []
-    for _ in range(halvings):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        lo, hi = (mid, hi) if mid < prior else (lo, mid)
-    return mids
-
-
 def _threshold_bisect(true_below, tol: float, name: str,
                       max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1,
-                      prior: Optional[float] = None, bracket: Optional[tuple] = None) -> float:
+                      bracket: Optional[tuple] = None) -> float:
     """Bisect [0,1] or a bracket for the edge of a predicate that holds below a threshold.
 
     true_below maps a 1-d array of eps values to a bool array of verdicts.
     One call evaluates every midpoint of the next depth bisection levels
     (2**depth - 1 of them, fewer where the tol or max_halvings stop prunes
-    the tree), and the first call also holds 1.0 and 1e-9. With a prior
-    estimate of the threshold, a call instead holds every midpoint the walk
-    would visit if the threshold were prior, and the next call starts only
-    where a verdict departs from that prediction, predicting again from
-    there. The walk below is the one-probe loop, looking its verdicts up in
-    the last call and calling again at the first midpoint that call lacks, so
-    for a predicate that depends on eps alone the result is the same float at
-    every depth and for every prior. A bracket (lo, hi) replaces [1e-9, 1]
-    by an interval whose end verdicts the caller holds (true at lo, false at
-    hi): the walk never probes its ends, and when hi - lo <= tol, hi <= lo
-    included, returns the midpoint without a call.
+    the tree), and the first call also holds 1.0 and 1e-9. The walk below is
+    the one-probe loop, looking its verdicts up in the last call and calling
+    again at the first midpoint that call lacks, so for a predicate that
+    depends on eps alone the result is the same float at every depth.
+    potential_threshold walks it only when its Maxwell point is not
+    confirmed. A bracket (lo, hi) replaces [1e-9, 1] by an interval whose
+    end verdicts the caller holds (true at lo, false at hi): the walk never
+    probes its ends, and when hi - lo <= tol, hi <= lo included, returns the
+    midpoint without a call.
     """
 
     def probe(eps_values):
@@ -157,9 +143,7 @@ def _threshold_bisect(true_below, tol: float, name: str,
         return dict(zip(eps.tolist(), np.asarray(true_below(eps), dtype=bool).tolist()))
 
     def midpoints(lo, hi, halvings):
-        if prior is None:
-            return _subtree_midpoints(lo, hi, min(depth, halvings), tol)
-        return _predicted_midpoints(lo, hi, halvings, tol, prior)
+        return _subtree_midpoints(lo, hi, min(depth, halvings), tol)
 
     lo, hi = (1e-9, 1.0) if bracket is None else bracket
     first = ([1.0, lo] if bracket is None else []) + midpoints(lo, hi, max_halvings)
@@ -465,27 +449,33 @@ def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest eps at which every nontrivial fixed point has nonnegative potential.
 
-    On d=2 systems the bisection is evaluated in eps batches predicted from
-    maxwell_threshold, which it runs first (see _potential_bisect); the
-    result cannot depend on that estimate.
+    The Maxwell point M = maxwell_threshold(sys, tol) locates it, and one
+    enumeration of the fixed points at M - tol/2 and M + tol/2 confirms it:
+    the answer is M when the energy gap is >= 0 below and < 0 above, so the
+    gap changes sign within tol/2 of M. The enumeration (the d=2 Newton
+    lattice, or the lattice iteration in other dimensions) does not use the
+    branch walk behind M. If either side fails, a warning names it and the
+    plain bisection of the gap's sign over (0, 1] gives the answer instead.
     """
-    prior = maxwell_threshold(sys, tol, max_iter=max_iter) if sys.d == 2 else None
-    return _potential_bisect(sys, tol, max_iter, prior)
+    return _confirm_maxwell(sys, maxwell_threshold(sys, tol, max_iter=max_iter), tol, max_iter)
 
 
-def _potential_bisect(sys, tol, max_iter, prior) -> float:
-    """The potential-threshold bisection, predicted from prior when it is not None.
-
-    Each call of the predicate enumerates the fixed points of all its eps in
-    one _fixed_points_batch call. A prior pays off on d=2, where that call is
-    one Newton batch; in other dimensions every eps iterates its own lattice,
-    so a mispredicted eps costs a whole enumeration and callers pass None.
-    """
-
-    def nonneg(eps: np.ndarray) -> np.ndarray:
-        return np.array([gap >= 0.0 for gap in _energy_gaps(sys, eps, max_iter)])
-
-    return _threshold_bisect(nonneg, tol, "potential_threshold", prior=prior)
+def _confirm_maxwell(sys, mx: float, tol: float, max_iter: int) -> float:
+    """mx if the energy gap is >= 0 at mx - tol/2 and < 0 at mx + tol/2, else the bisection."""
+    eps = np.clip([mx - tol / 2, mx + tol / 2], 1e-9, 1.0).tolist()
+    gaps = _energy_gaps(sys, eps, max_iter)
+    nonneg = [gap >= 0.0 for gap in gaps]
+    log.debug("potential_threshold confirm: %s", ", ".join(
+        f"(eps={e:.9g}, gap={g:.6g}, {'nonneg' if v else 'negative'})"
+        for e, g, v in zip(eps, gaps, nonneg)))
+    if nonneg == [True, False]:
+        return mx
+    k = 0 if not nonneg[0] else 1  # the side that failed
+    log.warning("potential_threshold: Maxwell point %.9g not confirmed, gap %.6g at eps=%.9g "
+                "(%s side); bisecting", mx, gaps[k], eps[k], ("below", "above")[k])
+    return _threshold_bisect(
+        lambda e: np.array([gap >= 0.0 for gap in _energy_gaps(sys, e, max_iter)]),
+        tol, "potential_threshold")
 
 
 def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
@@ -499,8 +489,7 @@ def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     to tol/4 by Newton solves, one batch per pass of BP_BISECT_DEPTH levels.
     Returns the smallest crossing, or 1.0 when no seed has Q < 0; a walk that
     ends with Q still negative contributes the smallest eps it reached and
-    logs a warning. Only the eps=1 enumeration is shared with
-    potential_threshold.
+    logs a warning. potential_threshold starts from this value.
     """
     brackets = [_branch_bracket(sys, seed.x) for seed in fixed_points(sys, 1.0, max_iter=max_iter)
                 if seed.potential_value < 0.0]
@@ -648,12 +637,14 @@ class ThresholdReport:
 def threshold_report(sys: SystemDefinition, gap_grid, tol: float = BISECT_TOL) -> ThresholdReport:
     """Compute all three thresholds and the energy-gap curve over gap_grid.
 
-    The Maxwell threshold comes first and is the prior of the potential
-    bisection on d=2 systems; the gap curve is one _fixed_points_batch call.
+    The Maxwell threshold comes first, and the potential threshold is that
+    point confirmed as in potential_threshold (one _fixed_points_batch call
+    at its two sides), so it is not computed twice; the gap curve is one
+    more _fixed_points_batch call.
     """
     bp = bp_threshold(sys, tol)
     mx = maxwell_threshold(sys, tol)
-    pot = _potential_bisect(sys, tol, DEFAULT_MAX_ITER, mx if sys.d == 2 else None)
+    pot = _confirm_maxwell(sys, mx, tol, DEFAULT_MAX_ITER)
     gap_grid = [float(e) for e in gap_grid]
     curve = list(zip(gap_grid, _energy_gaps(sys, gap_grid)))
     rep = ThresholdReport(

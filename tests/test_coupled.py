@@ -47,6 +47,14 @@ def test_coupling_spec_refuses_nan(L, w, match):
         st.CouplingSpec(L=L, w=w)
 
 
+@pytest.mark.parametrize("one_sided", ["no", "", 0, 1, 1.0, None, np.int64(1)])
+def test_coupling_spec_refuses_a_non_bool_one_sided(one_sided):
+    # only the value's truth was read, so "no" ran the one-sided chain
+    with pytest.raises(ValueError, match="one_sided must be a bool"):
+        st.CouplingSpec(L=4, w=3, one_sided=one_sided)
+    assert st.CouplingSpec(L=4, w=3, one_sided=np.bool_(True)).one_sided
+
+
 def test_coupled_step_zero_and_dead_channel(sys36):
     spec = st.CouplingSpec(L=3, w=2)
     zero = st.CoupledState.zeros(spec, sys36.d)

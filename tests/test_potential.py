@@ -7,8 +7,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hyp
 
 import saturate as st
 from saturate.potential import (
@@ -210,40 +208,6 @@ def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_h
             assert not probed & set(bracket)
 
 
-@settings(max_examples=300, deadline=None)
-@given(edge=hyp.floats(0.0, 1.0), tol=hyp.sampled_from([0.0, 1e-6, 1e-3, 0.3]),
-       prior=hyp.one_of(hyp.sampled_from([0.0, 1.0, -0.5, 1.5, -math.inf, math.inf]),
-                        hyp.floats(), hyp.sampled_from(["edge-", "edge+"])))
-def test_prior_gives_the_one_probe_float(edge, tol, prior):
-    # the walk reads only verdicts, so no prior can move the result
-    if prior == "edge-":
-        prior = edge - tol / 8
-    elif prior == "edge+":
-        prior = edge + tol / 8
-    ref = _one_probe_bisect(lambda e: e < edge, tol)
-    calls = []
-
-    def batched(eps):
-        calls.append(len(eps))
-        return eps < edge
-
-    assert _threshold_bisect(batched, tol, "synthetic", prior=prior) == ref
-    assert max(calls) <= BISECT_MAX_HALVINGS + 2
-
-
-@pytest.mark.parametrize("edge", _EDGES)
-def test_exact_prior_settles_in_one_call(edge):
-    calls = []
-
-    def batched(eps):
-        calls.append(eps.tolist())
-        return eps < edge
-
-    got = _threshold_bisect(batched, 1e-6, "synthetic", prior=edge)
-    assert got == _one_probe_bisect(lambda e: e < edge, 1e-6)
-    assert len(calls) == 1
-
-
 def _one_probe_bp(sys, tol, max_iter=DEFAULT_MAX_ITER):
     def dies(eps):
         res = st.iterate_limit(sys, sys.ones(), eps, max_iter=max_iter)
@@ -417,24 +381,82 @@ def _count_batches(monkeypatch):
     return calls
 
 
+SW_HALF_MAXWELL = 0.3280546913037936  # Maxwell point of Slepian-Wolf theta=0.5 at tol 1e-5
+
+
 def test_potential_threshold_is_one_batch_after_maxwell(lam36, rho36, monkeypatch):
-    # d=2: Maxwell's eps=1 enumeration, then the whole bisection in one call
+    # Maxwell's eps=1 enumeration, then both confirming gaps in one call
     calls = _count_batches(monkeypatch)
-    assert st.potential_threshold(_sw_half_on(lam36, rho36, 0.5), tol=1e-5) == 0.3280525214239006
-    assert len(calls) == 2 and calls[0] == [1.0] and 1e-9 in calls[1]
+    assert st.potential_threshold(_sw_half_on(lam36, rho36, 0.5), tol=1e-5) == SW_HALF_MAXWELL
+    assert calls == [[1.0], [SW_HALF_MAXWELL - 5e-6, SW_HALF_MAXWELL + 5e-6]]
 
 
 def test_threshold_report_batches_its_enumerations(lam36, rho36, monkeypatch):
-    # one call for the potential bisection and one for the gap curve, counted
-    # rather than timed, so a per-eps loop fails here
+    # one call for the two confirming gaps and one for the gap curve, counted
+    # rather than timed, so a per-eps loop or a second Maxwell run fails here
     calls = _count_batches(monkeypatch)
     grid = [0.1, 0.2, 0.3, 0.4]
     rep = st.threshold_report(_sw_half_on(lam36, rho36, 0.5), gap_grid=grid, tol=1e-5)
-    assert rep.potential_threshold == 0.3280525214239006
+    assert rep.potential_threshold == rep.maxwell_threshold == SW_HALF_MAXWELL
     assert len(calls) == 3
     assert calls[0] == [1.0]  # maxwell_threshold
-    assert 1e-9 in calls[1] and 1.0 in calls[1]  # the potential bisection
+    assert calls[1] == [SW_HALF_MAXWELL - 5e-6, SW_HALF_MAXWELL + 5e-6]  # the confirmation
     assert calls[2] == grid
+
+
+# potential_threshold before it became the confirmed Maxwell point: the
+# bisection's float at tol 1e-5 and 1e-6
+BISECTED_POTENTIAL = {
+    "sys36": (0.4881477361075554, 0.48815107396765944),
+    "lift36": (0.4881477361075554, 0.48815107396765944),
+    "emac36": (0.33231735296260456, 0.3323159224511314),
+    "sw_half": (0.24671554640758137, 0.24671220854747727),  # the diagonal path, theta=1
+    "sw_theta_half": (0.3280525214239006, 0.3280549056096893),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-6])
+@pytest.mark.parametrize("name", list(BISECTED_POTENTIAL))
+def test_potential_threshold_is_the_confirmed_maxwell_point(name, tol, request, lam36, rho36):
+    if name == "sw_theta_half":
+        sys = _sw_half_on(lam36, rho36, 0.5)
+    else:
+        sys = request.getfixturevalue(name)
+    mx = st.maxwell_threshold(sys, tol=tol)
+    below, above = potential_module._energy_gaps(sys, [mx - tol / 2, mx + tol / 2])
+    assert below >= 0.0 > above
+    got = st.potential_threshold(sys, tol=tol)
+    assert got == mx
+    assert abs(got - BISECTED_POTENTIAL[name][tol == 1e-6]) <= tol
+
+
+def test_potential_threshold_logs_its_confirmation(sys36, caplog):
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    got = st.potential_threshold(sys36, tol=1e-5)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("potential_threshold confirm: ")]
+    assert len(lines) == 1
+    probes = re.findall(r"\(eps=([^,]+), gap=([^,]+), (nonneg|negative)\)", lines[0])
+    assert [verdict for *_, verdict in probes] == ["nonneg", "negative"]
+    (lo, gap_lo, _), (hi, gap_hi, _) = probes
+    assert float(lo) < got < float(hi) and float(hi) - float(lo) == pytest.approx(1e-5)
+    assert float(gap_lo) >= 0.0 > float(gap_hi)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+@pytest.mark.parametrize("offset, side", [(10, "below"), (-10, "above")])
+def test_potential_threshold_falls_back_when_maxwell_is_off(offset, side, sys36, monkeypatch,
+                                                            caplog):
+    # a wrong estimate fails one side of the confirmation; the plain walk then
+    # decides, so the answer still lies within 2*tol of the true Maxwell point
+    tol = 1e-5
+    mx = st.maxwell_threshold(sys36, tol=tol)
+    monkeypatch.setattr(potential_module, "maxwell_threshold",
+                        lambda sys, tol, max_iter: mx + offset * tol)
+    got = st.potential_threshold(sys36, tol=tol)
+    assert f"({side} side); bisecting" in caplog.text
+    assert got == _one_probe_bisect(lambda e: st.energy_gap(sys36, e) >= 0.0, tol)
+    assert abs(got - mx) <= 2 * tol
 
 
 def test_maxwell_makes_one_fixed_points_call(sw_half, monkeypatch):
@@ -646,9 +668,9 @@ def test_singular_seeds_do_not_hide_the_fixed_points_of_the_others(sw_half, monk
 def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
     # bp, potential and Maxwell thresholds at tol 1e-5, to the last bit
     pinned = {
-        ("sw", 0.5): (0.06211471651405716, 0.3280525214239006, 0.3280546913037936),
-        ("sw", 1.0): (0.046237946510402694, 0.24671554640758137, 0.24671267299183325),
-        ("emac", None): (0.12255477993017962, 0.33231735296260456, 0.3323169132473562),
+        ("sw", 0.5): (0.06211471651405716, 0.3280546913037936, 0.3280546913037936),
+        ("sw", 1.0): (0.046237946510402694, 0.24671267299183325, 0.24671267299183325),
+        ("emac", None): (0.12255477993017962, 0.3323169132473562, 0.3323169132473562),
     }
     for (kind, theta), want in pinned.items():
         if kind == "sw":
