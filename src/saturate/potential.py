@@ -35,14 +35,18 @@ NEWTON_RIDGE = 1e-13
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
 FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
 FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
-# bisection levels that one batched pass of bp_threshold and of a Maxwell
-# crossing probes (2**5 - 1 = 31 eps rows per pass)
+# bisection levels that one batched pass of a Maxwell crossing, and of
+# bp_threshold's fallback bisection, probes (2**5 - 1 = 31 eps rows per pass)
 BP_BISECT_DEPTH = 5
-# sub-solution candidates bp_threshold tries per open row and cycle check: the
-# offsets 4**0, 4**1, ... of X_t - m |delta_t|
+# sub-solution candidates bp_threshold tries per open row, at each cycle check
+# and at the end of a pass: the offsets 4**0, 4**1, ... of X_t - m |delta_t|
 SUBSOLUTION_OFFSETS = 12
-# grid points of the pinned component on each branch that maxwell_threshold walks
+# grid points of the pinned component on each branch that maxwell_threshold and
+# bp_threshold walk
 BRANCH_POINTS = 50
+# width of the pinned-coordinate bracket at which the golden section that
+# refines the bp fold stops
+FOLD_PIN_TOL = 1e-7
 
 
 def potential(sys: SystemDefinition, x, eps: float):
@@ -170,24 +174,34 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest eps at which the recursion from all-ones collapses to zero.
 
-    A probe collapses when its limit has max below ZERO_TOL. Each pass of
-    the bisection iterates one all-ones row per probe eps in one batch (eps
-    is the per-row batch axis) and covers BP_BISECT_DEPTH levels of the
-    bisection tree.
+    A probe collapses when its limit has max below ZERO_TOL. An admissible
+    system's update maps are monotone, so from all-ones the iterates fall
+    towards the largest fixed point, and the threshold is the fold (the
+    smallest eps) of the branch of largest fixed points. _bp_fold locates
+    that fold by a branch walk from the eps=1 limit, and one pass then
+    certifies it: the answer is the fold when the probe at fold - tol/2 dies
+    and the one at fold + tol/2 is certified to survive, so the threshold
+    lies within tol/2 of it. Otherwise (no fold located, a verdict on the
+    wrong side, or a spent budget) a warning names the failed side and the
+    batched bisection below gives the answer. The fold is not the
+    threshold when all-ones survives below it on another branch; the lower
+    probe then survives and the bisection runs.
 
-    An admissible system's update maps are monotone in the state, so from
-    all-ones the iterates X_t fall towards the largest fixed point, and a
-    row's verdict is settled before its limit is reached. At each cycle
-    check of the batch loop a row whose max is below ZERO_TOL has died:
-    later iterates are no larger. A
-    row survives once it holds a sub-solution, a Y <= X_t with
-    step(Y) >= Y and max Y >= ZERO_TOL: then X_s >= Y at every later s.
-    The candidates are Y = clip(X_t - m |delta_t|, 0, 1), with delta_t the
-    last step's change and m = 4**0, ..., 4**(SUBSOLUTION_OFFSETS - 1), all
-    rows' candidates in one batched step. Settled rows leave the stop test,
-    and the pass ends once every row is settled or the rows still open meet
-    it. Each pass logs every probe's eps, verdict and how it was reached
-    (died, certified, or stop rule) at debug level.
+    A pass iterates one all-ones row per probe eps in one batch (eps is the
+    per-row batch axis); a bisection pass covers BP_BISECT_DEPTH levels of
+    the bisection tree. The rows' verdicts are settled before their limits
+    are reached. At each cycle check of the batch loop, and once more for
+    the rows still open when all of them meet the stop rule, a row whose max
+    is below ZERO_TOL has died: later iterates are no larger. A row survives
+    once it holds a sub-solution, a Y <= X_t with step(Y) >= Y and max Y >=
+    ZERO_TOL: then X_s >= Y at every later s. The candidates are Y =
+    clip(X_t - m |delta_t|, 0, 1), with delta_t the last step's change and
+    m = 4**0, ..., 4**(SUBSOLUTION_OFFSETS - 1), all rows' candidates in one
+    batched step. Settled rows leave the stop test, and the pass ends once
+    every row is settled or the rows still open meet it. Each pass logs
+    every probe's eps, verdict and how it was reached (died, certified, or
+    stop rule) at debug level, and the certification logs the fold, the
+    walk length, the solve count and the two verdicts.
 
     The batch stops together, so an open row may run past the step at which
     it would have stopped alone; those steps only move it closer to its
@@ -198,8 +212,78 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     period-2 cycles) logs a warning naming their eps; such a row counts as
     not collapsing unless its max is already below ZERO_TOL.
     """
+    fold, note = _bp_fold(sys, max_iter)
+    if fold is not None:
+        eps = np.clip([fold - tol / 2, fold + tol / 2], 1e-9, 1.0)
+        dies, how = _bp_pass(sys, eps, max_iter)
+        log.debug("bp_threshold fold: eps=%.12g after %s; %s", fold, note, ", ".join(
+            f"(eps={e:.9g}, {'dies' if v else 'survives'}, {h})"
+            for e, v, h in zip(eps, dies, how)))
+        if dies[0] and how[1] == "certified":
+            return fold
+        k = 0 if not dies[0] else 1  # the side that failed
+        note = (f"fold {fold:.9g} not certified, {'dies' if dies[k] else 'survives'} "
+                f"({how[k]}) at eps={eps[k]:.9g} ({('below', 'above')[k]} side)")
+    log.warning("bp_threshold: %s; bisecting", note)
     return _threshold_bisect(lambda eps: _bp_pass(sys, eps, max_iter)[0], tol,
                              "bp_threshold", depth=BP_BISECT_DEPTH)
+
+
+def _bp_fold(sys, max_iter: int):
+    """(fold, note): the smallest eps on the branch of the all-ones limit at eps=1.
+
+    The branch walk from that limit stops once eps has risen at two
+    consecutive branch points, and golden section on the pinned coordinate,
+    between the neighbours of the walk's lowest point, refines the minimum
+    of eps until that coordinate is bracketed to FOLD_PIN_TOL. Each
+    _newton_pinned solve is seeded by linear interpolation between the
+    points solved so far. note gives the walk length and solve count, or,
+    with fold None, why no fold was located.
+    """
+    X, it, conv = _iterate(sys, sys.ones()[None], 1.0, DEFAULT_ITER_TOL, max_iter)
+    if not conv:
+        return None, (f"the eps=1 limit from all-ones still moves after {it} iterations "
+                      f"({'period-2 cycle' if it < max_iter else 'iteration budget exhausted'})")
+    x0 = X[0]
+    if x0.max() < ZERO_TOL:
+        return None, "all-ones collapses already at eps=1"
+    walk = []
+    for point in _branch_points(sys, x0, BRANCH_POINTS):
+        walk.append(point)
+        if len(walk) >= 3 and walk[-1][1] > walk[-2][1] > walk[-3][1]:
+            break
+    m = min(range(len(walk)), key=lambda k: walk[k][1])
+    if not 0 < m < len(walk) - 1:
+        return None, f"no interior minimum of eps on the walk of {len(walk)} branch points"
+    j = int(np.argmax(x0))
+    solved = {walk[k][0][j]: np.append(np.delete(walk[k][0], j), walk[k][1])
+              for k in (m - 1, m, m + 1)}
+
+    def eps_at(c):  # eps of the branch point with x_j = c, or None if the solve fails
+        cs = sorted(solved)
+        us = np.array([solved[a] for a in cs])
+        seed = np.array([np.interp(c, cs, col) for col in us.T])
+        u, res = _newton_pinned(sys, j, c, seed)
+        solved[c] = u
+        return u[-1] if res <= FP_RESIDUAL_TOL else None
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = walk[m + 1][0][j], walk[m - 1][0][j]
+    c1, c2 = b - golden * (b - a), a + golden * (b - a)
+    e1, e2 = eps_at(c1), eps_at(c2)
+    while e1 is not None and e2 is not None and b - a > FOLD_PIN_TOL:
+        if e1 < e2:
+            b, c2, e2 = c2, c1, e1
+            c1 = b - golden * (b - a)
+            e1 = eps_at(c1)
+        else:
+            a, c1, e1 = c1, c2, e2
+            c2 = a + golden * (b - a)
+            e2 = eps_at(c2)
+    solves = len(solved) - 3
+    if e1 is None or e2 is None:
+        return None, f"a pinned solve failed at x{j + 1}={c1 if e1 is None else c2:.9g}"
+    return float(min(e1, e2)), f"{len(walk)} branch points and {solves} pinned solves"
 
 
 def _bp_pass(sys, eps: np.ndarray, max_iter: int):
@@ -225,6 +309,9 @@ def _bp_pass(sys, eps: np.ndarray, max_iter: int):
 
     X, it, conv = _iterate(sys, np.ones((len(eps), sys.d)), eps, DEFAULT_ITER_TOL,
                            max_iter, settle=settle)
+    rows = np.flatnonzero(~died & ~certified)
+    if conv and len(rows):  # rows that met the stop rule before a cycle check settled them
+        settle(rows, X, _step_raw(sys, X, eps) - X)
     verdict = died | (~certified & (np.max(X, axis=-1) < ZERO_TOL))
     how = np.where(died, "died", np.where(certified, "certified", "stop rule"))
     if log.isEnabledFor(logging.DEBUG):
@@ -393,7 +480,9 @@ def fixed_points(sys: SystemDefinition, eps: float,
     and boundary faces), which also finds unstable points; other
     dimensions fall back to forward iteration from a lattice with an
     all-ones row appended, which finds the stable ones. max_iter bounds that
-    iteration. Enumeration is heuristic: nothing proves completeness.
+    iteration; when it runs out with rows still moving, a warning says so,
+    since the list may then miss points. Enumeration is heuristic: nothing
+    proves completeness.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -403,10 +492,11 @@ def fixed_points(sys: SystemDefinition, eps: float,
     seeds = np.vstack([_lattice_rows(sys.d, per_axis, FP_MAX_SEEDS), sys.ones()])
     cands, it, conv = iterate_batch(sys, seeds, eps, max_iter=max_iter)
     res = _residual_sup(sys, cands, eps)
-    if not conv:
-        log.debug("fixed_points: %d of %d lattice rows still moving after %d iterations "
-                  "(%s, eps=%g)", np.count_nonzero(res > DEFAULT_ITER_TOL), len(seeds), it,
-                  "period-2 cycles" if it < max_iter else "budget exhausted", eps)
+    if not conv:  # period-2 cycles are expected; a spent budget is not
+        log.log(logging.DEBUG if it < max_iter else logging.WARNING,
+                "fixed_points: %d of %d lattice rows still moving after %d iterations "
+                "(%s, eps=%g)", np.count_nonzero(res > DEFAULT_ITER_TOL), len(seeds), it,
+                "period-2 cycles" if it < max_iter else "budget exhausted", eps)
     return _records(sys, cands, res, eps)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import itertools
 import logging
@@ -12,6 +13,7 @@ import saturate as st
 from saturate.potential import (
     BISECT_MAX_HALVINGS,
     BP_BISECT_DEPTH,
+    BRANCH_POINTS,
     CLUSTER_RADIUS,
     FP_GRID,
     FP_MAX_SEEDS,
@@ -208,6 +210,7 @@ def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_h
             assert not probed & set(bracket)
 
 
+@functools.lru_cache(maxsize=None)
 def _one_probe_bp(sys, tol, max_iter=DEFAULT_MAX_ITER):
     def dies(eps):
         res = st.iterate_limit(sys, sys.ones(), eps, max_iter=max_iter)
@@ -216,18 +219,118 @@ def _one_probe_bp(sys, tol, max_iter=DEFAULT_MAX_ITER):
     return _one_probe_bisect(dies, tol)
 
 
+@pytest.fixture(scope="module")
+def table(lam36, rho36):
+    """Slepian-Wolf on a table path: the branch of the eps=1 limit folds at
+    0.37758, but all-ones survives below that, on another branch, down to
+    its bp threshold 0.34317."""
+    path = st.TablePath(knots=[0.0, 0.5, 1.0], eps1=[0.0, 0.4, 1.0], eps2=[0.0, 0.6, 1.0])
+    return st.make_slepian_wolf(
+        st.SlepianWolfParams(lam36, rho36, lam36, rho36, gamma=0.2, p=0.5, path=path))
+
+
+@pytest.fixture(scope="module")
+def irregular(rho36):
+    lam = st.EdgePolynomial(np.array([0.0, 0.3, 0.7]))  # lambda_2 = 0.3
+    return st.make_slepian_wolf(st.SlepianWolfParams(lam, rho36, lam, rho36, gamma=0.3, p=0.5))
+
+
+@pytest.fixture(scope="module")
+def sw_theta_quarter(lam36, rho36):
+    return _sw_half_on(lam36, rho36, 0.25)
+
+
+@pytest.fixture(scope="module")
+def sw_theta_half(lam36, rho36):
+    return _sw_half_on(lam36, rho36, 0.5)
+
+
+def _assert_certified_bp(sys, tol, caplog):
+    """bp_threshold answers without a fallback, within tol of the one-probe
+    bisection, and plain limits at its answer -/+ tol/2 die and survive."""
+    got = st.bp_threshold(sys, tol=tol)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert abs(got - _one_probe_bp(sys, tol)) <= tol
+    below, above = (st.iterate_limit(sys, sys.ones(), got + s * tol / 2) for s in (-1, 1))
+    assert below.converged and above.converged
+    assert np.max(below.limit) < ZERO_TOL <= np.max(above.limit)
+
+
 @pytest.mark.parametrize("name", ["sys36", "lift36", "emac36", "sw_half", "sw_free", "table", "irregular"])
-def test_bp_threshold_equals_one_probe_bisection(name, request, lam36, rho36):
-    if name == "table":
-        path = st.TablePath(knots=[0.0, 0.5, 1.0], eps1=[0.0, 0.4, 1.0], eps2=[0.0, 0.6, 1.0])
-        sys = st.make_slepian_wolf(
-            st.SlepianWolfParams(lam36, rho36, lam36, rho36, gamma=0.2, p=0.5, path=path))
-    elif name == "irregular":
-        lam = st.EdgePolynomial(np.array([0.0, 0.3, 0.7]))  # lambda_2 = 0.3
-        sys = st.make_slepian_wolf(st.SlepianWolfParams(lam, rho36, lam, rho36, gamma=0.3, p=0.5))
+def test_bp_threshold_equals_one_probe_bisection(name, request, caplog):
+    sys = request.getfixturevalue(name)
+    if name == "table":  # takes the fallback, the bisection walk itself
+        assert st.bp_threshold(sys, tol=1e-5) == _one_probe_bp(sys, 1e-5)
     else:
-        sys = request.getfixturevalue(name)
-    assert st.bp_threshold(sys, tol=1e-5) == _one_probe_bp(sys, 1e-5)
+        _assert_certified_bp(sys, 1e-5, caplog)
+
+
+# the other systems' tol 1e-5 cases are those of the test above; sw_half is
+# Slepian-Wolf on the diagonal path, theta=1
+@pytest.mark.parametrize("name, tol", [
+    *[(name, 1e-6) for name in ("sys36", "lift36", "emac36", "sw_half", "sw_free", "irregular",
+                                "sw_theta_quarter", "sw_theta_half")],
+    ("sw_theta_quarter", 1e-5), ("sw_theta_half", 1e-5)])
+def test_bp_threshold_is_the_certified_fold(name, tol, request, caplog):
+    _assert_certified_bp(request.getfixturevalue(name), tol, caplog)
+
+
+def test_bp_threshold_falls_back_below_a_fold_that_is_not_the_threshold(table, caplog):
+    fold, _ = potential_module._bp_fold(table, DEFAULT_MAX_ITER)
+    assert fold == pytest.approx(0.37758, abs=1e-5)
+    got = st.bp_threshold(table, tol=1e-5)
+    assert f"fold {fold:.9g} not certified, survives (certified) at eps=" in caplog.text
+    assert "(below side); bisecting" in caplog.text
+    assert got == _one_probe_bp(table, 1e-5) == pytest.approx(0.34317, abs=1e-5)
+
+
+@pytest.mark.parametrize("offset, side", [(10, "below"), (-10, "above")])
+def test_bp_threshold_falls_back_when_the_fold_is_off(offset, side, sys36, monkeypatch, caplog):
+    tol = 1e-5
+    fold, note = potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)
+    monkeypatch.setattr(potential_module, "_bp_fold",
+                        lambda sys, max_iter: (fold + offset * tol, note))
+    got = st.bp_threshold(sys36, tol=tol)
+    assert f"({side} side); bisecting" in caplog.text
+    assert got == _one_probe_bp(sys36, tol)
+
+
+def _cut_walk(sys, monkeypatch):
+    # the walk from the eps=1 limit, cut before its fold
+    walk = potential_module._branch_points
+    monkeypatch.setattr(potential_module, "_branch_points",
+                        lambda sys, x0, n: itertools.islice(walk(sys, x0, n), 5))
+
+
+def _failing_solves(sys, monkeypatch):
+    # the whole walk, then golden-section solves that never converge
+    walk = list(_branch_points(sys, st.iterate_limit(sys, sys.ones(), 1.0).limit, BRANCH_POINTS))
+    monkeypatch.setattr(potential_module, "_branch_points", lambda sys, x0, n: iter(walk))
+    monkeypatch.setattr(potential_module, "_newton_pinned", lambda sys, j, c, u0: (u0, 1.0))
+
+
+@pytest.mark.parametrize("patch, note", [
+    (_cut_walk, "no interior minimum of eps on the walk of 5 branch points"),
+    (_failing_solves, "a pinned solve failed at x1="),
+])
+def test_bp_threshold_falls_back_when_no_fold_is_located(patch, note, sys36, monkeypatch, caplog):
+    patch(sys36, monkeypatch)
+    assert potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)[1].startswith(note)
+    got = st.bp_threshold(sys36, tol=1e-3)
+    assert f"bp_threshold: {note}" in caplog.text and "; bisecting" in caplog.text
+    assert got == _one_probe_bp(sys36, 1e-3)
+
+
+def test_bp_threshold_falls_back_when_all_ones_collapses_at_one(caplog):
+    # x -> eps x / 2 has no branch to walk: all-ones collapses at every eps
+    def zero(x, *_):
+        return np.zeros(np.shape(x)[:-1])
+
+    halve = st.SystemDefinition(d=1, weights=np.ones(1), check_update=lambda x: x,
+                                bit_energy=zero, check_energy=zero,
+                                bit_update=lambda y, eps: 0.5 * np.asarray(eps)[..., None] * y)
+    assert st.bp_threshold(halve, tol=1e-5) == 1.0
+    assert "bp_threshold: all-ones collapses already at eps=1; bisecting" in caplog.text
 
 
 def test_bp_threshold_logs_rows_still_moving(sys36, caplog):
@@ -263,18 +366,20 @@ def test_bp_threshold_logs_period_two_cycles(flip, caplog):
 def test_bp_threshold_logs_each_pass(sys36, caplog):
     caplog.set_level(logging.DEBUG, logger="saturate")
     got = st.bp_threshold(sys36, tol=1e-5)
-    passes = [r.getMessage() for r in caplog.records
-              if r.getMessage().startswith("bp_threshold pass of ")]
-    probes = [m for p in passes
-              for m in re.findall(r"\(eps=([^,]+), (dies|survives), (died|certified|stop rule)\)", p)]
-    # 1.0, 1e-9 and 31 midpoints, two more full passes, and a last one cut by tol
-    assert len(passes) == 4 and len(probes) == 33 + 2 * 31 + 3
-    # every verdict lies on its side of the threshold, and agrees with how it was reached
-    for eps, verdict, how in probes:
-        assert (float(eps) < got) == (verdict == "dies")
-        assert how != "died" or verdict == "dies"
-        assert how != "certified" or verdict == "survives"
-    assert {how for *_, how in probes} == {"died", "certified", "stop rule"}
+    messages = [r.getMessage() for r in caplog.records]
+    folds = [m for m in messages if m.startswith("bp_threshold fold: ")]
+    # one pass of the two certifying probes, and no bisection
+    assert len(folds) == 1
+    assert len([m for m in messages if m.startswith("bp_threshold pass of ")]) == 1
+    found = re.fullmatch(r"bp_threshold fold: eps=(\S+) after (\d+) branch points and (\d+) "
+                         r"pinned solves; \(eps=([^,]+), dies, died\), "
+                         r"\(eps=([^,]+), survives, certified\)", folds[0])
+    assert found
+    fold, walked, solves, lo, hi = found.groups()
+    assert float(fold) == pytest.approx(got, abs=1e-11)
+    assert 3 <= int(walked) <= BRANCH_POINTS and int(solves) > 0
+    assert float(lo) < got < float(hi) and float(hi) - float(lo) == pytest.approx(1e-5)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 @pytest.mark.parametrize("name", ["sys36", "lift36", "sw_half", "emac36"])
@@ -417,11 +522,8 @@ BISECTED_POTENTIAL = {
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-6])
 @pytest.mark.parametrize("name", list(BISECTED_POTENTIAL))
-def test_potential_threshold_is_the_confirmed_maxwell_point(name, tol, request, lam36, rho36):
-    if name == "sw_theta_half":
-        sys = _sw_half_on(lam36, rho36, 0.5)
-    else:
-        sys = request.getfixturevalue(name)
+def test_potential_threshold_is_the_confirmed_maxwell_point(name, tol, request):
+    sys = request.getfixturevalue(name)
     mx = st.maxwell_threshold(sys, tol=tol)
     below, above = potential_module._energy_gaps(sys, [mx - tol / 2, mx + tol / 2])
     assert below >= 0.0 > above
@@ -552,6 +654,21 @@ def test_fixed_points_appends_ones_row_to_the_lattice(lift36):
     assert any(np.max(np.abs(r.x - x_star)) < 1e-8 for r in recs)
 
 
+def test_fixed_points_warns_when_its_budget_runs_out(lift36, caplog):
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    # most lattice rows still move after 20 steps at eps 0.4369, so the empty
+    # list (an energy gap of +inf) proves nothing: a warning says so
+    assert st.fixed_points(lift36, 0.4369, max_iter=20) == []
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert ("6076 of 6562 lattice rows still moving after 20 iterations (budget exhausted"
+            in caplog.text)
+    caplog.clear()
+    # period-2 cycles end the eps=1 lattice at 66 steps, as expected: debug only
+    assert len(st.fixed_points(lift36, 1.0, max_iter=1000)) == 1
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "after 66 iterations (period-2 cycles" in caplog.text
+
+
 @pytest.mark.parametrize("name", ["sys36", "emac36", "sw_half", "sw_free"])
 def test_fixed_points_contain_the_all_ones_limit(name, request):
     # fixed_points seeds Newton from its lattice alone; the eps=1 limit from
@@ -668,9 +785,9 @@ def test_singular_seeds_do_not_hide_the_fixed_points_of_the_others(sw_half, monk
 def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
     # bp, potential and Maxwell thresholds at tol 1e-5, to the last bit
     pinned = {
-        ("sw", 0.5): (0.06211471651405716, 0.3280546913037936, 0.3280546913037936),
-        ("sw", 1.0): (0.046237946510402694, 0.24671267299183325, 0.24671267299183325),
-        ("emac", None): (0.12255477993017962, 0.3323169132473562, 0.3323169132473562),
+        ("sw", 0.5): (0.06211623995321943, 0.3280546913037936, 0.3280546913037936),
+        ("sw", 1.0): (0.046234974371782936, 0.24671267299183325, 0.24671267299183325),
+        ("emac", None): (0.12255147068979368, 0.3323169132473562, 0.3323169132473562),
     }
     for (kind, theta), want in pinned.items():
         if kind == "sw":
