@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,8 +34,7 @@ NEWTON_RIDGE = 1e-13
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
 FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
 FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
-# bisection levels that one batched pass of a Maxwell crossing, and of
-# bp_threshold's fallback bisection, probes (2**5 - 1 = 31 eps rows per pass)
+# bisection levels in one batched pass of bp_threshold's fallback (2**5 - 1 = 31 eps rows)
 BP_BISECT_DEPTH = 5
 # sub-solution candidates bp_threshold tries per open row, at each cycle check
 # and at the end of a pass: the offsets 4**0, 4**1, ... of X_t - m |delta_t|
@@ -122,9 +120,8 @@ def _subtree_midpoints(lo: float, hi: float, levels: int, tol: float) -> list:
 
 
 def _threshold_bisect(true_below, tol: float, name: str,
-                      max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1,
-                      bracket: Optional[tuple] = None) -> float:
-    """Bisect [0,1] or a bracket for the edge of a predicate that holds below a threshold.
+                      max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1) -> float:
+    """Bisect [0,1] for the edge of a predicate that holds below a threshold.
 
     true_below maps a 1-d array of eps values to a bool array of verdicts.
     One call evaluates every midpoint of the next depth bisection levels
@@ -133,11 +130,7 @@ def _threshold_bisect(true_below, tol: float, name: str,
     the one-probe loop, looking its verdicts up in the last call and calling
     again at the first midpoint that call lacks, so for a predicate that
     depends on eps alone the result is the same float at every depth.
-    potential_threshold walks it only when its Maxwell point is not
-    confirmed. A bracket (lo, hi) replaces [1e-9, 1] by an interval whose
-    end verdicts the caller holds (true at lo, false at hi): the walk never
-    probes its ends, and when hi - lo <= tol, hi <= lo included, returns the
-    midpoint without a call.
+    bp_threshold and potential_threshold walk it only as their fallbacks.
     """
 
     def probe(eps_values):
@@ -149,12 +142,11 @@ def _threshold_bisect(true_below, tol: float, name: str,
     def midpoints(lo, hi, halvings):
         return _subtree_midpoints(lo, hi, min(depth, halvings), tol)
 
-    lo, hi = (1e-9, 1.0) if bracket is None else bracket
-    first = ([1.0, lo] if bracket is None else []) + midpoints(lo, hi, max_halvings)
-    verdict = probe(first) if first else {}  # empty only if the walk makes no halving
-    if bracket is None and verdict[1.0]:
+    lo, hi = 1e-9, 1.0
+    verdict = probe([1.0, lo] + midpoints(lo, hi, max_halvings))
+    if verdict[1.0]:
         return 1.0
-    if bracket is None and not verdict[lo]:
+    if not verdict[lo]:
         log.warning("%s: predicate already fails as eps -> 0+ (degenerate)", name)
         return 0.0
     for i in range(max_halvings):
@@ -213,6 +205,8 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     not collapsing unless its max is already below ZERO_TOL.
     """
     fold, note = _bp_fold(sys, max_iter)
+    if fold == 1.0:  # all-ones collapses at eps=1 already
+        return 1.0
     if fold is not None:
         eps = np.clip([fold - tol / 2, fold + tol / 2], 1e-9, 1.0)
         dies, how = _bp_pass(sys, eps, max_iter)
@@ -238,7 +232,7 @@ def _bp_fold(sys, max_iter: int):
     of eps until that coordinate is bracketed to FOLD_PIN_TOL. Each
     _newton_pinned solve is seeded by linear interpolation between the
     points solved so far. note gives the walk length and solve count, or,
-    with fold None, why no fold was located.
+    with fold None, why no fold was located; fold 1.0 means all-ones dies at eps=1.
     """
     X, it, conv = _iterate(sys, sys.ones()[None], 1.0, DEFAULT_ITER_TOL, max_iter)
     if not conv:
@@ -246,7 +240,7 @@ def _bp_fold(sys, max_iter: int):
                       f"({'period-2 cycle' if it < max_iter else 'iteration budget exhausted'})")
     x0 = X[0]
     if x0.max() < ZERO_TOL:
-        return None, "all-ones collapses already at eps=1"
+        return 1.0, "all-ones collapses already at eps=1"
     walk = []
     for point in _branch_points(sys, x0, BRANCH_POINTS):
         walk.append(point)
@@ -539,15 +533,16 @@ def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest eps at which every nontrivial fixed point has nonnegative potential.
 
-    The Maxwell point M = maxwell_threshold(sys, tol) locates it, and one
+    The Maxwell point M = maxwell_threshold(sys) locates it, and one
     enumeration of the fixed points at M - tol/2 and M + tol/2 confirms it:
     the answer is M when the energy gap is >= 0 below and < 0 above, so the
     gap changes sign within tol/2 of M. The enumeration (the d=2 Newton
     lattice, or the lattice iteration in other dimensions) does not use the
     branch walk behind M. If either side fails, a warning names it and the
     plain bisection of the gap's sign over (0, 1] gives the answer instead.
+    At M = 1, a gap >= 0 at eps=1 alone confirms M.
     """
-    return _confirm_maxwell(sys, maxwell_threshold(sys, tol, max_iter=max_iter), tol, max_iter)
+    return _confirm_maxwell(sys, maxwell_threshold(sys, max_iter=max_iter), tol, max_iter)
 
 
 def _confirm_maxwell(sys, mx: float, tol: float, max_iter: int) -> float:
@@ -558,7 +553,7 @@ def _confirm_maxwell(sys, mx: float, tol: float, max_iter: int) -> float:
     log.debug("potential_threshold confirm: %s", ", ".join(
         f"(eps={e:.9g}, gap={g:.6g}, {'nonneg' if v else 'negative'})"
         for e, g, v in zip(eps, gaps, nonneg)))
-    if nonneg == [True, False]:
+    if nonneg == [True, False] or (mx == 1.0 and nonneg[1]):
         return mx
     k = 0 if not nonneg[0] else 1  # the side that failed
     log.warning("potential_threshold: Maxwell point %.9g not confirmed, gap %.6g at eps=%.9g "
@@ -568,23 +563,23 @@ def _confirm_maxwell(sys, mx: float, tol: float, max_iter: int) -> float:
         tol, "potential_threshold")
 
 
-def maxwell_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> float:
+def maxwell_threshold(sys: SystemDefinition, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Smallest eps at which some fixed point attains negative Q.
 
     The Maxwell construction along the fixed-point branches. Every fixed
     point at eps=1 with negative potential seeds a branch, walked down in eps
     until Q turns nonnegative. Each crossing lies within its bracket of branch
-    points, so only brackets starting below every bracket's top are bisected:
-    to tol/4 by Newton solves, one batch per pass of BP_BISECT_DEPTH levels.
-    Returns the smallest crossing, or 1.0 when no seed has Q < 0; a walk that
-    ends with Q still negative contributes the smallest eps it reached and
-    logs a warning. potential_threshold starts from this value.
+    points, so only brackets starting below every bracket's top are solved,
+    by Newton on x = step(x; eps), U(x; eps) = 0 from the bracket's midpoint.
+    Returns the smallest crossing, or 1.0 when no seed has Q < 0. A walk that
+    ends with Q still negative, and a solve whose residual exceeds
+    FP_RESIDUAL_TOL or whose eps leaves the bracket, contribute the Q < 0
+    end and log a warning. potential_threshold starts from this value.
     """
     brackets = [_branch_bracket(sys, seed.x) for seed in fixed_points(sys, 1.0, max_iter=max_iter)
                 if seed.potential_value < 0.0]
     top = min([1.0] + [max(lo[1], hi[1]) for lo, hi in brackets])
-    return float(min([top] + [_bisect_crossing(sys, *lo, *hi, tol) for lo, hi in brackets
+    return float(min([top] + [_maxwell_crossing(sys, *lo, *hi) for lo, hi in brackets
                               if min(lo[1], hi[1]) < top]))
 
 
@@ -600,15 +595,19 @@ def _branch_bracket(sys, x0):
     return hi, hi  # the walk's last point twice
 
 
-def _bisect_crossing(sys, x_lo, e_lo, x_hi, e_hi, tol):
+def _maxwell_crossing(sys, x_lo, e_lo, x_hi, e_hi) -> float:
     """eps at which Q turns nonnegative between the branch points (x_lo, e_lo) and (x_hi, e_hi)."""
 
-    def nonneg(mid):  # Newton solves seeded by interpolation between the ends
-        seeds = x_lo + ((mid - e_lo) / (e_hi - e_lo))[:, None] * (x_hi - x_lo)
-        return potential(sys, _newton_batch(sys, seeds, mid)[0], mid) >= 0.0
+    def resid(u):
+        x, eps = u[..., :-1], u[..., -1]
+        return np.concatenate([x - _step_raw(sys, x, eps), potential(sys, x, eps)[..., None]], -1)
 
-    return float(_threshold_bisect(nonneg, tol / 4, "maxwell_threshold",
-                                   depth=BP_BISECT_DEPTH, bracket=(e_lo, e_hi)))
+    u, res = _newton(resid, np.append(0.5 * (x_lo + x_hi), 0.5 * (e_lo + e_hi)))
+    if res <= FP_RESIDUAL_TOL and min(e_lo, e_hi) <= u[-1] <= max(e_lo, e_hi):
+        return float(u[-1])
+    log.warning("maxwell_threshold: no crossing solved between eps=%.9g (Q >= 0) and eps=%.9g "
+                "(Q < 0), residual %.3g; taking eps=%.9g", e_lo, e_hi, res, e_hi)
+    return float(e_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -617,17 +616,17 @@ def _bisect_crossing(sys, x_lo, e_lo, x_hi, e_hi, tol):
 
 
 def _newton_pinned(sys, j, c, u0):
-    """Damped Newton for u = (x without x_j, eps) with x_j pinned at c.
-
-    The d fixed-point equations x = step(x; eps) in d unknowns, with a
-    central-difference Jacobian taken in one batched step.
-    """
-    eye = np.eye(sys.d)
+    """_newton on the d equations x = step(x; eps) in u = (x without x_j, eps), x_j pinned at c."""
 
     def resid(u):
         x = np.insert(u[..., :-1], j, c, axis=-1)
         return x - _step_raw(sys, x, u[..., -1])
 
+    return _newton(resid, u0)
+
+
+def _newton(resid, u0):
+    """(u, sup-norm residual) of damped Newton on resid(u) = 0 from u0, u[:-1] kept in [0, 1]."""
     u = np.array(u0, dtype=float)
     r = resid(u)
     res = np.max(np.abs(r))
@@ -636,7 +635,7 @@ def _newton_pinned(sys, j, c, u0):
             break
         J = _central_difference(resid, u, NEWTON_FD_STEP).T
         try:
-            du = np.linalg.solve(J + NEWTON_RIDGE * eye, r)
+            du = np.linalg.solve(J + NEWTON_RIDGE * np.eye(len(u)), r)
         except np.linalg.LinAlgError:
             break
         t = 1.0
@@ -733,7 +732,7 @@ def threshold_report(sys: SystemDefinition, gap_grid, tol: float = BISECT_TOL) -
     more _fixed_points_batch call.
     """
     bp = bp_threshold(sys, tol)
-    mx = maxwell_threshold(sys, tol)
+    mx = maxwell_threshold(sys)
     pot = _confirm_maxwell(sys, mx, tol, DEFAULT_MAX_ITER)
     gap_grid = [float(e) for e in gap_grid]
     curve = list(zip(gap_grid, _energy_gaps(sys, gap_grid)))

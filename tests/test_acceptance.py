@@ -153,7 +153,7 @@ def test_criterion_6_threshold_equality(emac36, sw_half):
     for num, sys in (("6a", emac36), ("6b", sw_half)):
         t0 = time.perf_counter()
         pot = st.potential_threshold(sys, tol=tol)
-        mx = st.maxwell_threshold(sys, tol=tol)
+        mx = st.maxwell_threshold(sys)
         dt = time.perf_counter() - t0
         ok = abs(pot - mx) <= 2 * tol and dt < 60.0
         _announce(num, f"maxwell equals potential threshold ({sys.name})", ok,

@@ -27,6 +27,7 @@ potential = importlib.import_module("saturate.potential")
 REMOVED = {
     st.fixed_points: {"tol", "cluster_radius", "grid", "max_seeds", "iter_tol"},
     st.bp_threshold: {"zero_tol", "iter_tol"},
+    st.maxwell_threshold: {"tol"},
     st.potential_quadrature: {"n_nodes"},
     saturate.system.iterate_batch: {"tol"},
     st.coupled_limit: {"zero_tol"},

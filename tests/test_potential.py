@@ -20,12 +20,12 @@ from saturate.potential import (
     FP_RESIDUAL_TOL,
     NEWTON_RIDGE,
     ZERO_TOL,
-    _bisect_crossing,
     _branch_bracket,
     _branch_points,
     _cluster,
     _fixed_points_batch,
     _lattice_rows,
+    _maxwell_crossing,
     _seed_lattice_2d,
     _threshold_bisect,
     check_jacobian,
@@ -123,19 +123,13 @@ def test_bp_threshold_decoupled_slepian_wolf(sw_free):
     assert st.bp_threshold(sw_free) == pytest.approx(0.42944, abs=1e-3)
 
 
-def _one_probe_bisect(true_below, tol, max_halvings=BISECT_MAX_HALVINGS, bracket=None):
-    """The bisection with one eps per predicate call, kept as the reference.
-
-    With a bracket (lo, hi) it bisects that interval and never probes its ends.
-    """
-    if bracket is not None:
-        lo, hi = bracket
-    elif true_below(1.0):
+def _one_probe_bisect(true_below, tol, max_halvings=BISECT_MAX_HALVINGS):
+    """The bisection with one eps per predicate call, kept as the reference."""
+    if true_below(1.0):
         return 1.0
-    elif not true_below(1e-9):
+    if not true_below(1e-9):
         return 0.0
-    else:
-        lo, hi = 1e-9, 1.0
+    lo, hi = 1e-9, 1.0
     for _ in range(max_halvings):
         if hi - lo <= tol:
             break
@@ -151,41 +145,26 @@ _EDGES = np.random.default_rng(11).random(4).tolist()
 
 
 _MULTISECTION_CASES = [
-    *[(e, False, 1e-6, BISECT_MAX_HALVINGS, None) for e in _EDGES],
-    (0.5 * (1e-9 + 1.0), True, 1e-6, BISECT_MAX_HALVINGS, None),  # edge on the first midpoint
-    (1.0, True, 1e-6, BISECT_MAX_HALVINGS, None),  # holds at 1.0
-    (1.0, False, 1e-6, BISECT_MAX_HALVINGS, None),  # fails only at 1.0
-    (5e-10, False, 1e-6, BISECT_MAX_HALVINGS, None),  # fails already at 1e-9
-    (_EDGES[0], False, 1.0, BISECT_MAX_HALVINGS, None),
-    (_EDGES[0], False, 3.0, BISECT_MAX_HALVINGS, None),
-    (_EDGES[1], False, 1e-6, 7, None),  # max_halvings cut, not a multiple of the depth
-    (_EDGES[2], False, 0.0, BISECT_MAX_HALVINGS, None),  # halves until midpoints repeat in the last bit
-    # brackets whose end verdicts the caller holds: the ends are never probed
-    (_EDGES[1], False, 1e-6, BISECT_MAX_HALVINGS, (0.45, 0.52)),
-    (_EDGES[2], True, 0.0, BISECT_MAX_HALVINGS, (0.0, 1.0)),  # tol 0 in a bracket
-    (_EDGES[0], False, 2.5e-6, BISECT_MAX_HALVINGS, (0.12, 0.1292)),  # tol/4 of a Maxwell bracket
-    (_EDGES[3], False, 1e-6, 7, (0.0, 0.5)),
-    (0.4, False, 1e-6, BISECT_MAX_HALVINGS, (0.4, 0.4)),  # hi == lo: no call
-    (0.4, False, 1e-6, BISECT_MAX_HALVINGS, (0.42, 0.38)),  # hi < lo: no call
-    (0.4, False, 1e-6, BISECT_MAX_HALVINGS, (0.4, 0.4 + 5e-7)),  # already within tol
+    *[(e, False, 1e-6, BISECT_MAX_HALVINGS) for e in _EDGES],
+    (0.5 * (1e-9 + 1.0), True, 1e-6, BISECT_MAX_HALVINGS),  # edge on the first midpoint
+    (1.0, True, 1e-6, BISECT_MAX_HALVINGS),  # holds at 1.0
+    (1.0, False, 1e-6, BISECT_MAX_HALVINGS),  # fails only at 1.0
+    (5e-10, False, 1e-6, BISECT_MAX_HALVINGS),  # fails already at 1e-9
+    (_EDGES[0], False, 1.0, BISECT_MAX_HALVINGS),
+    (_EDGES[0], False, 3.0, BISECT_MAX_HALVINGS),
+    (_EDGES[1], False, 1e-6, 7),  # max_halvings cut, not a multiple of the depth
+    (_EDGES[2], False, 0.0, BISECT_MAX_HALVINGS),  # halves until midpoints repeat in the last bit
 ]
 
 
-def _multisection_id(case):
-    # pytest's own id of the four leading values, with a bracket appended
-    bracket = case[-1]
-    return "-".join(map(str, case[:-1])) + (f"-in-{bracket[0]}-{bracket[1]}" if bracket else "")
-
-
-@pytest.mark.parametrize("edge, inclusive, tol, max_halvings, bracket", _MULTISECTION_CASES,
-                         ids=map(_multisection_id, _MULTISECTION_CASES))
-def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_halvings, bracket):
+@pytest.mark.parametrize("edge, inclusive, tol, max_halvings", _MULTISECTION_CASES)
+def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_halvings):
     def holds(eps):
         return eps <= edge if inclusive else eps < edge
 
     seq = []
-    ref = _one_probe_bisect(lambda e: seq.append(e) or holds(e), tol, max_halvings, bracket)
-    halvings = len(seq) if bracket else max(len(seq) - 2, 0)
+    ref = _one_probe_bisect(lambda e: seq.append(e) or holds(e), tol, max_halvings)
+    halvings = max(len(seq) - 2, 0)
     for depth in (1, 3, BP_BISECT_DEPTH):
         calls = []
 
@@ -194,20 +173,15 @@ def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_h
             calls.append(eps.tolist())
             return holds(eps)
 
-        got = _threshold_bisect(batched, tol, "synthetic", max_halvings, depth=depth,
-                                bracket=bracket)
+        got = _threshold_bisect(batched, tol, "synthetic", max_halvings, depth=depth)
         assert got == ref
-        passes = -(-halvings // depth)  # a bracket's walk makes no call without a halving
-        one_per_depth = passes if bracket else max(1, passes)
+        one_per_depth = max(1, -(-halvings // depth))
         if tol == 0.0:  # a midpoint that repeats in the last bit is looked up, not probed again
             assert len(calls) <= one_per_depth
         else:
             assert len(calls) == one_per_depth
         assert max(map(len, calls), default=0) <= 2 ** depth + 1
-        probed = {e for c in calls for e in c}
-        assert set(seq) <= probed
-        if bracket:
-            assert not probed & set(bracket)
+        assert set(seq) <= {e for c in calls for e in c}
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,6 +207,11 @@ def table(lam36, rho36):
 def irregular(rho36):
     lam = st.EdgePolynomial(np.array([0.0, 0.3, 0.7]))  # lambda_2 = 0.3
     return st.make_slepian_wolf(st.SlepianWolfParams(lam, rho36, lam, rho36, gamma=0.3, p=0.5))
+
+
+@pytest.fixture(scope="module")
+def sw_theta_zero(lam36, rho36):
+    return _sw_half_on(lam36, rho36, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +301,9 @@ def test_bp_threshold_falls_back_when_no_fold_is_located(patch, note, sys36, mon
 
 
 def test_bp_threshold_falls_back_when_all_ones_collapses_at_one(caplog):
-    # x -> eps x / 2 has no branch to walk: all-ones collapses at every eps
+    # x -> eps x / 2 has no nonzero fixed point: all-ones collapses at every
+    # eps, so every threshold is 1.0, read at eps=1 with neither a bisection
+    # nor a warning
     def zero(x, *_):
         return np.zeros(np.shape(x)[:-1])
 
@@ -330,7 +311,10 @@ def test_bp_threshold_falls_back_when_all_ones_collapses_at_one(caplog):
                                 bit_energy=zero, check_energy=zero,
                                 bit_update=lambda y, eps: 0.5 * np.asarray(eps)[..., None] * y)
     assert st.bp_threshold(halve, tol=1e-5) == 1.0
-    assert "bp_threshold: all-ones collapses already at eps=1; bisecting" in caplog.text
+    assert st.maxwell_threshold(halve) == st.potential_threshold(halve, tol=1e-5) == 1.0
+    rep = st.threshold_report(halve, gap_grid=[0.5], tol=1e-5)
+    assert (rep.bp_threshold, rep.potential_threshold, rep.maxwell_threshold) == (1.0, 1.0, 1.0)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_bp_threshold_logs_rows_still_moving(sys36, caplog):
@@ -458,18 +442,19 @@ def test_maxwell_walks_every_negative_q_branch(theta, lam36, rho36):
         lam36, rho36, lam36, rho36, gamma=0.5, p=0.5, path=st.ScaledPath(theta=theta)))
     tol = 1e-5
     pot = st.potential_threshold(sys, tol=tol)
-    assert abs(st.maxwell_threshold(sys, tol=tol) - pot) <= 2 * tol
+    assert abs(st.maxwell_threshold(sys) - pot) <= 2 * tol
     if theta == 0.0:
-        # the branch through the all-ones limit crosses late (about 0.4792):
-        # the real crossing is on a second branch, on the face x2 = 0
+        # the branch through the all-ones limit crosses late (about 0.47925,
+        # against 0.47630): the real crossing is on a second branch, on the face x2 = 0
         x_star = st.iterate_limit(sys, sys.ones(), 1.0).limit
         lo, hi = _branch_bracket(sys, x_star)
-        assert _bisect_crossing(sys, *lo, *hi, tol) - pot > 2 * tol
+        assert _maxwell_crossing(sys, *lo, *hi) == pytest.approx(0.47925, abs=1e-5)
+        assert _maxwell_crossing(sys, *lo, *hi) - pot > 2 * tol
 
 
 def test_maxwell_invariant_under_lifting(sys36, lift36):
     tol = 1e-5
-    assert abs(st.maxwell_threshold(sys36, tol=tol) - st.maxwell_threshold(lift36, tol=tol)) <= tol
+    assert abs(st.maxwell_threshold(sys36) - st.maxwell_threshold(lift36)) <= tol
 
 
 def _sw_half_on(lam36, rho36, theta):
@@ -486,7 +471,7 @@ def _count_batches(monkeypatch):
     return calls
 
 
-SW_HALF_MAXWELL = 0.3280546913037936  # Maxwell point of Slepian-Wolf theta=0.5 at tol 1e-5
+SW_HALF_MAXWELL = 0.32805526906908344  # Maxwell point of Slepian-Wolf theta=0.5
 
 
 def test_potential_threshold_is_one_batch_after_maxwell(lam36, rho36, monkeypatch):
@@ -524,12 +509,63 @@ BISECTED_POTENTIAL = {
 @pytest.mark.parametrize("name", list(BISECTED_POTENTIAL))
 def test_potential_threshold_is_the_confirmed_maxwell_point(name, tol, request):
     sys = request.getfixturevalue(name)
-    mx = st.maxwell_threshold(sys, tol=tol)
+    mx = st.maxwell_threshold(sys)
     below, above = potential_module._energy_gaps(sys, [mx - tol / 2, mx + tol / 2])
     assert below >= 0.0 > above
     got = st.potential_threshold(sys, tol=tol)
     assert got == mx
     assert abs(got - BISECTED_POTENTIAL[name][tol == 1e-6]) <= tol
+
+
+# maxwell_threshold while it bisected each crossing to tol/4: its float at tol 1e-6
+BISECTED_MAXWELL = {
+    "sys36": 0.4881509042201384,
+    "lift36": 0.4881509042201635,
+    "emac36": 0.332316348093408,
+    "sw_theta_zero": 0.4763017555806275,
+    "sw_theta_quarter": 0.39109739059257437,
+    "sw_theta_half": 0.32805526300075116,
+    "sw_half": 0.24671183143037262,  # the diagonal path, theta=1
+    "sw_free": 0.4881509042201384,
+}
+
+
+@pytest.mark.parametrize("name", list(BISECTED_MAXWELL))
+def test_maxwell_point_is_a_sign_change_of_the_lattice_gap(name, request, caplog):
+    # the gap read from the lattice enumeration, not from the branch walk
+    # behind M, changes sign within 1e-8 of M
+    sys = request.getfixturevalue(name)
+    mx = st.maxwell_threshold(sys)
+    assert st.energy_gap(sys, mx - 1e-8) >= 0.0 > st.energy_gap(sys, mx + 1e-8)
+    assert abs(mx - BISECTED_MAXWELL[name]) <= 1e-6 / 4
+    assert st.potential_threshold(sys, tol=1e-5) == st.potential_threshold(sys, tol=1e-6) == mx
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+@pytest.mark.parametrize("failure", ["residual", "outside"])
+def test_maxwell_takes_the_negative_end_of_a_failed_crossing(failure, sys36, monkeypatch,
+                                                             caplog):
+    # a failed solve contributes the bracket's Q < 0 end, a proven upper bound;
+    # the confirmation then fails below, and the plain bisection answers
+    tol = 1e-5
+    mx = st.maxwell_threshold(sys36)
+    newton = potential_module._newton
+
+    def solve(resid, u0):  # the crossing solve has d + 1 unknowns, the branch walk's d
+        if len(u0) != sys36.d + 1:
+            return newton(resid, u0)
+        if failure == "residual":
+            return u0, 1.0
+        u, _ = newton(resid, u0)
+        return np.append(u[:-1], 0.3), 0.0  # converged, but outside the bracket
+
+    monkeypatch.setattr(potential_module, "_newton", solve)
+    assert st.maxwell_threshold(sys36) == pytest.approx(0.49278, abs=1e-5)
+    assert "maxwell_threshold: no crossing solved between eps=0.481079439 (Q >= 0) and " \
+           "eps=0.492783687 (Q < 0)" in caplog.text
+    got = st.potential_threshold(sys36, tol=tol)
+    assert "(below side); bisecting" in caplog.text
+    assert abs(got - mx) <= 2 * tol
 
 
 def test_potential_threshold_logs_its_confirmation(sys36, caplog):
@@ -552,9 +588,9 @@ def test_potential_threshold_falls_back_when_maxwell_is_off(offset, side, sys36,
     # a wrong estimate fails one side of the confirmation; the plain walk then
     # decides, so the answer still lies within 2*tol of the true Maxwell point
     tol = 1e-5
-    mx = st.maxwell_threshold(sys36, tol=tol)
+    mx = st.maxwell_threshold(sys36)
     monkeypatch.setattr(potential_module, "maxwell_threshold",
-                        lambda sys, tol, max_iter: mx + offset * tol)
+                        lambda sys, max_iter: mx + offset * tol)
     got = st.potential_threshold(sys36, tol=tol)
     assert f"({side} side); bisecting" in caplog.text
     assert got == _one_probe_bisect(lambda e: st.energy_gap(sys36, e) >= 0.0, tol)
@@ -566,21 +602,19 @@ def test_maxwell_makes_one_fixed_points_call(sw_half, monkeypatch):
     enumerate_at = potential_module.fixed_points
     monkeypatch.setattr(potential_module, "fixed_points",
                         lambda sys, eps, **kw: calls.append(eps) or enumerate_at(sys, eps, **kw))
-    st.maxwell_threshold(sw_half, tol=1e-5)
+    st.maxwell_threshold(sw_half)
     assert calls == [1.0]
 
 
-def test_maxwell_bisects_each_crossing_in_batched_passes(lam36, rho36, monkeypatch):
-    # one Newton batch per pass of BP_BISECT_DEPTH levels, not one per halving
-    # (70 calls with one row per halving), and only on the one bracket of the
-    # five, (0.320, 0.354), that starts below every bracket's top: the eps=1
-    # enumeration and three passes
+def test_maxwell_makes_one_newton_batch_call(sw_theta_half, monkeypatch):
+    # the eps=1 enumeration, 63 seeds; each crossing is one _newton solve on
+    # (x, eps), where the bisection it replaced made a batch per five levels
     calls = []
     solve = potential_module._newton_batch
     monkeypatch.setattr(potential_module, "_newton_batch",
                         lambda sys, X0, eps: calls.append(len(X0)) or solve(sys, X0, eps))
-    assert st.maxwell_threshold(_sw_half_on(lam36, rho36, 0.5), tol=1e-5) == 0.3280546913037936
-    assert len(calls) == 4
+    assert st.maxwell_threshold(sw_theta_half) == SW_HALF_MAXWELL
+    assert calls == [len(_seed_lattice_2d(FP_GRID))]
 
 
 def test_maxwell_walk_ending_early_warns(sys36, monkeypatch, caplog):
@@ -785,9 +819,9 @@ def test_singular_seeds_do_not_hide_the_fixed_points_of_the_others(sw_half, monk
 def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
     # bp, potential and Maxwell thresholds at tol 1e-5, to the last bit
     pinned = {
-        ("sw", 0.5): (0.06211623995321943, 0.3280546913037936, 0.3280546913037936),
-        ("sw", 1.0): (0.046234974371782936, 0.24671267299183325, 0.24671267299183325),
-        ("emac", None): (0.12255147068979368, 0.3323169132473562, 0.3323169132473562),
+        ("sw", 0.5): (0.06211623995321943, 0.32805526906908344, 0.32805526906908344),
+        ("sw", 1.0): (0.046234974371782936, 0.2467118460524133, 0.2467118460524133),
+        ("emac", None): (0.12255147068979368, 0.33231639356682025, 0.33231639356682025),
     }
     for (kind, theta), want in pinned.items():
         if kind == "sw":
@@ -795,7 +829,7 @@ def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
         else:
             sys = st.make_emac(lam36, rho36, lam36, rho36)
         got = (st.bp_threshold(sys, tol=1e-5), st.potential_threshold(sys, tol=1e-5),
-               st.maxwell_threshold(sys, tol=1e-5))
+               st.maxwell_threshold(sys))
         assert got == want, (kind, theta)
 
 
