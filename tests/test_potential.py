@@ -607,8 +607,7 @@ def test_maxwell_makes_one_fixed_points_call(sw_half, monkeypatch):
 
 
 def test_maxwell_makes_one_newton_batch_call(sw_theta_half, monkeypatch):
-    # the eps=1 enumeration, 63 seeds; each crossing is one _newton solve on
-    # (x, eps), where the bisection it replaced made a batch per five levels
+    # the eps=1 enumeration of 63 seeds; each crossing is one _newton solve on (x, eps)
     calls = []
     solve = potential_module._newton_batch
     monkeypatch.setattr(potential_module, "_newton_batch",
