@@ -45,6 +45,10 @@ BRANCH_POINTS = 50
 # width of the pinned-coordinate bracket at which the golden section that
 # refines the bp fold stops
 FOLD_PIN_TOL = 1e-7
+# box-component evaluations (boxes x d) after which _exclude gives up, and the
+# rounding slack of its two exclusion tests
+EXCLUDE_BUDGET = 2**17
+EXCLUDE_SLACK = 1e-13
 
 
 def potential(sys: SystemDefinition, x, eps: float):
@@ -170,14 +174,16 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     system's update maps are monotone, so from all-ones the iterates fall
     towards the largest fixed point, and the threshold is the fold (the
     smallest eps) of the branch of largest fixed points. _bp_fold locates
-    that fold by a branch walk from the eps=1 limit, and one pass then
-    certifies it: the answer is the fold when the probe at fold - tol/2 dies
-    and the one at fold + tol/2 is certified to survive, so the threshold
-    lies within tol/2 of it. Otherwise (no fold located, a verdict on the
-    wrong side, or a spent budget) a warning names the failed side and the
-    batched bisection below gives the answer. The fold is not the
-    threshold when all-ones survives below it on another branch; the lower
-    probe then survives and the bisection runs.
+    that fold by a branch walk from the eps=1 limit. The answer is the fold
+    when the probe at fold - tol/2 dies and the one at fold + tol/2 is
+    certified to survive, so the threshold lies within tol/2 of it. The
+    lower probe dies "excluded", with no pass, when _exclude leaves no box
+    that may hold a fixed point with max >= ZERO_TOL, as the iterates fall
+    to the largest one; else one pass iterates both. Otherwise (no fold
+    located, a verdict on the wrong side, or a spent budget) a warning names
+    the failed side and the batched bisection below gives the answer. The
+    fold is not the threshold when all-ones survives below it on another
+    branch; the lower probe then survives and the bisection runs.
 
     A pass iterates one all-ones row per probe eps in one batch (eps is the
     per-row batch axis); a bisection pass covers BP_BISECT_DEPTH levels of
@@ -193,7 +199,7 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     every row is settled or the rows still open meet it. Each pass logs
     every probe's eps, verdict and how it was reached (died, certified, or
     stop rule) at debug level, and the certification logs the fold, the
-    walk length, the solve count and the two verdicts.
+    walk length, the solve count and the two verdicts with their hows.
 
     The batch stops together, so an open row may run past the step at which
     it would have stopped alone; those steps only move it closer to its
@@ -209,7 +215,11 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
         return 1.0
     if fold is not None:
         eps = np.clip([fold - tol / 2, fold + tol / 2], 1e-9, 1.0)
-        dies, how = _bp_pass(sys, eps, max_iter)
+        if len(_exclude(sys, sys.ones(), eps[0], EXCLUDE_BUDGET)):
+            dies, how = _bp_pass(sys, eps, max_iter)
+        else:
+            dies, how = _bp_pass(sys, eps[1:], max_iter)
+            dies, how = np.append(True, dies), np.append("excluded", how)
         log.debug("bp_threshold fold: eps=%.12g after %s; %s", fold, note, ", ".join(
             f"(eps={e:.9g}, {'dies' if v else 'survives'}, {h})"
             for e, v, h in zip(eps, dies, how)))
@@ -319,6 +329,35 @@ def _bp_pass(sys, eps: np.ndarray, max_iter: int):
                     "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
                     ", ".join(f"{e:.9g}" for e in eps[moving]))
     return verdict, how
+
+
+def _exclude(sys, hi, eps: float, budget: int) -> np.ndarray:
+    """The boxes under [0, hi] that may hold a fixed point with max >= ZERO_TOL.
+
+    Bisects breadth first, each box on its widest side, stepping the corners
+    of a level's live boxes in one batch. For a monotone map a <= x <= b
+    gives step(a) <= x <= step(b), so a box holds no fixed point once
+    a_j > step_j(b) or b_j < step_j(a) for some j, past EXCLUDE_SLACK; a box
+    with max b < ZERO_TOL holds only points that count as the zero state.
+    Returns the live boxes (n, 2, d), lower then upper corners, once the
+    next level would pass budget box-component evaluations (boxes x d);
+    empty when none is left.
+    """
+    lo, hi = np.zeros((1, sys.d)), np.array(hi, dtype=float).reshape(1, sys.d)
+    spent = 0
+    while len(lo) and spent + lo.size <= budget:
+        spent += lo.size
+        stepped = _step_raw(sys, np.concatenate([lo, hi]), eps)
+        keep = ~(np.any(lo > stepped[len(lo):] + EXCLUDE_SLACK, axis=-1)
+                 | np.any(hi < stepped[:len(lo)] - EXCLUDE_SLACK, axis=-1)
+                 | (hi.max(axis=-1) < ZERO_TOL))
+        lo, hi = lo[keep], hi[keep]
+        rows, j = np.arange(len(lo)), np.argmax(hi - lo, axis=-1)
+        mid = 0.5 * (lo[rows, j] + hi[rows, j])
+        upper_lo, lower_hi = lo.copy(), hi.copy()
+        upper_lo[rows, j] = lower_hi[rows, j] = mid
+        lo, hi = np.concatenate([lo, upper_lo]), np.concatenate([lower_hi, hi])
+    return np.stack([lo, hi], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from saturate.potential import (
     BP_BISECT_DEPTH,
     BRANCH_POINTS,
     CLUSTER_RADIUS,
+    EXCLUDE_BUDGET,
     FP_GRID,
     FP_MAX_SEEDS,
     FP_RESIDUAL_TOL,
@@ -23,6 +24,7 @@ from saturate.potential import (
     _branch_bracket,
     _branch_points,
     _cluster,
+    _exclude,
     _fixed_points_batch,
     _lattice_rows,
     _maxwell_crossing,
@@ -257,6 +259,8 @@ def test_bp_threshold_is_the_certified_fold(name, tol, request, caplog):
 def test_bp_threshold_falls_back_below_a_fold_that_is_not_the_threshold(table, caplog):
     fold, _ = potential_module._bp_fold(table, DEFAULT_MAX_ITER)
     assert fold == pytest.approx(0.37758, abs=1e-5)
+    # all-ones survives at fold - tol/2, so exclusion must give up there
+    assert len(_exclude(table, table.ones(), fold - 0.5e-5, EXCLUDE_BUDGET))
     got = st.bp_threshold(table, tol=1e-5)
     assert f"fold {fold:.9g} not certified, survives (certified) at eps=" in caplog.text
     assert "(below side); bisecting" in caplog.text
@@ -352,34 +356,81 @@ def test_bp_threshold_logs_each_pass(sys36, caplog):
     got = st.bp_threshold(sys36, tol=1e-5)
     messages = [r.getMessage() for r in caplog.records]
     folds = [m for m in messages if m.startswith("bp_threshold fold: ")]
-    # one pass of the two certifying probes, and no bisection
-    assert len(folds) == 1
-    assert len([m for m in messages if m.startswith("bp_threshold pass of ")]) == 1
+    # one pass, of the upper certifying probe, and no bisection
+    passes = [m for m in messages if m.startswith("bp_threshold pass of ")]
+    assert len(folds) == len(passes) == 1
     found = re.fullmatch(r"bp_threshold fold: eps=(\S+) after (\d+) branch points and (\d+) "
-                         r"pinned solves; \(eps=([^,]+), dies, died\), "
+                         r"pinned solves; \(eps=([^,]+), dies, excluded\), "
                          r"\(eps=([^,]+), survives, certified\)", folds[0])
     assert found
     fold, walked, solves, lo, hi = found.groups()
+    assert re.fullmatch(rf"bp_threshold pass of \d+ steps: \(eps={re.escape(hi)}, survives, "
+                        r"certified\)", passes[0])
     assert float(fold) == pytest.approx(got, abs=1e-11)
     assert 3 <= int(walked) <= BRANCH_POINTS and int(solves) > 0
     assert float(lo) < got < float(hi) and float(hi) - float(lo) == pytest.approx(1e-5)
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_limits(sys):
+    """eps on a grid close around the bp threshold, and whether the plain
+    limit from all-ones dies there."""
+    center = st.bp_threshold(sys, tol=1e-6)
+    eps = np.array(sorted(center + s * 10.0**-k for k in range(3, 8) for s in (-1, 1)))
+    limits = [st.iterate_limit(sys, sys.ones(), e) for e in eps]
+    assert all(res.converged for res in limits)
+    return eps, np.array([np.max(res.limit) < ZERO_TOL for res in limits])
+
+
 @pytest.mark.parametrize("name", ["sys36", "lift36", "sw_half", "emac36"])
 def test_bp_pass_verdicts_match_one_probe_limits(name, request):
     # certificates against the plain limit on a grid close around the threshold
     sys = request.getfixturevalue(name)
-    center = st.bp_threshold(sys, tol=1e-6)
-    eps = np.array(sorted(center + s * 10.0**-k for k in range(3, 8) for s in (-1, 1)))
+    eps, plain = _grid_limits(sys)
     dies, how = potential_module._bp_pass(sys, eps, DEFAULT_MAX_ITER)
-    limits = [st.iterate_limit(sys, sys.ones(), e) for e in eps]
-    assert all(res.converged for res in limits)
-    plain = np.array([np.max(res.limit) < ZERO_TOL for res in limits])
     assert not plain[how == "certified"].any()
     assert plain[how == "died"].all()
     assert np.array_equal(dies, plain)
     assert "certified" in how
+
+
+@pytest.mark.parametrize("name", ["sys36", "emac36", "sw_half", "sw_theta_half"])
+def test_exclusion_never_resolves_where_the_limit_survives(name, request):
+    # a disagreement here is a soundness fault of the exclusion, not a tolerance
+    sys = request.getfixturevalue(name)
+    eps, plain = _grid_limits(sys)
+    resolved = np.array([len(_exclude(sys, sys.ones(), e, EXCLUDE_BUDGET)) == 0 for e in eps])
+    assert not resolved[~plain].any()
+    assert resolved[0]  # 1e-3 below the threshold
+
+
+_PINNED = ["sys36", "lift36", "emac36", "sw_half", "sw_free", "table", "irregular",
+           "sw_theta_quarter", "sw_theta_half"]
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_exclusion_gives_up_above_the_fold(name, request):
+    sys = request.getfixturevalue(name)
+    fold, _ = potential_module._bp_fold(sys, DEFAULT_MAX_ITER)
+    for tol in (1e-5, 1e-6):
+        assert len(_exclude(sys, sys.ones(), fold + tol / 2, EXCLUDE_BUDGET))
+
+
+def test_exclusion_spends_at_most_its_budget(lift36, monkeypatch, caplog):
+    # the d=8 lift cannot be resolved: exclusion gives up within its budget,
+    # the pass iterates both probes, and the answer is the certified fold
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    fold, _ = potential_module._bp_fold(lift36, DEFAULT_MAX_ITER)
+    stepped = []
+    step_raw = potential_module._step_raw
+    monkeypatch.setattr(potential_module, "_step_raw",
+                        lambda sys, x, eps: stepped.append(len(x)) or step_raw(sys, x, eps))
+    assert len(_exclude(lift36, lift36.ones(), fold - 0.5e-5, EXCLUDE_BUDGET))
+    # each level steps both corners of its boxes
+    assert EXCLUDE_BUDGET / 2 < sum(stepped) // 2 * lift36.d <= EXCLUDE_BUDGET
+    assert st.bp_threshold(lift36, tol=1e-5) == fold
+    assert "dies, died), (eps=" in caplog.text and "excluded" not in caplog.text
 
 
 def test_fixed_points_empty_below_threshold(sys36, thresholds36):
