@@ -19,6 +19,7 @@ import numpy as np
 
 from . import kernels
 from .potential import (
+    BISECT_DEPTH,
     BISECT_TOL,
     ZERO_TOL,
     _gradient,
@@ -43,9 +44,6 @@ from .system import (
 log = logging.getLogger("saturate")
 
 COUPLED_MAX_ITER = 200000
-# bisection levels that one coupled_bp_threshold pass probes (2**5 - 1 = 31
-# chains per pass), chosen by timing depths 1, 3 and 5 at L=32, w=3
-COUPLED_BISECT_DEPTH = 5
 HESSIAN_SAMPLES = 10000  # lattice size cap and uniform sample count of hessian_bound
 HESSIAN_PER_AXIS = 9
 HESSIAN_FD_STEP = 1e-5
@@ -458,9 +456,9 @@ def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BIS
                          max_iter: int = COUPLED_MAX_ITER) -> float:
     """Largest eps at which the coupled chain from all-ones collapses to zero.
 
-    The bisection runs in passes: each pass covers COUPLED_BISECT_DEPTH
-    levels of the bisection tree and iterates one chain per probe eps in
-    one stack. Every chain leaves the stack on the step at which its own
+    The bisection runs in passes: each pass covers BISECT_DEPTH levels
+    of the bisection tree and iterates one chain per probe eps in one
+    stack. Every chain leaves the stack on the step at which its own
     update stalls, so each verdict is the one a single chain gives alone,
     and the result is the float the one-probe bisection returns. A pass
     lasts as long as its slowest chain, the probe nearest the coupled
@@ -490,4 +488,4 @@ def coupled_bp_threshold(sys: SystemDefinition, L: int, w: int, tol: float = BIS
                         len(eps), max_iter, ", ".join(f"{e:.9g}" for e in eps[~converged]))
         return verdict
 
-    return _threshold_bisect(dies, tol, "coupled_bp_threshold", depth=COUPLED_BISECT_DEPTH)
+    return _threshold_bisect(dies, tol, "coupled_bp_threshold", depth=BISECT_DEPTH)

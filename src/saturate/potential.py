@@ -34,8 +34,10 @@ NEWTON_RIDGE = 1e-13
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
 FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
 FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
-# bisection levels in one batched pass of bp_threshold's fallback (2**5 - 1 = 31 eps rows)
-BP_BISECT_DEPTH = 5
+# bisection levels in one batched pass of bp_threshold's fallback and of
+# coupled_bp_threshold (2**5 - 1 = 31 eps rows), chosen by timing depths 1, 3
+# and 5 on coupled chains at L=32, w=3
+BISECT_DEPTH = 5
 # sub-solution candidates bp_threshold tries per open row, at each cycle check
 # and at the end of a pass: the offsets 4**0, 4**1, ... of X_t - m |delta_t|
 SUBSOLUTION_OFFSETS = 12
@@ -123,18 +125,17 @@ def _subtree_midpoints(lo: float, hi: float, levels: int, tol: float) -> list:
             + _subtree_midpoints(mid, hi, levels - 1, tol))
 
 
-def _threshold_bisect(true_below, tol: float, name: str,
-                      max_halvings: int = BISECT_MAX_HALVINGS, depth: int = 1) -> float:
+def _threshold_bisect(true_below, tol: float, name: str, depth: int = 1) -> float:
     """Bisect [0,1] for the edge of a predicate that holds below a threshold.
 
     true_below maps a 1-d array of eps values to a bool array of verdicts.
     One call evaluates every midpoint of the next depth bisection levels
-    (2**depth - 1 of them, fewer where the tol or max_halvings stop prunes
-    the tree), and the first call also holds 1.0 and 1e-9. The walk below is
-    the one-probe loop, looking its verdicts up in the last call and calling
-    again at the first midpoint that call lacks, so for a predicate that
-    depends on eps alone the result is the same float at every depth.
-    bp_threshold and potential_threshold walk it only as their fallbacks.
+    (2**depth - 1 of them, fewer where the tol or BISECT_MAX_HALVINGS stop
+    prunes the tree), and the first call also holds 1.0 and 1e-9. The walk
+    below is the one-probe loop, looking its verdicts up in the last call
+    and calling again at the first midpoint that call lacks, so for a
+    predicate that depends on eps alone the result is the same float at
+    every depth. bp_threshold and potential_threshold walk it only as their fallbacks.
     """
 
     def probe(eps_values):
@@ -147,18 +148,18 @@ def _threshold_bisect(true_below, tol: float, name: str,
         return _subtree_midpoints(lo, hi, min(depth, halvings), tol)
 
     lo, hi = 1e-9, 1.0
-    verdict = probe([1.0, lo] + midpoints(lo, hi, max_halvings))
+    verdict = probe([1.0, lo] + midpoints(lo, hi, BISECT_MAX_HALVINGS))
     if verdict[1.0]:
         return 1.0
     if not verdict[lo]:
         log.warning("%s: predicate already fails as eps -> 0+ (degenerate)", name)
         return 0.0
-    for i in range(max_halvings):
+    for i in range(BISECT_MAX_HALVINGS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
         if mid not in verdict:
-            verdict = probe(midpoints(lo, hi, max_halvings - i))
+            verdict = probe(midpoints(lo, hi, BISECT_MAX_HALVINGS - i))
         if verdict[mid]:
             lo = mid
         else:
@@ -186,20 +187,19 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     branch; the lower probe then survives and the bisection runs.
 
     A pass iterates one all-ones row per probe eps in one batch (eps is the
-    per-row batch axis); a bisection pass covers BP_BISECT_DEPTH levels of
-    the bisection tree. The rows' verdicts are settled before their limits
-    are reached. At each cycle check of the batch loop, and once more for
-    the rows still open when all of them meet the stop rule, a row whose max
-    is below ZERO_TOL has died: later iterates are no larger. A row survives
-    once it holds a sub-solution, a Y <= X_t with step(Y) >= Y and max Y >=
-    ZERO_TOL: then X_s >= Y at every later s. The candidates are Y =
-    clip(X_t - m |delta_t|, 0, 1), with delta_t the last step's change and
-    m = 4**0, ..., 4**(SUBSOLUTION_OFFSETS - 1), all rows' candidates in one
-    batched step. Settled rows leave the stop test, and the pass ends once
-    every row is settled or the rows still open meet it. Each pass logs
-    every probe's eps, verdict and how it was reached (died, certified, or
-    stop rule) at debug level, and the certification logs the fold, the
-    walk length, the solve count and the two verdicts with their hows.
+    per-row batch axis); a bisection pass covers BISECT_DEPTH levels of the
+    bisection tree. A row survives once it holds a sub-solution, a Y <= X_t
+    with step(Y) >= Y and max Y >= ZERO_TOL: then X_s >= Y at every later s.
+    The candidates are Y = clip(X_t - m |delta_t|, 0, 1), with delta_t the
+    last step's change and m = 4**0, ..., 4**(SUBSOLUTION_OFFSETS - 1), all
+    rows' candidates in one batched step, tried at each cycle check of the
+    batch loop and once more for the rows still open when all of them meet
+    the stop rule. Certified rows leave the stop test, and the pass ends once
+    every row is certified or the rows still open meet it; an open row then
+    dies when its max is below ZERO_TOL. Each pass logs every probe's eps,
+    verdict and how it was reached (certified or stop rule) at debug level,
+    and the certification logs the fold, the walk length, the solve count
+    and the two verdicts with their hows.
 
     The batch stops together, so an open row may run past the step at which
     it would have stopped alone; those steps only move it closer to its
@@ -230,7 +230,7 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
                 f"({how[k]}) at eps={eps[k]:.9g} ({('below', 'above')[k]} side)")
     log.warning("bp_threshold: %s; bisecting", note)
     return _threshold_bisect(lambda eps: _bp_pass(sys, eps, max_iter)[0], tol,
-                             "bp_threshold", depth=BP_BISECT_DEPTH)
+                             "bp_threshold", depth=BISECT_DEPTH)
 
 
 def _bp_fold(sys, max_iter: int):
@@ -260,16 +260,16 @@ def _bp_fold(sys, max_iter: int):
     if not 0 < m < len(walk) - 1:
         return None, f"no interior minimum of eps on the walk of {len(walk)} branch points"
     j = int(np.argmax(x0))
-    solved = {walk[k][0][j]: np.append(np.delete(walk[k][0], j), walk[k][1])
-              for k in (m - 1, m, m + 1)}
+    solved = {x[j]: np.append(x, eps) for x, eps in walk[m - 1:m + 2]}
 
     def eps_at(c):  # eps of the branch point with x_j = c, or None if the solve fails
         cs = sorted(solved)
-        us = np.array([solved[a] for a in cs])
-        seed = np.array([np.interp(c, cs, col) for col in us.T])
-        u, res = _newton_pinned(sys, j, c, seed)
-        solved[c] = u
-        return u[-1] if res <= FP_RESIDUAL_TOL else None
+        ps = np.array([solved[a] for a in cs])
+        seed = np.array([np.interp(c, cs, col) for col in ps.T])
+        seed[j] = c
+        p, res = _newton_pinned(sys, j, seed)
+        solved[c] = p
+        return p[-1] if res <= FP_RESIDUAL_TOL else None
 
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = walk[m + 1][0][j], walk[m - 1][0][j]
@@ -293,37 +293,34 @@ def _bp_fold(sys, max_iter: int):
 def _bp_pass(sys, eps: np.ndarray, max_iter: int):
     """One pass of bp_threshold: (dies, how) for the all-ones rows of eps.
 
-    how names the way each verdict was reached: "died", "certified" or
-    "stop rule" (the rules are in bp_threshold).
+    how names the way each verdict was reached: "certified" or "stop rule"
+    (the rules are in bp_threshold).
     """
     offsets = 4.0 ** np.arange(SUBSOLUTION_OFFSETS)
-    died = np.zeros(len(eps), bool)
     certified = np.zeros(len(eps), bool)
 
     def settle(rows, X, delta):
         X, delta = X[rows], delta[rows]
-        low = X.max(axis=-1) < ZERO_TOL
         Y = (X[:, None, :] - offsets[:, None] * np.abs(delta[:, None, :])).clip(0.0, 1.0)
         stepped = _step_raw(sys, Y.reshape(-1, sys.d), np.repeat(eps[rows], len(offsets)))
         sub = np.all(stepped.reshape(Y.shape) >= Y, axis=-1) & (Y.max(axis=-1) >= ZERO_TOL)
-        cert = sub.any(axis=-1)  # never on a low row: Y <= X
-        died[rows[low]] = True
+        cert = sub.any(axis=-1)
         certified[rows[cert]] = True
-        return low | cert
+        return cert
 
     X, it, conv = _iterate(sys, np.ones((len(eps), sys.d)), eps, DEFAULT_ITER_TOL,
                            max_iter, settle=settle)
-    rows = np.flatnonzero(~died & ~certified)
+    rows = np.flatnonzero(~certified)
     if conv and len(rows):  # rows that met the stop rule before a cycle check settled them
         settle(rows, X, _step_raw(sys, X, eps) - X)
-    verdict = died | (~certified & (np.max(X, axis=-1) < ZERO_TOL))
-    how = np.where(died, "died", np.where(certified, "certified", "stop rule"))
+    verdict = ~certified & (np.max(X, axis=-1) < ZERO_TOL)
+    how = np.where(certified, "certified", "stop rule")
     if log.isEnabledFor(logging.DEBUG):
         log.debug("bp_threshold pass of %d steps: %s", it, ", ".join(
             f"(eps={e:.9g}, {'dies' if v else 'survives'}, {h})"
             for e, v, h in zip(eps, verdict, how)))
     if not conv:
-        moving = ~died & ~certified & (_residual_sup(sys, X, eps) > DEFAULT_ITER_TOL)
+        moving = ~certified & (_residual_sup(sys, X, eps) > DEFAULT_ITER_TOL)
         log.warning("bp_threshold: %d of %d probes still moving after %d iterations (%s): "
                     "eps = %s", np.count_nonzero(moving), len(eps), it,
                     "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
@@ -654,32 +651,32 @@ def _maxwell_crossing(sys, x_lo, e_lo, x_hi, e_hi) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _newton_pinned(sys, j, c, u0):
-    """_newton on the d equations x = step(x; eps) in u = (x without x_j, eps), x_j pinned at c."""
+def _newton_pinned(sys, j, p0):
+    """_newton on the d equations x = step(x; eps) in the point p = (x, eps), x_j held at p0[j]."""
 
-    def resid(u):
-        x = np.insert(u[..., :-1], j, c, axis=-1)
-        return x - _step_raw(sys, x, u[..., -1])
+    def resid(p):
+        return p[..., :-1] - _step_raw(sys, p[..., :-1], p[..., -1])
 
-    return _newton(resid, u0)
+    return _newton(resid, p0, np.arange(len(p0)) != j)
 
 
-def _newton(resid, u0):
-    """(u, sup-norm residual) of damped Newton on resid(u) = 0 from u0, u[:-1] kept in [0, 1]."""
+def _newton(resid, u0, free=slice(None)):
+    """(u, sup-norm residual) of damped Newton on resid(u) = 0 in u[free], u[:-1] kept in [0, 1]."""
     u = np.array(u0, dtype=float)
     r = resid(u)
     res = np.max(np.abs(r))
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_RES_TOL:
             break
-        J = _central_difference(resid, u, NEWTON_FD_STEP).T
+        J = _central_difference(resid, u, NEWTON_FD_STEP, free).T
         try:
-            du = np.linalg.solve(J + NEWTON_RIDGE * np.eye(len(u)), r)
+            du = np.linalg.solve(J + NEWTON_RIDGE * np.eye(len(r)), r)
         except np.linalg.LinAlgError:
             break
         t = 1.0
         for _ in range(8):
-            cand = u - t * du
+            cand = u.copy()
+            cand[free] -= t * du
             cand[:-1] = np.clip(cand[:-1], 0.0, 1.0)
             r_cand = resid(cand)
             res_cand = np.max(np.abs(r_cand))
@@ -704,13 +701,14 @@ def _branch_points(sys, x0, n_points):
     j = int(np.argmax(x0))
     grid = np.linspace(x0[j], max(x0[j] / n_points, 1e-3), n_points)[1:]
     last_c = x0[j]
-    u = np.append(np.delete(x0, j), 1.0)
-    slope = np.zeros(sys.d)  # d(u)/d(x_j), for the continuation predictor
+    u = np.append(x0, 1.0)  # the branch point (x, eps)
+    slope = np.zeros(sys.d + 1)  # d(u)/d(x_j), for the continuation predictor
 
     def solve_step(c_from, u_from, sl, c_to, depth=0):
         dc = c_to - c_from
         seed = u_from + sl * dc
-        u_new, res = _newton_pinned(sys, j, c_to, seed)
+        seed[j] = c_to
+        u_new, res = _newton_pinned(sys, j, seed)
         if res <= FP_RESIDUAL_TOL and np.max(np.abs(u_new - seed)) <= max(0.06, 12.0 * abs(dc)):
             return u_new
         if depth >= 6:
@@ -728,7 +726,7 @@ def _branch_points(sys, x0, n_points):
             continue
         if u_try[-1] > 1.0 + 1e-6 or u_try[-1] <= 0.0:
             return  # branch left the parameter range
-        yield np.insert(u_try[:-1], j, c), min(u_try[-1], 1.0)
+        yield u_try[:-1], min(u_try[-1], 1.0)
         slope = (u_try - u) / (c - last_c)
         u, last_c = u_try, c
 

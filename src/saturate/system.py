@@ -114,15 +114,16 @@ def _check_state(sys: SystemDefinition, x) -> np.ndarray:
     return x
 
 
-def _central_difference(fn, x, h: float) -> np.ndarray:
-    """Central differences of fn at x along each coordinate, in one batched call.
+def _central_difference(fn, x, h: float, axes=slice(None)) -> np.ndarray:
+    """Central differences of fn at x along the coordinates axes, in one batched call.
 
     x has shape (..., d) and fn maps a (..., d) array to an (..., *out) array.
-    Returns the (..., d, *out) array whose [..., j, ...] slice is
-    (fn(x + h e_j) - fn(x - h e_j)) / 2h.
+    Returns the (..., k, *out) array, k the number of axes, whose
+    [..., i, ...] slice is (fn(x + h e_j) - fn(x - h e_j)) / 2h for j the
+    i-th of axes (by default every coordinate).
     """
     x = np.asarray(x, dtype=float)
-    eye = np.eye(x.shape[-1]) * h
+    eye = np.eye(x.shape[-1])[axes] * h
     return (fn(x[..., None, :] + eye) - fn(x[..., None, :] - eye)) / (2.0 * h)
 
 

@@ -29,6 +29,7 @@ from .coupled import (
     verify_shift_lemmas,
 )
 from .potential import (
+    ZERO_TOL,
     _fixed_points_batch,
     _min_potential,
     potential,
@@ -223,7 +224,7 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
     if eps_mid > bp:
         narrow = CouplingSpec(L=min(L, 8), w=1, one_sided=True)
         state, _ = coupled_limit(sys, narrow, eps_mid)
-        if state.max_entry() > 1e-8:
+        if state.max_entry() > ZERO_TOL:
             gap = _min_potential(fps_at[eps_mid])
             du = coupled_potential(sys, shift(state), eps_mid) - coupled_potential(
                 sys, state, eps_mid)

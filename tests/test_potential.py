@@ -11,8 +11,8 @@ import pytest
 
 import saturate as st
 from saturate.potential import (
+    BISECT_DEPTH,
     BISECT_MAX_HALVINGS,
-    BP_BISECT_DEPTH,
     BRANCH_POINTS,
     CLUSTER_RADIUS,
     EXCLUDE_BUDGET,
@@ -160,14 +160,17 @@ _MULTISECTION_CASES = [
 
 
 @pytest.mark.parametrize("edge, inclusive, tol, max_halvings", _MULTISECTION_CASES)
-def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_halvings):
+def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_halvings,
+                                                     monkeypatch):
+    monkeypatch.setattr(potential_module, "BISECT_MAX_HALVINGS", max_halvings)
+
     def holds(eps):
         return eps <= edge if inclusive else eps < edge
 
     seq = []
     ref = _one_probe_bisect(lambda e: seq.append(e) or holds(e), tol, max_halvings)
     halvings = max(len(seq) - 2, 0)
-    for depth in (1, 3, BP_BISECT_DEPTH):
+    for depth in (1, 3, BISECT_DEPTH):
         calls = []
 
         def batched(eps):
@@ -175,7 +178,7 @@ def test_multisection_visits_the_one_probe_midpoints(edge, inclusive, tol, max_h
             calls.append(eps.tolist())
             return holds(eps)
 
-        got = _threshold_bisect(batched, tol, "synthetic", max_halvings, depth=depth)
+        got = _threshold_bisect(batched, tol, "synthetic", depth=depth)
         assert got == ref
         one_per_depth = max(1, -(-halvings // depth))
         if tol == 0.0:  # a midpoint that repeats in the last bit is looked up, not probed again
@@ -289,7 +292,7 @@ def _failing_solves(sys, monkeypatch):
     # the whole walk, then golden-section solves that never converge
     walk = list(_branch_points(sys, st.iterate_limit(sys, sys.ones(), 1.0).limit, BRANCH_POINTS))
     monkeypatch.setattr(potential_module, "_branch_points", lambda sys, x0, n: iter(walk))
-    monkeypatch.setattr(potential_module, "_newton_pinned", lambda sys, j, c, u0: (u0, 1.0))
+    monkeypatch.setattr(potential_module, "_newton_pinned", lambda sys, j, p0: (p0, 1.0))
 
 
 @pytest.mark.parametrize("patch, note", [
@@ -302,6 +305,16 @@ def test_bp_threshold_falls_back_when_no_fold_is_located(patch, note, sys36, mon
     got = st.bp_threshold(sys36, tol=1e-3)
     assert f"bp_threshold: {note}" in caplog.text and "; bisecting" in caplog.text
     assert got == _one_probe_bp(sys36, 1e-3)
+
+
+# the fold's floats, bit for bit; sw_theta_half and sw_half are the Slepian-Wolf
+# systems of the benchmark's threshold sweep (theta 0.5 and 1)
+@pytest.mark.parametrize("name, fold", [
+    ("sys36", 0.4294398144195566),
+    ("sw_theta_half", 0.06211623995321943),
+    ("sw_half", 0.046234974371782936)])
+def test_bp_fold_keeps_its_float(name, fold, request):
+    assert potential_module._bp_fold(request.getfixturevalue(name), DEFAULT_MAX_ITER)[0] == fold
 
 
 def test_bp_threshold_falls_back_when_all_ones_collapses_at_one(caplog):
@@ -390,7 +403,6 @@ def test_bp_pass_verdicts_match_one_probe_limits(name, request):
     eps, plain = _grid_limits(sys)
     dies, how = potential_module._bp_pass(sys, eps, DEFAULT_MAX_ITER)
     assert not plain[how == "certified"].any()
-    assert plain[how == "died"].all()
     assert np.array_equal(dies, plain)
     assert "certified" in how
 
@@ -430,7 +442,7 @@ def test_exclusion_spends_at_most_its_budget(lift36, monkeypatch, caplog):
     # each level steps both corners of its boxes
     assert EXCLUDE_BUDGET / 2 < sum(stepped) // 2 * lift36.d <= EXCLUDE_BUDGET
     assert st.bp_threshold(lift36, tol=1e-5) == fold
-    assert "dies, died), (eps=" in caplog.text and "excluded" not in caplog.text
+    assert "dies, stop rule), (eps=" in caplog.text and "excluded" not in caplog.text
 
 
 def test_fixed_points_empty_below_threshold(sys36, thresholds36):
@@ -602,9 +614,9 @@ def test_maxwell_takes_the_negative_end_of_a_failed_crossing(failure, sys36, mon
     mx = st.maxwell_threshold(sys36)
     newton = potential_module._newton
 
-    def solve(resid, u0):  # the crossing solve has d + 1 unknowns, the branch walk's d
-        if len(u0) != sys36.d + 1:
-            return newton(resid, u0)
+    def solve(resid, u0, free=None):  # the branch walk pins one unknown, the crossing none
+        if free is not None:
+            return newton(resid, u0, free)
         if failure == "residual":
             return u0, 1.0
         u, _ = newton(resid, u0)
@@ -709,15 +721,16 @@ def test_branch_points_skip_a_grid_value_whose_solves_fail(sw_half, monkeypatch,
     difference = potential_module._central_difference
     solves = []
 
-    def failing(sys, j, c, u0):
+    def failing(sys, j, p0):
+        c = p0[j]
         solves.append(c)
-        u, res = solve(sys, j, c, u0)
-        return u, (1.0 if skip <= c < prev else res)
+        p, res = solve(sys, j, p0)
+        return p, (1.0 if skip <= c < prev else res)
 
-    def singular_once(fn, u, h):
+    def singular_once(fn, u, h, axes=slice(None)):
         if solves[-1] == singular and solves.count(singular) == 1:
-            return -NEWTON_RIDGE * np.eye(len(u))  # J + NEWTON_RIDGE I is zero
-        return difference(fn, u, h)
+            return -NEWTON_RIDGE * np.eye(sw_half.d)  # J + NEWTON_RIDGE I is zero
+        return difference(fn, u, h, axes)
 
     monkeypatch.setattr(potential_module, "_newton_pinned", failing)
     monkeypatch.setattr(potential_module, "_central_difference", singular_once)
@@ -728,6 +741,18 @@ def test_branch_points_skip_a_grid_value_whose_solves_fail(sw_half, monkeypatch,
     assert [x[j] for x, _ in got] == [x[j] for x, _ in kept]
     for (x, eps), (x_want, eps_want) in zip(got, kept):
         assert np.allclose(x, x_want, rtol=0.0, atol=1e-9) and eps == pytest.approx(eps_want)
+
+
+@pytest.mark.parametrize("name", ["sw_half", "lift36"])
+def test_newton_pinned_holds_its_pinned_component(name, request):
+    # started off the branch, the solve lands on it with x_j exactly where the start put it
+    sys = request.getfixturevalue(name)
+    x0 = st.iterate_limit(sys, sys.ones(), 1.0).limit
+    j = int(np.argmax(x0))
+    x, eps = list(_branch_points(sys, x0, 20))[5]
+    p0 = np.append(x, eps) + 1e-3
+    p, res = potential_module._newton_pinned(sys, j, p0)
+    assert p[j] == p0[j] and res <= FP_RESIDUAL_TOL
 
 
 def test_fixed_points_appends_ones_row_to_the_lattice(lift36):
