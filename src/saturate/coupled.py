@@ -23,7 +23,6 @@ from .potential import (
     BISECT_TOL,
     ZERO_TOL,
     _gradient,
-    _lattice_rows,
     _threshold_bisect,
     check_jacobian,
     energy_gap,
@@ -44,10 +43,7 @@ from .system import (
 log = logging.getLogger("saturate")
 
 COUPLED_MAX_ITER = 200000
-HESSIAN_SAMPLES = 10000  # lattice size cap and uniform sample count of hessian_bound
-HESSIAN_PER_AXIS = 9
 HESSIAN_FD_STEP = 1e-5
-HESSIAN_CHUNK = 512  # points whose (d, d, d) difference arrays are held at once
 
 
 @dataclass(frozen=True)
@@ -400,36 +396,34 @@ def verify_shift_lemmas(sys: SystemDefinition, X: CoupledState, eps: float) -> l
 # ---------------------------------------------------------------------------
 
 
-def _sample_lattice(d: int, per_axis: int, cap: int) -> np.ndarray:
-    if per_axis**d <= cap:
-        pts = _lattice_rows(d, per_axis, cap)
-    else:
-        rng = np.random.default_rng(0)
-        pts = rng.random((cap, d))
-    corners = _lattice_rows(d, 2, 256)  # the first 256 corners of the cube
-    return np.concatenate([pts, corners], axis=0)
-
-
 def hessian_bound(sys: SystemDefinition) -> float:
-    """Sampled bound on the coupled-potential Hessian norm.
+    """Bound K on the coupled-potential Hessian norm, read at the cube's corners.
 
-    K = max(weights) * (g'_max + g''_max + 2 g'_max^2 f'_max) with the
-    suprema estimated over a lattice plus the corners of the cube (where
-    polynomial derivatives peak); f' is taken at eps=1 since the update grows
-    with eps. A sampled estimate, not a certified supremum.
+    K = max(weights) * (g1 + g2 + 2 g1^2 f1), where g1 and g2 are the
+    largest |g'| and |g''| row sums at x = 0 and f1 is the largest |f'| row
+    sum at y = 1 over eps in {0, 1}. K is uniform in eps over [0, 1].
+
+    For the three model families these corner values are the suprema over
+    [0, 1]^d. Every derivative entry is a polynomial with nonnegative
+    coefficients, in 1 - x for g and in y for f, so g' and g'' peak at
+    x = 0 and f' at y = 1. In eps: on Slepian-Wolf f' grows with the
+    channel pair along any (componentwise nondecreasing) path; on a
+    protograph it is eps times a fixed polynomial (punctured columns carry
+    no eps); on the erasure MAC it is affine in eps, so its row sums peak
+    at eps = 0 or 1. For any other SystemDefinition K is the corner value,
+    not a certified bound.
     """
     h = HESSIAN_FD_STEP
-    g1 = g2 = f1 = -math.inf
-    pts = _sample_lattice(sys.d, HESSIAN_PER_AXIS, HESSIAN_SAMPLES)
-    for chunk in np.split(pts, range(HESSIAN_CHUNK, len(pts), HESSIAN_CHUNK)):
-        Jg = check_jacobian(sys, chunk, h=h)
-        g1 = max(g1, float(np.max(np.sum(np.abs(Jg), axis=-1))))
-        # second derivatives of the check map: differences of the Jacobian,
-        # [n, j, k, i] = d^2 g_k / dx_i dx_j
-        Hg = _central_difference(lambda z: check_jacobian(sys, z, h=h), chunk, h)
-        g2 = max(g2, float(np.max(np.sum(np.abs(Hg), axis=1))))  # max row sum over the j axis
-        Jf = np.swapaxes(_central_difference(lambda z: sys.bit_update(z, 1.0), chunk, h), -1, -2)
-        f1 = max(f1, float(np.max(np.sum(np.abs(Jf), axis=-1))))
+    x0, y1 = sys.zeros()[None], sys.ones()[None]
+    g1 = float(np.max(np.sum(np.abs(check_jacobian(sys, x0, h=h)), axis=-1)))
+    # second derivatives of the check map: differences of the Jacobian,
+    # [n, j, k, i] = d^2 g_k / dx_i dx_j, summed over the j axis
+    Hg = _central_difference(lambda z: check_jacobian(sys, z, h=h), x0, h)
+    g2 = float(np.max(np.sum(np.abs(Hg), axis=1)))
+    # [eps, n, j, k] = d f_k / dy_j, summed over the j axis
+    Jf = np.stack([_central_difference(lambda z: sys.bit_update(z, eps), y1, h)
+                   for eps in (0.0, 1.0)])
+    f1 = float(np.max(np.sum(np.abs(Jf), axis=-2)))
     return float(np.max(sys.weights)) * (g1 + g2 + 2.0 * g1 * g1 * f1)
 
 
@@ -437,9 +431,11 @@ def min_coupling_width(sys: SystemDefinition, eps: float, gap: Optional[float] =
                        bound: Optional[float] = None) -> float:
     """The sufficient window width d*K/(2*DeltaE(eps)) for collapse to zero.
 
-    Returns 0 when no nontrivial fixed points exist (any width suffices);
-    raises when the energy gap is not positive (eps at or above the
-    potential threshold).
+    K is hessian_bound(sys) unless given as bound. It is one value for
+    every eps in [0, 1], so only the energy gap varies with eps. Returns 0
+    when no nontrivial fixed points exist (any width suffices); raises when
+    the energy gap is not positive (eps at or above the potential
+    threshold).
     """
     if gap is None:
         gap = energy_gap(sys, eps)

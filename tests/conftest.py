@@ -47,6 +47,22 @@ def sw_free(lam36, rho36):
 
 
 @pytest.fixture(scope="session")
+def table(lam36, rho36):
+    """Slepian-Wolf on a table path: the branch of the eps=1 limit folds at
+    0.37758, but all-ones survives below that, on another branch, down to
+    its bp threshold 0.34317."""
+    path = st.TablePath(knots=[0.0, 0.5, 1.0], eps1=[0.0, 0.4, 1.0], eps2=[0.0, 0.6, 1.0])
+    return st.make_slepian_wolf(
+        st.SlepianWolfParams(lam36, rho36, lam36, rho36, gamma=0.2, p=0.5, path=path))
+
+
+@pytest.fixture(scope="session")
+def irregular(rho36):
+    lam = st.EdgePolynomial(np.array([0.0, 0.3, 0.7]))  # lambda_2 = 0.3
+    return st.make_slepian_wolf(st.SlepianWolfParams(lam, rho36, lam, rho36, gamma=0.3, p=0.5))
+
+
+@pytest.fixture(scope="session")
 def all_systems(sys36, emac36, sw_half):
     return [sys36, emac36, sw_half]
 

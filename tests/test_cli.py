@@ -228,6 +228,19 @@ def test_coupled_width_bound_reported(tmp_path):
     assert rep["hessian_bound"] == pytest.approx(351.0, rel=1e-3)
 
 
+def test_coupled_emac_width_bound_covers_every_eps(tmp_path):
+    # the erasure MAC's f' row sum peaks at eps=0 (2.5), not at eps=1 (2.0),
+    # so K = 3 (5 + 20 + 2 * 25 * 2.5) = 450, and the width at eps 0.3 is d K / (2 gap)
+    out = tmp_path / "o"
+    config = str(SATBENCH_CONFIGS / "coupled-chain-emac.json")
+    assert main(["coupled", "--config", config, "--out", str(out)]) == 0
+    rep = json.loads((out / "coupled_report.json").read_text())
+    assert rep["hessian_bound"] == pytest.approx(450.0, rel=1e-6)
+    (run,) = rep["runs"]
+    assert run["eps"] == 0.3
+    assert run["width_bound"] == pytest.approx(9389.74, rel=1e-6)
+
+
 def test_coupled_budget_exhausted_exits_3(tmp_path):
     # below the BP threshold there is no fixed point, so any width suffices
     cfg = {"system": PROTO, "analysis": {"L": 4, "w": 2, "eps_values": [0.3], "max_iter": 3}}
