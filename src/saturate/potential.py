@@ -44,11 +44,10 @@ SUBSOLUTION_OFFSETS = 12
 # grid points of the pinned component on each branch that maxwell_threshold and
 # bp_threshold walk
 BRANCH_POINTS = 50
-# width of the pinned-coordinate bracket at which the golden section that
-# refines the bp fold stops
-FOLD_PIN_TOL = 1e-7
+# central-difference step of the null-vector equation v = J v in the bp fold solve
+FOLD_FD_STEP = 1e-4
 # box-component evaluations (boxes x d) after which _exclude gives up, and the
-# rounding slack of its two exclusion tests
+# rounding slack by which it widens each narrowed box
 EXCLUDE_BUDGET = 2**17
 EXCLUDE_SLACK = 1e-13
 
@@ -198,8 +197,8 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     every row is certified or the rows still open meet it; an open row then
     dies when its max is below ZERO_TOL. Each pass logs every probe's eps,
     verdict and how it was reached (certified or stop rule) at debug level,
-    and the certification logs the fold, the walk length, the solve count
-    and the two verdicts with their hows.
+    and the certification logs the fold, the walk length and the two
+    verdicts with their hows.
 
     The batch stops together, so an open row may run past the step at which
     it would have stopped alone; those steps only move it closer to its
@@ -237,12 +236,14 @@ def _bp_fold(sys, max_iter: int):
     """(fold, note): the smallest eps on the branch of the all-ones limit at eps=1.
 
     The branch walk from that limit stops once eps has risen at two
-    consecutive branch points, and golden section on the pinned coordinate,
-    between the neighbours of the walk's lowest point, refines the minimum
-    of eps until that coordinate is bracketed to FOLD_PIN_TOL. Each
-    _newton_pinned solve is seeded by linear interpolation between the
-    points solved so far. note gives the walk length and solve count, or,
-    with fold None, why no fold was located; fold 1.0 means all-ones dies at eps=1.
+    consecutive branch points. One _newton solve from the walk's lowest
+    point then locates the fold on the extended system in u = (x, v, eps):
+    x = step(x; eps), v = J v and sum(v) = 1, with J v the central
+    difference of the step along v at FOLD_FD_STEP and v seeded at the unit
+    vector of the pinned coordinate. The fold is accepted when the residual
+    is at most FP_RESIDUAL_TOL and the pinned coordinate lies between the
+    walk's neighbours of that point. note gives the walk length, or, with
+    fold None, why no fold was located; fold 1.0 means all-ones dies at eps=1.
     """
     X, it, conv = _iterate(sys, sys.ones()[None], 1.0, DEFAULT_ITER_TOL, max_iter)
     if not conv:
@@ -259,35 +260,22 @@ def _bp_fold(sys, max_iter: int):
     m = min(range(len(walk)), key=lambda k: walk[k][1])
     if not 0 < m < len(walk) - 1:
         return None, f"no interior minimum of eps on the walk of {len(walk)} branch points"
-    j = int(np.argmax(x0))
-    solved = {x[j]: np.append(x, eps) for x, eps in walk[m - 1:m + 2]}
+    j, d = int(np.argmax(x0)), sys.d
 
-    def eps_at(c):  # eps of the branch point with x_j = c, or None if the solve fails
-        cs = sorted(solved)
-        ps = np.array([solved[a] for a in cs])
-        seed = np.array([np.interp(c, cs, col) for col in ps.T])
-        seed[j] = c
-        p, res = _newton_pinned(sys, j, seed)
-        solved[c] = p
-        return p[-1] if res <= FP_RESIDUAL_TOL else None
+    def resid(u):
+        x, v, eps = u[..., :d], u[..., d:-1], u[..., -1]
+        h = FOLD_FD_STEP * v
+        stepped = _step_raw(sys, np.stack([x, x + h, x - h], -2), eps[..., None])
+        jv = (stepped[..., 1, :] - stepped[..., 2, :]) / (2.0 * FOLD_FD_STEP)
+        return np.concatenate([x - stepped[..., 0, :], v - jv, v.sum(-1, keepdims=True) - 1.0], -1)
 
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x, eps = walk[m]
+    u, res = _newton(resid, np.concatenate([x, np.eye(d)[j], [eps]]))
     a, b = walk[m + 1][0][j], walk[m - 1][0][j]
-    c1, c2 = b - golden * (b - a), a + golden * (b - a)
-    e1, e2 = eps_at(c1), eps_at(c2)
-    while e1 is not None and e2 is not None and b - a > FOLD_PIN_TOL:
-        if e1 < e2:
-            b, c2, e2 = c2, c1, e1
-            c1 = b - golden * (b - a)
-            e1 = eps_at(c1)
-        else:
-            a, c1, e1 = c1, c2, e2
-            c2 = a + golden * (b - a)
-            e2 = eps_at(c2)
-    solves = len(solved) - 3
-    if e1 is None or e2 is None:
-        return None, f"a pinned solve failed at x{j + 1}={c1 if e1 is None else c2:.9g}"
-    return float(min(e1, e2)), f"{len(walk)} branch points and {solves} pinned solves"
+    if res <= FP_RESIDUAL_TOL and a <= u[j] <= b:
+        return float(u[-1]), f"{len(walk)} branch points"
+    return None, (f"the fold solve failed: residual {res:.3g} at x{j + 1}={u[j]:.9g}, "
+                  f"bracket [{a:.9g}, {b:.9g}]")
 
 
 def _bp_pass(sys, eps: np.ndarray, max_iter: int):
@@ -333,9 +321,11 @@ def _exclude(sys, hi, eps: float, budget: int) -> np.ndarray:
 
     Bisects breadth first, each box on its widest side, stepping the corners
     of a level's live boxes in one batch. For a monotone map a <= x <= b
-    gives step(a) <= x <= step(b), so a box holds no fixed point once
-    a_j > step_j(b) or b_j < step_j(a) for some j, past EXCLUDE_SLACK; a box
-    with max b < ZERO_TOL holds only points that count as the zero state.
+    gives step(a) <= x <= step(b), so each fixed point of [a, b] lies in
+    [max(a, step(a)), min(b, step(b))], widened by EXCLUDE_SLACK; each box
+    is narrowed to that, and dropped once it is empty (a_j > b_j for some j)
+    or has max b < ZERO_TOL, where it holds only points that count as the
+    zero state.
     Returns the live boxes (n, 2, d), lower then upper corners, once the
     next level would pass budget box-component evaluations (boxes x d);
     empty when none is left.
@@ -345,9 +335,9 @@ def _exclude(sys, hi, eps: float, budget: int) -> np.ndarray:
     while len(lo) and spent + lo.size <= budget:
         spent += lo.size
         stepped = _step_raw(sys, np.concatenate([lo, hi]), eps)
-        keep = ~(np.any(lo > stepped[len(lo):] + EXCLUDE_SLACK, axis=-1)
-                 | np.any(hi < stepped[:len(lo)] - EXCLUDE_SLACK, axis=-1)
-                 | (hi.max(axis=-1) < ZERO_TOL))
+        lo = np.maximum(lo, stepped[:len(lo)] - EXCLUDE_SLACK)
+        hi = np.minimum(hi, stepped[len(lo):] + EXCLUDE_SLACK)
+        keep = np.all(lo <= hi, axis=-1) & (hi.max(axis=-1) >= ZERO_TOL)
         lo, hi = lo[keep], hi[keep]
         rows, j = np.arange(len(lo)), np.argmax(hi - lo, axis=-1)
         mid = 0.5 * (lo[rows, j] + hi[rows, j])

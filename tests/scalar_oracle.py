@@ -5,9 +5,10 @@ the package under test): plain fixed-point iteration of the scalar recursion
 
     x <- eps * lam(1 - rho(1 - x)),
 
-grid-scan + bisection for its nontrivial roots, composite-Simpson quadrature
-for the scalar potential, and bisections for the erasure thresholds. Test
-modules compare package outputs against these reference routines.
+grid-scan + bisection for its nontrivial roots, golden section for their
+fold, composite-Simpson quadrature for the scalar potential, and bisections
+for the erasure thresholds. Test modules compare package outputs against
+these reference routines.
 """
 
 import numpy as np
@@ -53,6 +54,34 @@ def bp_threshold(lam, rho, tol=1e-7, zero_tol=1e-9):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bp_fold(lam, rho):
+    """min over x in (0, 1] of x / lam(1 - rho(1 - x)), the fold of the fixed points.
+
+    Golden section on x, run until its bracket stops shrinking; only the
+    interior points are evaluated, so x = 0 never is.
+    """
+
+    def eps_at(x):
+        return x / P.polyval(1.0 - P.polyval(1.0 - x, rho), lam)
+
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c1, c2 = b - golden * (b - a), a + golden * (b - a)
+    e1, e2 = eps_at(c1), eps_at(c2)
+    while True:
+        width = b - a
+        if e1 < e2:
+            b, c2, e2 = c2, c1, e1
+            c1 = b - golden * (b - a)
+            e1 = eps_at(c1)
+        else:
+            a, c1, e1 = c1, c2, e2
+            c2 = a + golden * (b - a)
+            e2 = eps_at(c2)
+        if b - a >= width:
+            return float(min(e1, e2))
 
 
 def nontrivial_fixed_points(eps, lam, rho, n_grid=20001):

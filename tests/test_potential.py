@@ -37,6 +37,7 @@ from saturate.system import DEFAULT_MAX_ITER
 from scalar_oracle import (
     LAM_36,
     RHO_36,
+    bp_fold as oracle_fold,
     bp_threshold as oracle_bp,
     nontrivial_fixed_points,
     potential_threshold as oracle_pot,
@@ -272,20 +273,38 @@ def _cut_walk(sys, monkeypatch):
                         lambda sys, x0, n: itertools.islice(walk(sys, x0, n), 5))
 
 
-def _failing_solves(sys, monkeypatch):
-    # the whole walk, then golden-section solves that never converge
+def _patch_fold_solve(sys, monkeypatch, point, res):
+    # the whole walk, precomputed, then a fold solve that returns point(seed)
+    # with residual res
     walk = list(_branch_points(sys, st.iterate_limit(sys, sys.ones(), 1.0).limit, BRANCH_POINTS))
     monkeypatch.setattr(potential_module, "_branch_points", lambda sys, x0, n: iter(walk))
-    monkeypatch.setattr(potential_module, "_newton_pinned", lambda sys, j, p0: (p0, 1.0))
+    monkeypatch.setattr(potential_module, "_newton",
+                        lambda resid, u0, free=slice(None): (point(np.array(u0)), res))
+
+
+def _unsolved_fold(sys, monkeypatch):
+    # a solve that never leaves its seed
+    _patch_fold_solve(sys, monkeypatch, lambda u: u, 1.0)
+
+
+def _fold_outside_bracket(sys, monkeypatch):
+    # an exact solve at x = (1, 1), above the walk's bracket of the pinned coordinate
+    def outside(u):
+        u[:2] = 1.0
+        return u
+
+    _patch_fold_solve(sys, monkeypatch, outside, 0.0)
 
 
 @pytest.mark.parametrize("patch, note", [
     (_cut_walk, "no interior minimum of eps on the walk of 5 branch points"),
-    (_failing_solves, "a pinned solve failed at x1="),
+    (_unsolved_fold, "the fold solve failed: residual 1 at x1="),
+    (_fold_outside_bracket, "the fold solve failed: residual 0 at x1=1,"),
 ])
 def test_bp_threshold_falls_back_when_no_fold_is_located(patch, note, sys36, monkeypatch, caplog):
     patch(sys36, monkeypatch)
-    assert potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)[1].startswith(note)
+    fold, got_note = potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)
+    assert fold is None and got_note.startswith(note)
     got = st.bp_threshold(sys36, tol=1e-3)
     assert f"bp_threshold: {note}" in caplog.text and "; bisecting" in caplog.text
     assert got == _one_probe_bp(sys36, 1e-3)
@@ -294,11 +313,24 @@ def test_bp_threshold_falls_back_when_no_fold_is_located(patch, note, sys36, mon
 # the fold's floats, bit for bit; sw_theta_half and sw_half are the Slepian-Wolf
 # systems of the benchmark's threshold sweep (theta 0.5 and 1)
 @pytest.mark.parametrize("name, fold", [
-    ("sys36", 0.4294398144195566),
-    ("sw_theta_half", 0.06211623995321943),
-    ("sw_half", 0.046234974371782936)])
+    ("sys36", 0.42943981441949186),
+    ("sw_theta_half", 0.062116239951652844),
+    ("sw_half", 0.04623497437144891)])
 def test_bp_fold_keeps_its_float(name, fold, request):
     assert potential_module._bp_fold(request.getfixturevalue(name), DEFAULT_MAX_ITER)[0] == fold
+
+
+@pytest.fixture(scope="module")
+def ones36():
+    """The (3,6) ensemble as the all-ones 3x6 protograph (d=18)."""
+    return st.make_protograph(st.ProtographSpec(H=np.ones((3, 6), dtype=int)))
+
+
+@pytest.mark.parametrize("name", ["sys36", "lift36", "ones36", "sw_free"])
+def test_bp_fold_matches_the_scalar_oracle(name, request):
+    # four forms of the (3,6) recursion, whose fold is the scalar one
+    fold, _ = potential_module._bp_fold(request.getfixturevalue(name), DEFAULT_MAX_ITER)
+    assert fold == pytest.approx(oracle_fold(LAM_36, RHO_36), abs=3e-14)
 
 
 def test_bp_threshold_falls_back_when_all_ones_collapses_at_one(caplog):
@@ -356,15 +388,15 @@ def test_bp_threshold_logs_each_pass(sys36, caplog):
     # one pass, of the upper certifying probe, and no bisection
     passes = [m for m in messages if m.startswith("bp_threshold pass of ")]
     assert len(folds) == len(passes) == 1
-    found = re.fullmatch(r"bp_threshold fold: eps=(\S+) after (\d+) branch points and (\d+) "
-                         r"pinned solves; \(eps=([^,]+), dies, excluded\), "
+    found = re.fullmatch(r"bp_threshold fold: eps=(\S+) after (\d+) branch points; "
+                         r"\(eps=([^,]+), dies, excluded\), "
                          r"\(eps=([^,]+), survives, certified\)", folds[0])
     assert found
-    fold, walked, solves, lo, hi = found.groups()
+    fold, walked, lo, hi = found.groups()
     assert re.fullmatch(rf"bp_threshold pass of \d+ steps: \(eps={re.escape(hi)}, survives, "
                         r"certified\)", passes[0])
     assert float(fold) == pytest.approx(got, abs=1e-11)
-    assert 3 <= int(walked) <= BRANCH_POINTS and int(solves) > 0
+    assert 3 <= int(walked) <= BRANCH_POINTS
     assert float(lo) < got < float(hi) and float(hi) - float(lo) == pytest.approx(1e-5)
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
@@ -399,6 +431,18 @@ def test_exclusion_never_resolves_where_the_limit_survives(name, request):
     resolved = np.array([len(_exclude(sys, sys.ones(), e, EXCLUDE_BUDGET)) == 0 for e in eps])
     assert not resolved[~plain].any()
     assert resolved[0]  # 1e-3 below the threshold
+
+
+@pytest.mark.parametrize("name", ["sw_half", "sw_theta_half"])
+def test_exclusion_resolves_below_the_fold_at_tol_1e6(name, request, caplog):
+    # the narrowed boxes resolve the Slepian-Wolf lower probe at tol 1e-6, so
+    # bp_threshold does not iterate it through the fold's bottleneck
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    sys, tol = request.getfixturevalue(name), 1e-6
+    fold, _ = potential_module._bp_fold(sys, DEFAULT_MAX_ITER)
+    assert not len(_exclude(sys, sys.ones(), fold - tol / 2, EXCLUDE_BUDGET))
+    assert st.bp_threshold(sys, tol=tol) == fold
+    assert "dies, excluded)" in caplog.text
 
 
 _PINNED = ["sys36", "lift36", "emac36", "sw_half", "sw_free", "table", "irregular",
@@ -878,9 +922,9 @@ def test_singular_seeds_do_not_hide_the_fixed_points_of_the_others(sw_half, monk
 def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
     # bp, potential and Maxwell thresholds at tol 1e-5, to the last bit
     pinned = {
-        ("sw", 0.5): (0.06211623995321943, 0.32805526906908344, 0.32805526906908344),
-        ("sw", 1.0): (0.046234974371782936, 0.2467118460524133, 0.2467118460524133),
-        ("emac", None): (0.12255147068979368, 0.33231639356682025, 0.33231639356682025),
+        ("sw", 0.5): (0.062116239951652844, 0.32805526906908344, 0.32805526906908344),
+        ("sw", 1.0): (0.04623497437144891, 0.2467118460524133, 0.2467118460524133),
+        ("emac", None): (0.12255147068962187, 0.33231639356682025, 0.33231639356682025),
     }
     for (kind, theta), want in pinned.items():
         if kind == "sw":

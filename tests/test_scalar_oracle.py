@@ -12,6 +12,10 @@ def test_frozen_reference_values():
     assert oracle.potential_threshold(oracle.LAM_36, oracle.RHO_36) == pytest.approx(
         0.4881508, abs=2e-6
     )
+    # the minimum of x / (1 - (1 - x)^5)^2, 0.42943981441949183716 to 20 digits
+    assert oracle.bp_fold(oracle.LAM_36, oracle.RHO_36) == pytest.approx(
+        0.42943981441949184, abs=2e-16
+    )
 
 
 def test_de_limit_agrees_with_fixed_point_scan():
