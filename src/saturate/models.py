@@ -365,12 +365,44 @@ class ProtographSpec:
         object.__setattr__(self, "punctured_columns", punct)
 
 
+def _first_seen(keys) -> np.ndarray:
+    """Each key's label: the number of distinct keys before its first occurrence."""
+    seen = {}
+    return np.array([seen.setdefault(key, len(seen)) for key in keys], dtype=np.int64)
+
+
+def _edge_partition(row, col, expo, channel) -> np.ndarray:
+    """The coarsest equitable partition of the edges that refines channel.
+
+    Colour refinement (McKay, "Practical graph isomorphism", 1981): edges
+    start coloured by their column's channel, and each round splits a class
+    by the summed exponents its edges see from each class in their check
+    factor and in their bit factor, each less one copy of the edge itself.
+    It stops when the number of classes stops growing. Edges of one class
+    then see the same factors on every class-constant state, so both maps
+    keep such states class-constant. Labels are numbered in edge order.
+    """
+    own = np.eye(len(expo), dtype=np.int64)
+    # [k, j]: the exponent of edge j in edge k's check (bit) factor
+    check = (row[:, None] == row) * expo - own
+    bit = (col[:, None] == col) * expo - own
+    labels = _first_seen(channel)
+    while True:
+        members = (labels[:, None] == np.arange(labels.max() + 1)).astype(np.int64)
+        refined = _first_seen(zip(labels.tolist(), map(tuple, (check @ members).tolist()),
+                                  map(tuple, (bit @ members).tolist())))
+        if refined.max() == labels.max():
+            return labels
+        labels = refined
+
+
 def make_protograph(spec: ProtographSpec) -> SystemDefinition:
     """Per-edge erasure recursion of a protograph ensemble.
 
     Bit updates multiply the column-adjacent edge states (channel times
     x_i^(e_i), less one copy of the incident edge); check updates do the same
-    with 1-x over row-adjacent edges.
+    with 1-x over row-adjacent edges. The system's partition is the coarsest
+    equitable edge partition (_edge_partition), from the columns' channels.
     """
     H = spec.H
     rows, cols = np.nonzero(H)
@@ -487,6 +519,7 @@ def make_protograph(spec: ProtographSpec) -> SystemDefinition:
         check_energy=check_energy,
         name=f"protograph{H.tolist()}",
         zero_param_exact=(len(spec.punctured_columns) == 0),
+        partition=_edge_partition(row, col, expo, zip(fixed[col].tolist(), scale[col].tolist())),
     )
 
 

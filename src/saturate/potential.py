@@ -13,6 +13,7 @@ from .system import (
     DEFAULT_MAX_ITER,
     SystemDefinition,
     _central_difference,
+    _class_representatives,
     _iterate,
     _step_raw,
     iterate_batch,
@@ -21,6 +22,12 @@ from .system import (
 log = logging.getLogger("saturate")
 
 FP_RESIDUAL_TOL = 1e-9
+# a solved point with max at or below it is the zero state, and is not
+# recorded. It is wider than ZERO_TOL, which decides verdicts, because a limit
+# iterated towards a zero state that attracts at a linear rate s stops at
+# about DEFAULT_ITER_TOL / (1 - s), with a residual that passes: on the (2,3)
+# protograph at eps 0.499 the all-ones limit stops at max 5.0e-8
+FP_ZERO_TOL = 1e-7
 CLUSTER_RADIUS = 1e-6
 ZERO_TOL = 1e-8
 BISECT_TOL = 1e-6
@@ -200,6 +207,13 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     and the certification logs the fold, the walk length and the two
     verdicts with their hows.
 
+    A system with a partition excludes on its quotient (_quotient), one
+    component per class: the maps keep class-constant states class-constant,
+    so the limit from all-ones, a fixed point in the class subspace, is the
+    expansion of a fixed point of the quotient, and when none of those has
+    max >= ZERO_TOL the lower probe dies. The fold and the pass stay on the
+    full system.
+
     The batch stops together, so an open row may run past the step at which
     it would have stopped alone; those steps only move it closer to its
     limit. A verdict could differ from the one-probe loop's only if a row's
@@ -214,7 +228,8 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
         return 1.0
     if fold is not None:
         eps = np.clip([fold - tol / 2, fold + tol / 2], 1e-9, 1.0)
-        if len(_exclude(sys, sys.ones(), eps[0], EXCLUDE_BUDGET)):
+        q = _quotient(sys)
+        if len(_exclude(q, q.ones(), eps[0], EXCLUDE_BUDGET)):
             dies, how = _bp_pass(sys, eps, max_iter)
         else:
             dies, how = _bp_pass(sys, eps[1:], max_iter)
@@ -314,6 +329,31 @@ def _bp_pass(sys, eps: np.ndarray, max_iter: int):
                     "period-2 cycle exit" if it < max_iter else "iteration budget exhausted",
                     ", ".join(f"{e:.9g}" for e in eps[moving]))
     return verdict, how
+
+
+def _quotient(sys: SystemDefinition) -> SystemDefinition:
+    """sys on the class subspace of its partition, one component per class.
+
+    The maps expand a class state to the full state, evaluate sys's maps
+    there and read one representative per class; the weights are the class
+    sums, so the energies, read on the expanded state, still have the maps
+    as their weighted gradients. With no partition, or one class per
+    component, the quotient is sys itself.
+    """
+    part = sys.partition
+    if part is None or part.max() + 1 == sys.d:
+        return sys
+    reps = _class_representatives(part)
+    return SystemDefinition(
+        d=len(reps),
+        weights=np.bincount(part, weights=sys.weights),
+        bit_update=lambda y, eps: sys.bit_update(y[..., part], eps)[..., reps],
+        check_update=lambda x: sys.check_update(x[..., part])[..., reps],
+        bit_energy=lambda x, eps: sys.bit_energy(x[..., part], eps),
+        check_energy=lambda x: sys.check_energy(x[..., part]),
+        name=f"quotient of {sys.name}",
+        zero_param_exact=sys.zero_param_exact,
+    )
 
 
 def _exclude(sys, hi, eps: float, budget: int) -> np.ndarray:
@@ -482,7 +522,8 @@ def _records(sys, cands, res, eps: float) -> list[FixedPointRecord]:
     returned it: the gradient (x - step(x)) D g'(x) at such a row is that
     residual times a weight-scaled Jacobian.
     """
-    good = np.flatnonzero((res <= FP_RESIDUAL_TOL) & (np.max(np.abs(cands), axis=-1) > 1e-7))
+    nonzero = np.max(np.abs(cands), axis=-1) > FP_ZERO_TOL
+    good = np.flatnonzero((res <= FP_RESIDUAL_TOL) & nonzero)
     kept = good[_cluster(cands[good], res[good], CLUSTER_RADIUS)]
     if not len(kept):
         return []

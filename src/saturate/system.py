@@ -34,6 +34,9 @@ CYCLE_CHECK_EVERY = 64
 # (stationary_fixed_points, zero_state_stationary, gradient_orthogonality)
 FD_STEP = 1e-6
 GRAD_REL_TOL = 1e-5  # relative error those checks allow
+# how far apart the members of one partition class may map a class-constant
+# state: their products take the same factors in different orders
+PARTITION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +60,10 @@ class SystemDefinition:
     # systems with surviving cross terms); the zero-parameter boundary checks
     # are then informational.
     zero_param_exact: bool = True
+    # the class of each component, in 0..n-1, under a partition that both maps
+    # keep: a state constant on every class maps to one (make_protograph
+    # finds it by colour refinement); None when the system declares none
+    partition: Optional[np.ndarray] = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -80,12 +87,42 @@ class SystemDefinition:
         ):
             if abs(float(val)) > 1e-12:
                 raise ValueError(f"{label} must vanish, got {val}")
+        if self.partition is not None:
+            self._check_partition()
+
+    def _check_partition(self):
+        """Refuse a partition unless both maps keep a class-constant probe state class-constant.
+
+        So a dataclasses.replace whose maps break the symmetry is refused,
+        rather than keeping a partition that no longer holds.
+        """
+        part = np.asarray(self.partition)
+        n = int(part.max()) + 1 if part.size else 0
+        if (part.shape != (self.d,) or not np.issubdtype(part.dtype, np.integer)
+                or set(part.tolist()) != set(range(n))):
+            raise ValueError(f"partition must give each of the {self.d} components a class "
+                             f"in 0..n-1, every class used; got {part}")
+        object.__setattr__(self, "partition", part)
+        reps = _class_representatives(part)
+        probe = np.linspace(0.25, 0.75, n)[part]
+        for label, val in (
+            ("bit_update(.; 0.7)", self.bit_update(probe, 0.7)),
+            ("check_update", self.check_update(probe)),
+        ):
+            if np.max(np.abs(val - val[reps][part])) > PARTITION_TOL:
+                raise ValueError(f"{label} does not keep the partition {part.tolist()}: "
+                                 f"a class-constant state maps to {val}")
 
     def ones(self) -> np.ndarray:
         return np.ones(self.d)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.d)
+
+
+def _class_representatives(partition: np.ndarray) -> np.ndarray:
+    """The first component of each class of partition, in class order."""
+    return np.argmax(partition == np.arange(partition.max() + 1)[:, None], axis=-1)
 
 
 @dataclass

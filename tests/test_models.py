@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,82 @@ def test_protograph_maps_bit_exact_against_edge_pair_loops(spec, n):
     check(sys.check_energy(X3), np.stack([ref_G(z) for z in X3]))
     check(sys.bit_update(X3, e_chains), np.stack([ref_f(z, e) for z, e in zip(X3, eps_values)]))
     check(sys.bit_energy(X3, e_chains), np.stack([ref_F(z, e) for z, e in zip(X3, eps_values)]))
+
+
+_LIFT_36 = [[1, 2, 1, 2], [2, 1, 2, 1]]
+
+
+def _shuffled_lift(seed):
+    # the lift with its rows and columns permuted as the benchmark's
+    # lifted-protograph workload permutes them
+    rng = np.random.default_rng(seed)
+    return np.asarray(_LIFT_36)[rng.permutation(2)][:, rng.permutation(4)].tolist()
+
+
+_PARTITIONED = {
+    "3x3": ([[3, 3]], {}, 1),
+    "lift-2x4": (_LIFT_36, {}, 1),
+    **{f"lift-seed{seed}": (_shuffled_lift(seed), {}, 1) for seed in range(1, 6)},
+    "ones-3x6": (np.ones((3, 6), dtype=int).tolist(), {}, 1),
+    "irregular-2x4": ([[1, 3, 1, 1], [2, 1, 1, 2]], {}, 6),
+    # a punctured column, or a column with its own channel scale, splits the
+    # all-ones 2x4 protograph's single class in two
+    "punctured": (np.ones((2, 4), dtype=int).tolist(), {"punctured_columns": frozenset({0})}, 2),
+    "scaled": (np.ones((2, 4), dtype=int).tolist(), {"node_scale": [1.0, 1.0, 0.5, 1.0]}, 2),
+}
+
+
+def _partitioned(name):
+    H, extra, _ = _PARTITIONED[name]
+    return st.make_protograph(st.ProtographSpec(H=np.array(H), **extra))
+
+
+@pytest.mark.parametrize("name", list(_PARTITIONED))
+def test_protograph_partition_counts_its_classes(name):
+    assert _partitioned(name).partition.max() + 1 == _PARTITIONED[name][2]
+
+
+def test_protograph_partition_splits_by_channel():
+    # edges are numbered row by row, so column 0 (2) holds edges 0 and 4 (2 and 6)
+    assert _partitioned("punctured").partition.tolist() == [0, 1, 1, 1, 0, 1, 1, 1]
+    assert _partitioned("scaled").partition.tolist() == [0, 0, 1, 0, 0, 0, 1, 0]
+    # the irregular 2x4 protograph: the two check rows see different
+    # exponents, so no class spans both rows
+    assert _partitioned("irregular-2x4").partition.tolist() == [0, 1, 2, 0, 3, 4, 5, 3]
+
+
+@pytest.mark.parametrize("name", list(_PARTITIONED))
+def test_class_constant_states_map_to_class_constant_states(name):
+    # checked on random states, away from the constructor's one probe state
+    sys = _partitioned(name)
+    part = sys.partition
+    rng = np.random.default_rng(7)
+    X = rng.random((200, part.max() + 1))[:, part]
+    e_rows = rng.random(200)
+
+    def assert_class_constant(out):
+        for k in range(part.max() + 1):
+            cls = out[:, part == k]
+            assert np.max(cls.max(axis=-1) - cls.min(axis=-1)) <= 1e-12
+
+    assert_class_constant(sys.check_update(X))
+    for eps in (0.3, 0.8, e_rows):
+        assert_class_constant(sys.bit_update(X, eps))
+
+
+def test_a_partition_the_maps_break_is_refused():
+    lift = _partitioned("lift-2x4")
+    tilt = np.linspace(1.0, 0.9, lift.d)  # a different factor per edge
+    f, g = lift.bit_update, lift.check_update
+    for changes in ({"bit_update": lambda y, eps: f(y, eps) * tilt},
+                    {"check_update": lambda x: g(x) * tilt}):
+        with pytest.raises(ValueError, match="does not keep the partition"):
+            dataclasses.replace(lift, **changes)
+        # the same maps without the partition are a valid system
+        assert dataclasses.replace(lift, partition=None, **changes).partition is None
+    for bad in (np.zeros(3, int), np.array([0, 0, 0, 0, 2, 2, 2, 2]), np.full(8, 0.0)):
+        with pytest.raises(ValueError, match="partition must give each"):
+            dataclasses.replace(lift, partition=bad)
 
 
 def _per_component_two_user_maps(lam1, rho1, lam2, rho2, channel):

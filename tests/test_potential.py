@@ -457,10 +457,8 @@ def test_exclusion_gives_up_above_the_fold(name, request):
         assert len(_exclude(sys, sys.ones(), fold + tol / 2, EXCLUDE_BUDGET))
 
 
-def test_exclusion_spends_at_most_its_budget(lift36, monkeypatch, caplog):
-    # the d=8 lift cannot be resolved: exclusion gives up within its budget,
-    # the pass iterates both probes, and the answer is the certified fold
-    caplog.set_level(logging.DEBUG, logger="saturate")
+def test_exclusion_spends_at_most_its_budget(lift36, sw_free, monkeypatch, caplog):
+    # on the full d=8 lift exclusion cannot resolve: it gives up within its budget
     fold, _ = potential_module._bp_fold(lift36, DEFAULT_MAX_ITER)
     stepped = []
     step_raw = potential_module._step_raw
@@ -469,8 +467,76 @@ def test_exclusion_spends_at_most_its_budget(lift36, monkeypatch, caplog):
     assert len(_exclude(lift36, lift36.ones(), fold - 0.5e-5, EXCLUDE_BUDGET))
     # each level steps both corners of its boxes
     assert EXCLUDE_BUDGET / 2 < sum(stepped) // 2 * lift36.d <= EXCLUDE_BUDGET
-    assert st.bp_threshold(lift36, tol=1e-5) == fold
+    # Slepian-Wolf with gamma=0 has no partition, and exclusion gives up on it:
+    # the pass iterates both probes, and the answer is the certified fold
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    assert sw_free.partition is None
+    fold, _ = potential_module._bp_fold(sw_free, DEFAULT_MAX_ITER)
+    assert st.bp_threshold(sw_free, tol=1e-5) == fold
     assert "dies, stop rule), (eps=" in caplog.text and "excluded" not in caplog.text
+
+
+# bp_threshold's floats on the lifted forms of (3,6), as they were before
+# the lower probe was excluded on the quotient
+_LIFTED_BP = {"lift36": 0.4294398144195082, "ones36": 0.4294398144194919}
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-6])
+@pytest.mark.parametrize("name", list(_LIFTED_BP))
+def test_lifted_lower_probe_is_excluded_on_the_quotient(name, tol, request, caplog):
+    caplog.set_level(logging.DEBUG, logger="saturate")
+    sys = request.getfixturevalue(name)
+    assert potential_module._quotient(sys).d == 1
+    assert st.bp_threshold(sys, tol=tol) == _LIFTED_BP[name]
+    fold = [m for m in caplog.messages if m.startswith("bp_threshold fold: ")]
+    assert len(fold) == 1 and "dies, excluded)" in fold[0]
+    assert "survives, certified)" in fold[0]
+
+
+def test_full_lift_dies_below_the_fold(lift36):
+    # the plain recursion on all eight components, with no quotient in it
+    res = st.iterate_limit(lift36, lift36.ones(), _LIFTED_BP["lift36"] - 0.5e-5)
+    assert res.converged and np.max(res.limit) < ZERO_TOL
+
+
+@pytest.fixture(scope="module")
+def irregular_lift():
+    """An irregular 2x4 protograph whose edges fall into 6 classes."""
+    return st.make_protograph(st.ProtographSpec(H=np.array([[1, 3, 1, 1], [2, 1, 1, 2]])))
+
+
+@pytest.mark.parametrize("name, d", [("lift36", 1), ("ones36", 1), ("irregular_lift", 6)])
+def test_quotient_is_an_admissible_system(name, d, request):
+    sys = request.getfixturevalue(name)
+    q = potential_module._quotient(sys)
+    assert q.d == d and q.weights.sum() == sys.weights.sum()
+    # its weights are the class sums, so its energies' gradients are its maps
+    rep = st.verify_admissible(q, n_samples=200, seed=0)
+    assert rep.ok, rep.violations
+    # its step is the full step on the expanded state, up to the rounding by
+    # which members of one class differ
+    y = np.random.default_rng(3).random((20, d))
+    full, quotient = st.step(sys, y[:, sys.partition], 0.45), st.step(q, y, 0.45)
+    assert np.max(np.abs(full - quotient[:, sys.partition])) <= 1e-12
+
+
+def test_quotient_is_the_system_without_a_coarser_partition(sw_half):
+    assert potential_module._quotient(sw_half) is sw_half
+    split = st.make_protograph(st.ProtographSpec(H=np.array([[3, 3]]), node_scale=[1.0, 0.5]))
+    assert split.partition.tolist() == [0, 1]
+    assert potential_module._quotient(split) is split
+
+
+@pytest.mark.parametrize("name", ["lift36", "irregular_lift"])
+def test_quotient_exclusion_never_resolves_where_the_limit_survives(name, request):
+    # the quotient's exclusion decides the full system's lower probe, so it
+    # must never resolve where the full system's plain limit survives
+    sys = request.getfixturevalue(name)
+    q = potential_module._quotient(sys)
+    eps, plain = _grid_limits(sys)
+    resolved = np.array([len(_exclude(q, q.ones(), e, EXCLUDE_BUDGET)) == 0 for e in eps])
+    assert not resolved[~plain].any()
+    assert resolved[0]  # 1e-3 below the threshold
 
 
 def test_fixed_points_empty_below_threshold(sys36, thresholds36):
