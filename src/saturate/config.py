@@ -92,7 +92,8 @@ def _degrees(x, at):
     if type(x) is not dict:
         raise ConfigError(f"{at} must be an object")
     for key, entry in x.items():
-        if not re.match(r"[0-9]+$", key):
+        # no leading zero: "03" beside "3" would name one degree twice
+        if not re.match(r"[1-9][0-9]*$", key):
             raise ConfigError(f"{_key(at, key)} is not a degree")
         _NUMBER(entry, _key(at, key))
 

@@ -16,17 +16,16 @@ from .system import (
     _class_representatives,
     _iterate,
     _step_raw,
-    iterate_batch,
 )
 
 log = logging.getLogger("saturate")
 
 FP_RESIDUAL_TOL = 1e-9
 # a solved point with max at or below it is the zero state, and is not
-# recorded. It is wider than ZERO_TOL, which decides verdicts, because a limit
-# iterated towards a zero state that attracts at a linear rate s stops at
-# about DEFAULT_ITER_TOL / (1 - s), with a residual that passes: on the (2,3)
-# protograph at eps 0.499 the all-ones limit stops at max 5.0e-8
+# recorded. It is wider than ZERO_TOL, which decides verdicts, because a
+# Newton solve that ends at the zero state stops short of it once its residual
+# passes: on the (2,3) protograph [[1,1,1],[1,1,1]] at eps 0.499 such solves
+# stop at max up to 7.2e-9, only 1.4x below ZERO_TOL
 FP_ZERO_TOL = 1e-7
 CLUSTER_RADIUS = 1e-6
 ZERO_TOL = 1e-8
@@ -40,7 +39,7 @@ NEWTON_FD_STEP = 1e-7  # central-difference step of the Newton Jacobians
 NEWTON_RIDGE = 1e-13
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes of potential_quadrature
 FP_GRID = 7  # per-axis points of the d=2 seed grid of fixed_points
-FP_MAX_SEEDS = 10000  # lattice rows that seed fixed_points in other dimensions
+FP_MAX_SEEDS = 256  # lattice rows that seed fixed_points in other dimensions
 # bisection levels in one batched pass of bp_threshold's fallback and of
 # coupled_bp_threshold (2**5 - 1 = 31 eps rows), chosen by timing depths 1, 3
 # and 5 on coupled chains at L=32, w=3
@@ -533,48 +532,33 @@ def _records(sys, cands, res, eps: float) -> list[FixedPointRecord]:
     return sorted(records, key=lambda r: tuple(r.x))
 
 
-def fixed_points(sys: SystemDefinition, eps: float,
-                 max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointRecord]:
+def fixed_points(sys: SystemDefinition, eps: float) -> list[FixedPointRecord]:
     """Numerically enumerate the nontrivial fixed points at a given eps.
 
-    d=2 systems get damped-Newton solves from a lattice of seeds (interior
-    and boundary faces), which also finds unstable points; other
-    dimensions fall back to forward iteration from a lattice with an
-    all-ones row appended, which finds the stable ones. max_iter bounds that
-    iteration; when it runs out with rows still moving, a warning says so,
-    since the list may then miss points. Enumeration is heuristic: nothing
-    proves completeness.
+    Damped Newton from a lattice of seeds, which finds unstable points as
+    well as stable ones. d=2 systems seed from an interior grid and the
+    boundary faces; other dimensions from the first FP_MAX_SEEDS rows of a
+    per-axis lattice with an all-ones row appended. Enumeration is
+    heuristic: nothing proves completeness.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    if sys.d == 2:
-        return _fixed_points_batch(sys, [eps], max_iter)[0]
-    per_axis = max(2, int(min(5, math.floor(FP_MAX_SEEDS ** (1.0 / sys.d)))))
-    seeds = np.vstack([_lattice_rows(sys.d, per_axis, FP_MAX_SEEDS), sys.ones()])
-    cands, it, conv = iterate_batch(sys, seeds, eps, max_iter=max_iter)
-    res = _residual_sup(sys, cands, eps)
-    if not conv:  # period-2 cycles are expected; a spent budget is not
-        log.log(logging.DEBUG if it < max_iter else logging.WARNING,
-                "fixed_points: %d of %d lattice rows still moving after %d iterations "
-                "(%s, eps=%g)", np.count_nonzero(res > DEFAULT_ITER_TOL), len(seeds), it,
-                "period-2 cycles" if it < max_iter else "budget exhausted", eps)
-    return _records(sys, cands, res, eps)
+    return _fixed_points_batch(sys, [eps])[0]
 
 
-def _fixed_points_batch(sys, eps_values, max_iter) -> list[list[FixedPointRecord]]:
+def _fixed_points_batch(sys, eps_values) -> list[list[FixedPointRecord]]:
     """fixed_points at every eps of eps_values, one record list per eps.
 
-    For d=2 the seed lattice is tiled over all eps and solved in one Newton
-    batch with a per-row eps, whose rows never interact, so every list
-    equals that eps's fixed_points call. Other dimensions iterate
-    their lattice once per eps, through fixed_points.
+    The seeds are tiled over all eps and solved in one Newton batch with a
+    per-row eps, whose rows never interact, so every list equals that eps's
+    fixed_points call.
     """
     eps_values = [float(e) for e in eps_values]
-    if sys.d != 2:
-        return [fixed_points(sys, e, max_iter=max_iter) for e in eps_values]
     if not all(0.0 < e <= 1.0 for e in eps_values):
         raise ValueError("eps must lie in (0, 1]")
-    seeds = _seed_lattice_2d(FP_GRID)
+    if sys.d == 2:
+        seeds = _seed_lattice_2d(FP_GRID)
+    else:
+        per_axis = max(2, int(min(5, math.floor(FP_MAX_SEEDS ** (1.0 / sys.d)))))
+        seeds = np.vstack([_lattice_rows(sys.d, per_axis, FP_MAX_SEEDS), sys.ones()])
     n = len(seeds)
     cands, res = _newton_batch(sys, np.tile(seeds, (len(eps_values), 1)),
                                np.repeat(eps_values, n))
@@ -582,18 +566,18 @@ def _fixed_points_batch(sys, eps_values, max_iter) -> list[list[FixedPointRecord
             for i, e in enumerate(eps_values)]
 
 
-def energy_gap(sys: SystemDefinition, eps: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def energy_gap(sys: SystemDefinition, eps: float) -> float:
     """Minimum potential over the nontrivial fixed points; +inf when none exist."""
-    return _energy_gaps(sys, [eps], max_iter)[0]
+    return _energy_gaps(sys, [eps])[0]
 
 
 def _min_potential(records) -> float:
     return min((r.potential_value for r in records), default=math.inf)
 
 
-def _energy_gaps(sys, eps_values, max_iter: int = DEFAULT_MAX_ITER) -> list[float]:
+def _energy_gaps(sys, eps_values) -> list[float]:
     """energy_gap at every eps of eps_values, from one _fixed_points_batch call."""
-    return [_min_potential(recs) for recs in _fixed_points_batch(sys, eps_values, max_iter)]
+    return [_min_potential(recs) for recs in _fixed_points_batch(sys, eps_values)]
 
 
 def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
@@ -603,19 +587,20 @@ def potential_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     The Maxwell point M = maxwell_threshold(sys) locates it, and one
     enumeration of the fixed points at M - tol/2 and M + tol/2 confirms it:
     the answer is M when the energy gap is >= 0 below and < 0 above, so the
-    gap changes sign within tol/2 of M. The enumeration (the d=2 Newton
-    lattice, or the lattice iteration in other dimensions) does not use the
-    branch walk behind M. If either side fails, a warning names it and the
-    plain bisection of the gap's sign over (0, 1] gives the answer instead.
-    At M = 1, a gap >= 0 at eps=1 alone confirms M.
+    gap changes sign within tol/2 of M. The enumeration (Newton from the
+    seed lattice of fixed_points) does not use the branch walk behind M. If
+    either side fails, a warning names it and the plain bisection of the
+    gap's sign over (0, 1] gives the answer instead. At M = 1, a gap >= 0 at
+    eps=1 alone confirms M. max_iter is unused: no step of this computation
+    iterates the recursion. It stays for callers that pass it.
     """
-    return _confirm_maxwell(sys, maxwell_threshold(sys, max_iter=max_iter), tol, max_iter)
+    return _confirm_maxwell(sys, maxwell_threshold(sys), tol)
 
 
-def _confirm_maxwell(sys, mx: float, tol: float, max_iter: int) -> float:
+def _confirm_maxwell(sys, mx: float, tol: float) -> float:
     """mx if the energy gap is >= 0 at mx - tol/2 and < 0 at mx + tol/2, else the bisection."""
     eps = np.clip([mx - tol / 2, mx + tol / 2], 1e-9, 1.0).tolist()
-    gaps = _energy_gaps(sys, eps, max_iter)
+    gaps = _energy_gaps(sys, eps)
     nonneg = [gap >= 0.0 for gap in gaps]
     log.debug("potential_threshold confirm: %s", ", ".join(
         f"(eps={e:.9g}, gap={g:.6g}, {'nonneg' if v else 'negative'})"
@@ -626,11 +611,11 @@ def _confirm_maxwell(sys, mx: float, tol: float, max_iter: int) -> float:
     log.warning("potential_threshold: Maxwell point %.9g not confirmed, gap %.6g at eps=%.9g "
                 "(%s side); bisecting", mx, gaps[k], eps[k], ("below", "above")[k])
     return _threshold_bisect(
-        lambda e: np.array([gap >= 0.0 for gap in _energy_gaps(sys, e, max_iter)]),
+        lambda e: np.array([gap >= 0.0 for gap in _energy_gaps(sys, e)]),
         tol, "potential_threshold")
 
 
-def maxwell_threshold(sys: SystemDefinition, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def maxwell_threshold(sys: SystemDefinition) -> float:
     """Smallest eps at which some fixed point attains negative Q.
 
     The Maxwell construction along the fixed-point branches. Every fixed
@@ -643,7 +628,7 @@ def maxwell_threshold(sys: SystemDefinition, max_iter: int = DEFAULT_MAX_ITER) -
     FP_RESIDUAL_TOL or whose eps leaves the bracket, contribute the Q < 0
     end and log a warning. potential_threshold starts from this value.
     """
-    brackets = [_branch_bracket(sys, seed.x) for seed in fixed_points(sys, 1.0, max_iter=max_iter)
+    brackets = [_branch_bracket(sys, seed.x) for seed in fixed_points(sys, 1.0)
                 if seed.potential_value < 0.0]
     top = min([1.0] + [max(lo[1], hi[1]) for lo, hi in brackets])
     return float(min([top] + [_maxwell_crossing(sys, *lo, *hi) for lo, hi in brackets
@@ -801,7 +786,7 @@ def threshold_report(sys: SystemDefinition, gap_grid, tol: float = BISECT_TOL) -
     """
     bp = bp_threshold(sys, tol)
     mx = maxwell_threshold(sys)
-    pot = _confirm_maxwell(sys, mx, tol, DEFAULT_MAX_ITER)
+    pot = _confirm_maxwell(sys, mx, tol)
     gap_grid = [float(e) for e in gap_grid]
     curve = list(zip(gap_grid, _energy_gaps(sys, gap_grid)))
     rep = ThresholdReport(

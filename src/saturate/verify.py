@@ -38,7 +38,6 @@ from .potential import (
     bp_threshold,
 )
 from .system import (
-    DEFAULT_MAX_ITER,
     FD_STEP,
     MONO_SLACK,
     SystemDefinition,
@@ -145,7 +144,7 @@ def lemma_battery(sys: SystemDefinition, eps_values=None, L: int = 16, w: int = 
     # below read eps_values[1:], the eps_values above bp and the grid
     grid = np.linspace(bp + 2e-3, min(1.0, pot + 0.8 * (1.0 - pot)), 20).tolist()
     wanted = list(dict.fromkeys([e for i, e in enumerate(eps_values) if i > 0 or e > bp] + grid))
-    fps_at = dict(zip(wanted, _fixed_points_batch(sys, wanted, DEFAULT_MAX_ITER)))
+    fps_at = dict(zip(wanted, _fixed_points_batch(sys, wanted)))
 
     # differences of the closed-form potential, independent of the update
     # residual on which fixed_points accepts a record

@@ -25,9 +25,10 @@ potential = importlib.import_module("saturate.potential")
 
 # keyword parameters that no caller set; their values are now module constants
 REMOVED = {
-    st.fixed_points: {"tol", "cluster_radius", "grid", "max_seeds", "iter_tol"},
+    st.fixed_points: {"tol", "cluster_radius", "grid", "max_seeds", "iter_tol", "max_iter"},
+    st.energy_gap: {"max_iter"},
     st.bp_threshold: {"zero_tol", "iter_tol"},
-    st.maxwell_threshold: {"tol"},
+    st.maxwell_threshold: {"tol", "max_iter"},
     st.potential_quadrature: {"n_nodes"},
     saturate.system.iterate_batch: {"tol"},
     st.coupled_limit: {"zero_tol"},
@@ -38,6 +39,9 @@ REMOVED = {
     potential._newton_pinned: {"res_tol", "fd_h"},
     potential._branch_points: {"tol"},
     potential._records: {"tol"},
+    potential._fixed_points_batch: {"max_iter"},
+    potential._energy_gaps: {"max_iter"},
+    potential._confirm_maxwell: {"max_iter"},
     st.EdgePolynomial: {"max_degree"},
     saturate.config.build_system: {"theta"},
 }
@@ -69,9 +73,9 @@ def test_removed_knobs_are_gone(fn):
     assert not REMOVED[fn] & set(inspect.signature(fn).parameters)
 
 
-@pytest.mark.parametrize("fn", [st.energy_gap, st.potential_threshold, st.maxwell_threshold],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [st.potential_threshold], ids=lambda fn: fn.__name__)
 def test_max_iter_is_named(fn):
+    # unused since the enumeration stopped iterating, and kept for callers
     param = inspect.signature(fn).parameters["max_iter"]
     assert param.default == DEFAULT_MAX_ITER
 

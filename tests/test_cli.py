@@ -359,7 +359,7 @@ def test_coupled_width_bounds_take_one_fixed_point_batch(tmp_path, monkeypatch):
     calls = []
     batch = potential_module._fixed_points_batch
     monkeypatch.setattr(potential_module, "_fixed_points_batch",
-                        lambda sys, eps, max_iter: calls.append(list(eps)) or batch(sys, eps, max_iter))
+                        lambda sys, eps: calls.append(list(eps)) or batch(sys, eps))
     cfg = {"system": PROTO, "analysis": {"L": 4, "w": 2, "eps_values": [0.45, 0.50]}}
     assert main(["coupled", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
     assert calls == [[0.45, 0.50]]
@@ -460,10 +460,12 @@ BEYOND_DOUBLE = 10 ** 400  # an integer literal that no double holds
      "system.lambda1 must be an object"),
     ("threshold", {**EMAC, "lambda1": {"x": 1.0}}, {"gap_grid": [0.45]},
      "system.lambda1.x is not a degree"),
+    ("verify", {**EMAC, "lambda1": {"2": 0.3, "3": 0.7, "03": 0.7}}, {"n_samples": 5},
+     "system.lambda1.03 is not a degree"),
 ], ids=["L_float", "w_float", "n_samples_float", "matrix_float", "bisect_tol_nan", "gap_grid_nan",
         "eps_values_nan", "bisect_tol_huge", "node_scale_huge", "matrix_huge", "seed_negative",
         "matrix_missing", "analysis_list", "system_type_unknown", "degrees_list",
-        "degree_not_a_number"])
+        "degree_not_a_number", "degree_leading_zero"])
 def test_non_integers_and_non_finite_numbers_exit_2(tmp_path, capsys, command, system, analysis,
                                                    message):
     # an integral float is not an integer, and NaN, Infinity and integers

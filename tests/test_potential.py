@@ -32,7 +32,7 @@ from saturate.potential import (
     _threshold_bisect,
     check_jacobian,
 )
-from saturate.system import DEFAULT_MAX_ITER
+from saturate.system import DEFAULT_MAX_ITER, iterate_batch
 
 from scalar_oracle import (
     LAM_36,
@@ -624,7 +624,7 @@ def _count_batches(monkeypatch):
     calls = []
     batch = potential_module._fixed_points_batch
     monkeypatch.setattr(potential_module, "_fixed_points_batch",
-                        lambda sys, eps, max_iter: calls.append(list(eps)) or batch(sys, eps, max_iter))
+                        lambda sys, eps: calls.append(list(eps)) or batch(sys, eps))
     return calls
 
 
@@ -747,7 +747,7 @@ def test_potential_threshold_falls_back_when_maxwell_is_off(offset, side, sys36,
     tol = 1e-5
     mx = st.maxwell_threshold(sys36)
     monkeypatch.setattr(potential_module, "maxwell_threshold",
-                        lambda sys, max_iter: mx + offset * tol)
+                        lambda sys: mx + offset * tol)
     got = st.potential_threshold(sys36, tol=tol)
     assert f"({side} side); bisecting" in caplog.text
     assert got == _one_probe_bisect(lambda e: st.energy_gap(sys36, e) >= 0.0, tol)
@@ -857,21 +857,6 @@ def test_fixed_points_appends_ones_row_to_the_lattice(lift36):
     assert any(np.max(np.abs(r.x - x_star)) < 1e-8 for r in recs)
 
 
-def test_fixed_points_warns_when_its_budget_runs_out(lift36, caplog):
-    caplog.set_level(logging.DEBUG, logger="saturate")
-    # most lattice rows still move after 20 steps at eps 0.4369, so the empty
-    # list (an energy gap of +inf) proves nothing: a warning says so
-    assert st.fixed_points(lift36, 0.4369, max_iter=20) == []
-    assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert ("6076 of 6562 lattice rows still moving after 20 iterations (budget exhausted"
-            in caplog.text)
-    caplog.clear()
-    # period-2 cycles end the eps=1 lattice at 66 steps, as expected: debug only
-    assert len(st.fixed_points(lift36, 1.0, max_iter=1000)) == 1
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-    assert "after 66 iterations (period-2 cycles" in caplog.text
-
-
 @pytest.mark.parametrize("name", ["sys36", "emac36", "sw_half", "sw_free"])
 def test_fixed_points_contain_the_all_ones_limit(name, request):
     # fixed_points seeds Newton from its lattice alone; the eps=1 limit from
@@ -899,7 +884,7 @@ def test_fixed_points_batch_equals_per_eps_calls(lam36, rho36):
     # the seed lattice tiled over 31 eps in one Newton batch, record for record
     eps_values = np.linspace(0.02, 1.0, 31).tolist()
     for sys in _pinned_systems(lam36, rho36):
-        batch = _fixed_points_batch(sys, eps_values, DEFAULT_MAX_ITER)
+        batch = _fixed_points_batch(sys, eps_values)
         assert sum(map(len, batch)) > len(eps_values)
         for eps, recs in zip(eps_values, batch):
             _assert_same_records(recs, st.fixed_points(sys, eps))
@@ -959,7 +944,7 @@ def test_singular_jacobian_stops_only_its_own_eps(rows, sw_half, monkeypatch):
     alone = st.fixed_points(sw_half, bad)
     # the points of the seeds whose Jacobians are not singular, and no others
     _assert_same_records(alone, survivors)
-    batch = _fixed_points_batch(sw_half, eps_values, DEFAULT_MAX_ITER)
+    batch = _fixed_points_batch(sw_half, eps_values)
     for eps, recs in zip(eps_values, batch):
         _assert_same_records(recs, alone if eps == bad else want[eps])
 
@@ -1003,14 +988,14 @@ def test_thresholds_pinned_on_the_two_user_systems(lam36, rho36):
 
 
 def _lattice_seeds(sys, monkeypatch):
-    # the seed rows fixed_points hands to the batch iteration, without iterating
+    # the seed rows fixed_points hands to the Newton batch, without solving
     class Seeds(Exception):
         pass
 
-    def capture(sys, seeds, eps, **kw):
+    def capture(sys, seeds, eps):
         raise Seeds(seeds)
 
-    monkeypatch.setattr(potential_module, "iterate_batch", capture)
+    monkeypatch.setattr(potential_module, "_newton_batch", capture)
     with pytest.raises(Seeds) as caught:
         st.fixed_points(sys, 0.5)
     seeds = caught.value.args[0]
@@ -1154,9 +1139,9 @@ def test_thresholds_invariant_under_lifting(sys36, lift36):
 @pytest.mark.parametrize("call, match", [
     (lambda sys: st.fixed_points(sys, 0.0), r"eps must lie in \(0, 1\]"),
     (lambda sys: st.fixed_points(sys, 1.5), r"eps must lie in \(0, 1\]"),
-    (lambda sys: _fixed_points_batch(sys, [0.5, 1.5], DEFAULT_MAX_ITER),
+    (lambda sys: _fixed_points_batch(sys, [0.5, 1.5]),
      r"eps must lie in \(0, 1\]"),
-    (lambda sys: _fixed_points_batch(sys, [0.0], DEFAULT_MAX_ITER), r"eps must lie in \(0, 1\]"),
+    (lambda sys: _fixed_points_batch(sys, [0.0]), r"eps must lie in \(0, 1\]"),
     (lambda sys: st.potential_quadrature(sys, np.array([0.3, 0.4]), 0.5, path="curved"),
      "unknown path 'curved'"),
 ], ids=["fp_zero", "fp_above_one", "batch_above_one", "batch_zero", "quadrature_path"])
@@ -1165,9 +1150,53 @@ def test_potential_inputs_are_checked(sys36, call, match):
         call(sys36)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the d≠2 lattice iteration finds only "
-                                       "stable fixed points")
 def test_lift_enumerates_the_fixed_points_of_its_base(sys36, lift36):
     # at eps 0.47 [[3,3]] has an unstable (0.1625·1) and a stable (0.3994·1)
     # nontrivial fixed point; its 2x4 lift is the same ensemble
-    assert len(st.fixed_points(lift36, 0.47)) == len(st.fixed_points(sys36, 0.47))
+    recs = st.fixed_points(lift36, 0.47)
+    assert len(recs) == len(st.fixed_points(sys36, 0.47))
+    roots = sorted(nontrivial_fixed_points(0.47, LAM_36, RHO_36))
+    assert len(roots) == 2
+    for rec, root in zip(recs, roots):
+        assert np.max(np.abs(rec.x - root)) <= 1e-7  # 0.1625·1, then 0.3994·1
+
+
+ITERATED_SEEDS = 10000  # the lattice rows of the forward-iteration enumerator
+
+
+def _iterated_records(sys, eps):
+    """The fixed points that forward iteration of a 10 000-row lattice (plus all-ones) reaches.
+
+    An independent enumerator: it finds only points that attract some lattice row.
+    """
+    per_axis = max(2, min(5, math.floor(ITERATED_SEEDS ** (1.0 / sys.d))))
+    seeds = np.vstack([_lattice_rows(sys.d, per_axis, ITERATED_SEEDS), sys.ones()])
+    limits, _, _ = iterate_batch(sys, seeds, eps)
+    return potential_module._records(
+        sys, limits, potential_module._residual_sup(sys, limits, eps), eps)
+
+
+@pytest.mark.parametrize("spec", [
+    st.ProtographSpec(H=np.array([[1, 2, 1, 2], [2, 1, 2, 1]])),
+    st.ProtographSpec(H=np.array([[1, 3, 1, 1], [2, 1, 1, 2]])),
+    st.ProtographSpec(H=np.ones((3, 6), dtype=int)),
+    st.ProtographSpec(H=np.ones((2, 4), dtype=int), punctured_columns=frozenset({0})),
+    st.ProtographSpec(H=np.ones((2, 4), dtype=int), node_scale=[1.0, 1.0, 0.5, 1.0]),
+], ids=["lift", "irregular", "ones-3x6", "punctured", "scaled"])
+def test_newton_enumeration_finds_every_iterated_fixed_point(spec):
+    # every limit of the iterated lattice is within CLUSTER_RADIUS of a Newton
+    # point, and the minimum potentials (the energy gaps) agree
+    sys = st.make_protograph(spec)
+    eps_values = np.linspace(0.3, 1.0, 15).tolist()
+    found = _fixed_points_batch(sys, eps_values)
+    n_reference = 0
+    for eps, recs in zip(eps_values, found):
+        reference = _iterated_records(sys, eps)
+        n_reference += len(reference)
+        points = np.array([r.x for r in recs]).reshape(-1, sys.d)
+        for ref in reference:
+            assert np.min(np.max(np.abs(points - ref.x), axis=-1)) <= CLUSTER_RADIUS, (eps, ref.x)
+        want = potential_module._min_potential(reference)
+        got = potential_module._min_potential(recs)
+        assert got == want or abs(got - want) <= 1e-12, eps
+    assert n_reference > 0

@@ -50,7 +50,7 @@ def test_lemma_battery_enumerates_fixed_points_in_one_batch(sys36, thresholds36,
     calls = []
     batch = verify_mod._fixed_points_batch
     monkeypatch.setattr(verify_mod, "_fixed_points_batch",
-                        lambda sys, eps, max_iter: calls.append(list(eps)) or batch(sys, eps, max_iter))
+                        lambda sys, eps: calls.append(list(eps)) or batch(sys, eps))
     rep = lemma_battery(sys36, L=4, w=2, thresholds=thresholds36)
     assert rep.ok
     assert len(calls) == 1
