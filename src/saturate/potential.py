@@ -44,8 +44,8 @@ FP_MAX_SEEDS = 256  # lattice rows that seed fixed_points in other dimensions
 # coupled_bp_threshold (2**5 - 1 = 31 eps rows), chosen by timing depths 1, 3
 # and 5 on coupled chains at L=32, w=3
 BISECT_DEPTH = 5
-# sub-solution candidates bp_threshold tries per open row, at each cycle check
-# and at the end of a pass: the offsets 4**0, 4**1, ... of X_t - m |delta_t|
+# sub-solution candidates a bp_threshold pass tries per open row at each cycle
+# check: the offsets 4**0, 4**1, ... of X_t - m |delta_t|
 SUBSOLUTION_OFFSETS = 12
 # grid points of the pinned component on each branch that maxwell_threshold and
 # bp_threshold walk
@@ -180,16 +180,18 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     system's update maps are monotone, so from all-ones the iterates fall
     towards the largest fixed point, and the threshold is the fold (the
     smallest eps) of the branch of largest fixed points. _bp_fold locates
-    that fold by a branch walk from the eps=1 limit. The answer is the fold
-    when the probe at fold - tol/2 dies and the one at fold + tol/2 is
-    certified to survive, so the threshold lies within tol/2 of it. The
-    lower probe dies "excluded", with no pass, when _exclude leaves no box
-    that may hold a fixed point with max >= ZERO_TOL, as the iterates fall
-    to the largest one; else one pass iterates both. Otherwise (no fold
-    located, a verdict on the wrong side, or a spent budget) a warning names
-    the failed side and the batched bisection below gives the answer. The
-    fold is not the threshold when all-ones survives below it on another
-    branch; the lower probe then survives and the bisection runs.
+    that fold, and its fixed point x, by a branch walk from the eps=1 limit.
+    The answer is the fold when the probe at fold - tol/2 dies and the one
+    at fold + tol/2 is certified to survive, so the threshold lies within
+    tol/2 of it. The lower probe dies "excluded", with no pass, when
+    _exclude leaves no box that may hold a fixed point with max >= ZERO_TOL,
+    as the iterates fall to the largest one; else one pass iterates it. The
+    maps increase in eps, so x is a sub-solution (below) at fold + tol/2,
+    which one step checks in floats. Otherwise (no fold located, a verdict
+    on the wrong side, or a spent budget) a warning names the failed side
+    and the batched bisection below gives the answer. The fold is not the
+    threshold when all-ones survives below it on another branch; the lower
+    probe then survives and the bisection runs.
 
     A pass iterates one all-ones row per probe eps in one batch (eps is the
     per-row batch axis); a bisection pass covers BISECT_DEPTH levels of the
@@ -198,8 +200,7 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     The candidates are Y = clip(X_t - m |delta_t|, 0, 1), with delta_t the
     last step's change and m = 4**0, ..., 4**(SUBSOLUTION_OFFSETS - 1), all
     rows' candidates in one batched step, tried at each cycle check of the
-    batch loop and once more for the rows still open when all of them meet
-    the stop rule. Certified rows leave the stop test, and the pass ends once
+    batch loop. Certified rows leave the stop test, and the pass ends once
     every row is certified or the rows still open meet it; an open row then
     dies when its max is below ZERO_TOL. Each pass logs every probe's eps,
     verdict and how it was reached (certified or stop rule) at debug level,
@@ -222,32 +223,31 @@ def bp_threshold(sys: SystemDefinition, tol: float = BISECT_TOL,
     period-2 cycles) logs a warning naming their eps; such a row counts as
     not collapsing unless its max is already below ZERO_TOL.
     """
-    fold, note = _bp_fold(sys, max_iter)
+    fold, x, note = _bp_fold(sys, max_iter)
     if fold == 1.0:  # all-ones collapses at eps=1 already
         return 1.0
     if fold is not None:
         eps = np.clip([fold - tol / 2, fold + tol / 2], 1e-9, 1.0)
         q = _quotient(sys)
+        dies, how = True, "excluded"
         if len(_exclude(q, q.ones(), eps[0], EXCLUDE_BUDGET)):
-            dies, how = _bp_pass(sys, eps, max_iter)
-        else:
-            dies, how = _bp_pass(sys, eps[1:], max_iter)
-            dies, how = np.append(True, dies), np.append("excluded", how)
-        log.debug("bp_threshold fold: eps=%.12g after %s; %s", fold, note, ", ".join(
-            f"(eps={e:.9g}, {'dies' if v else 'survives'}, {h})"
-            for e, v, h in zip(eps, dies, how)))
-        if dies[0] and how[1] == "certified":
+            (dies,), (how,) = _bp_pass(sys, eps[:1], max_iter)
+        certified = np.all(_step_raw(sys, x, eps[1]) >= x) and x.max() >= ZERO_TOL
+        log.debug("bp_threshold fold: eps=%.12g after %s; (eps=%.9g, %s, %s), (eps=%.9g, %s)",
+                  fold, note, eps[0], "dies" if dies else "survives", how, eps[1],
+                  "survives, certified" if certified else "no sub-solution")
+        if dies and certified:
             return fold
-        k = 0 if not dies[0] else 1  # the side that failed
-        note = (f"fold {fold:.9g} not certified, {'dies' if dies[k] else 'survives'} "
-                f"({how[k]}) at eps={eps[k]:.9g} ({('below', 'above')[k]} side)")
+        note = f"fold {fold:.9g} not certified, " + (
+            f"survives ({how}) at eps={eps[0]:.9g} (below side)" if not dies else
+            f"the fold point is no sub-solution at eps={eps[1]:.9g} (above side)")
     log.warning("bp_threshold: %s; bisecting", note)
     return _threshold_bisect(lambda eps: _bp_pass(sys, eps, max_iter)[0], tol,
                              "bp_threshold", depth=BISECT_DEPTH)
 
 
 def _bp_fold(sys, max_iter: int):
-    """(fold, note): the smallest eps on the branch of the all-ones limit at eps=1.
+    """(fold, x, note): the smallest eps on the branch of the all-ones limit at eps=1.
 
     The branch walk from that limit stops once eps has risen at two
     consecutive branch points. One _newton solve from the walk's lowest
@@ -256,16 +256,18 @@ def _bp_fold(sys, max_iter: int):
     difference of the step along v at FOLD_FD_STEP and v seeded at the unit
     vector of the pinned coordinate. The fold is accepted when the residual
     is at most FP_RESIDUAL_TOL and the pinned coordinate lies between the
-    walk's neighbours of that point. note gives the walk length, or, with
-    fold None, why no fold was located; fold 1.0 means all-ones dies at eps=1.
+    walk's neighbours of that point; x is then its fixed point, else None.
+    note gives the walk length, or, with fold None, why no fold was located;
+    fold 1.0 means all-ones dies at eps=1.
     """
     X, it, conv = _iterate(sys, sys.ones()[None], 1.0, DEFAULT_ITER_TOL, max_iter)
     if not conv:
-        return None, (f"the eps=1 limit from all-ones still moves after {it} iterations "
-                      f"({'period-2 cycle' if it < max_iter else 'iteration budget exhausted'})")
+        why = "period-2 cycle" if it < max_iter else "iteration budget exhausted"
+        return None, None, (f"the eps=1 limit from all-ones still moves after {it} "
+                            f"iterations ({why})")
     x0 = X[0]
     if x0.max() < ZERO_TOL:
-        return 1.0, "all-ones collapses already at eps=1"
+        return 1.0, None, "all-ones collapses already at eps=1"
     walk = []
     for point in _branch_points(sys, x0, BRANCH_POINTS):
         walk.append(point)
@@ -273,7 +275,7 @@ def _bp_fold(sys, max_iter: int):
             break
     m = min(range(len(walk)), key=lambda k: walk[k][1])
     if not 0 < m < len(walk) - 1:
-        return None, f"no interior minimum of eps on the walk of {len(walk)} branch points"
+        return None, None, f"no interior minimum of eps on the walk of {len(walk)} branch points"
     j, d = int(np.argmax(x0)), sys.d
 
     def resid(u):
@@ -287,9 +289,9 @@ def _bp_fold(sys, max_iter: int):
     u, res = _newton(resid, np.concatenate([x, np.eye(d)[j], [eps]]))
     a, b = walk[m + 1][0][j], walk[m - 1][0][j]
     if res <= FP_RESIDUAL_TOL and a <= u[j] <= b:
-        return float(u[-1]), f"{len(walk)} branch points"
-    return None, (f"the fold solve failed: residual {res:.3g} at x{j + 1}={u[j]:.9g}, "
-                  f"bracket [{a:.9g}, {b:.9g}]")
+        return float(u[-1]), u[:d], f"{len(walk)} branch points"
+    return None, None, (f"the fold solve failed: residual {res:.3g} at x{j + 1}={u[j]:.9g}, "
+                        f"bracket [{a:.9g}, {b:.9g}]")
 
 
 def _bp_pass(sys, eps: np.ndarray, max_iter: int):
@@ -312,9 +314,6 @@ def _bp_pass(sys, eps: np.ndarray, max_iter: int):
 
     X, it, conv = _iterate(sys, np.ones((len(eps), sys.d)), eps, DEFAULT_ITER_TOL,
                            max_iter, settle=settle)
-    rows = np.flatnonzero(~certified)
-    if conv and len(rows):  # rows that met the stop rule before a cycle check settled them
-        settle(rows, X, _step_raw(sys, X, eps) - X)
     verdict = ~certified & (np.max(X, axis=-1) < ZERO_TOL)
     how = np.where(certified, "certified", "stop rule")
     if log.isEnabledFor(logging.DEBUG):

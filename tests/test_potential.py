@@ -245,7 +245,7 @@ def test_bp_threshold_is_the_certified_fold(name, tol, request, caplog):
 
 
 def test_bp_threshold_falls_back_below_a_fold_that_is_not_the_threshold(table, caplog):
-    fold, _ = potential_module._bp_fold(table, DEFAULT_MAX_ITER)
+    fold, _, _ = potential_module._bp_fold(table, DEFAULT_MAX_ITER)
     assert fold == pytest.approx(0.37758, abs=1e-5)
     # all-ones survives at fold - tol/2, so exclusion must give up there
     assert len(_exclude(table, table.ones(), fold - 0.5e-5, EXCLUDE_BUDGET))
@@ -258,9 +258,9 @@ def test_bp_threshold_falls_back_below_a_fold_that_is_not_the_threshold(table, c
 @pytest.mark.parametrize("offset, side", [(10, "below"), (-10, "above")])
 def test_bp_threshold_falls_back_when_the_fold_is_off(offset, side, sys36, monkeypatch, caplog):
     tol = 1e-5
-    fold, note = potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)
+    fold, x, note = potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)
     monkeypatch.setattr(potential_module, "_bp_fold",
-                        lambda sys, max_iter: (fold + offset * tol, note))
+                        lambda sys, max_iter: (fold + offset * tol, x, note))
     got = st.bp_threshold(sys36, tol=tol)
     assert f"({side} side); bisecting" in caplog.text
     assert got == _one_probe_bp(sys36, tol)
@@ -303,8 +303,8 @@ def _fold_outside_bracket(sys, monkeypatch):
 ])
 def test_bp_threshold_falls_back_when_no_fold_is_located(patch, note, sys36, monkeypatch, caplog):
     patch(sys36, monkeypatch)
-    fold, got_note = potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)
-    assert fold is None and got_note.startswith(note)
+    fold, x, got_note = potential_module._bp_fold(sys36, DEFAULT_MAX_ITER)
+    assert fold is None and x is None and got_note.startswith(note)
     got = st.bp_threshold(sys36, tol=1e-3)
     assert f"bp_threshold: {note}" in caplog.text and "; bisecting" in caplog.text
     assert got == _one_probe_bp(sys36, 1e-3)
@@ -329,7 +329,7 @@ def ones36():
 @pytest.mark.parametrize("name", ["sys36", "lift36", "ones36", "sw_free"])
 def test_bp_fold_matches_the_scalar_oracle(name, request):
     # four forms of the (3,6) recursion, whose fold is the scalar one
-    fold, _ = potential_module._bp_fold(request.getfixturevalue(name), DEFAULT_MAX_ITER)
+    fold, _, _ = potential_module._bp_fold(request.getfixturevalue(name), DEFAULT_MAX_ITER)
     assert fold == pytest.approx(oracle_fold(LAM_36, RHO_36), abs=3e-14)
 
 
@@ -350,11 +350,19 @@ def test_bp_threshold_falls_back_when_all_ones_collapses_at_one(caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
-def test_bp_threshold_logs_rows_still_moving(sys36, caplog):
-    got = st.bp_threshold(sys36, tol=1e-3, max_iter=3)
+def test_bp_threshold_logs_rows_still_moving(sys36, sw_free, caplog):
+    # at tol 1e-5 exclusion gives up on the lower probe of Slepian-Wolf with
+    # gamma=0, so a pass iterates it and spends its budget
+    got = st.bp_threshold(sw_free, tol=1e-5, max_iter=3)
     assert "iteration budget exhausted" in caplog.text
     # a budget-exhausted row counts as collapsing only below zero_tol, as before
-    assert got == _one_probe_bp(sys36, 1e-3, max_iter=3)
+    assert got == _one_probe_bp(sw_free, 1e-5, max_iter=3)
+    # on (3,6) the lower probe is excluded and the fold point certifies the
+    # upper one, so nothing is iterated past eps=1 and the budget is not spent
+    caplog.clear()
+    fold, _, _ = potential_module._bp_fold(sys36, 3)
+    assert st.bp_threshold(sys36, tol=1e-3, max_iter=3) == fold
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 @pytest.mark.parametrize("max_iter", [1, 2])
@@ -380,25 +388,35 @@ def test_bp_threshold_logs_period_two_cycles(flip, caplog):
     assert "eps = 1e-09" in caplog.text
 
 
-def test_bp_threshold_logs_each_pass(sys36, caplog):
+def test_bp_threshold_logs_each_pass(sys36, sw_free, caplog):
     caplog.set_level(logging.DEBUG, logger="saturate")
-    got = st.bp_threshold(sys36, tol=1e-5)
-    messages = [r.getMessage() for r in caplog.records]
-    folds = [m for m in messages if m.startswith("bp_threshold fold: ")]
-    # one pass, of the upper certifying probe, and no bisection
-    passes = [m for m in messages if m.startswith("bp_threshold pass of ")]
-    assert len(folds) == len(passes) == 1
+
+    def logged(sys):
+        caplog.clear()
+        got = st.bp_threshold(sys, tol=1e-5)
+        messages = [r.getMessage() for r in caplog.records]
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        return got, ([m for m in messages if m.startswith("bp_threshold fold: ")],
+                     [m for m in messages if m.startswith("bp_threshold pass of ")])
+
+    # on (3,6) both probes are proved without a pass, and nothing bisects
+    got, (folds, passes) = logged(sys36)
+    assert len(folds) == 1 and not passes
     found = re.fullmatch(r"bp_threshold fold: eps=(\S+) after (\d+) branch points; "
                          r"\(eps=([^,]+), dies, excluded\), "
                          r"\(eps=([^,]+), survives, certified\)", folds[0])
     assert found
     fold, walked, lo, hi = found.groups()
-    assert re.fullmatch(rf"bp_threshold pass of \d+ steps: \(eps={re.escape(hi)}, survives, "
-                        r"certified\)", passes[0])
     assert float(fold) == pytest.approx(got, abs=1e-11)
     assert 3 <= int(walked) <= BRANCH_POINTS
     assert float(lo) < got < float(hi) and float(hi) - float(lo) == pytest.approx(1e-5)
-    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    # where exclusion gives up, one pass iterates the lower probe alone
+    _, (folds, passes) = logged(sw_free)
+    assert len(folds) == len(passes) == 1
+    lo = re.search(r"; \(eps=([^,]+), dies, stop rule\), \(eps=[^,]+, survives, certified\)$",
+                   folds[0]).group(1)
+    assert re.fullmatch(rf"bp_threshold pass of \d+ steps: \(eps={re.escape(lo)}, dies, "
+                        r"stop rule\)", passes[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,7 +457,7 @@ def test_exclusion_resolves_below_the_fold_at_tol_1e6(name, request, caplog):
     # bp_threshold does not iterate it through the fold's bottleneck
     caplog.set_level(logging.DEBUG, logger="saturate")
     sys, tol = request.getfixturevalue(name), 1e-6
-    fold, _ = potential_module._bp_fold(sys, DEFAULT_MAX_ITER)
+    fold, _, _ = potential_module._bp_fold(sys, DEFAULT_MAX_ITER)
     assert not len(_exclude(sys, sys.ones(), fold - tol / 2, EXCLUDE_BUDGET))
     assert st.bp_threshold(sys, tol=tol) == fold
     assert "dies, excluded)" in caplog.text
@@ -452,14 +470,14 @@ _PINNED = ["sys36", "lift36", "emac36", "sw_half", "sw_free", "table", "irregula
 @pytest.mark.parametrize("name", _PINNED)
 def test_exclusion_gives_up_above_the_fold(name, request):
     sys = request.getfixturevalue(name)
-    fold, _ = potential_module._bp_fold(sys, DEFAULT_MAX_ITER)
+    fold, _, _ = potential_module._bp_fold(sys, DEFAULT_MAX_ITER)
     for tol in (1e-5, 1e-6):
         assert len(_exclude(sys, sys.ones(), fold + tol / 2, EXCLUDE_BUDGET))
 
 
 def test_exclusion_spends_at_most_its_budget(lift36, sw_free, monkeypatch, caplog):
     # on the full d=8 lift exclusion cannot resolve: it gives up within its budget
-    fold, _ = potential_module._bp_fold(lift36, DEFAULT_MAX_ITER)
+    fold, _, _ = potential_module._bp_fold(lift36, DEFAULT_MAX_ITER)
     stepped = []
     step_raw = potential_module._step_raw
     monkeypatch.setattr(potential_module, "_step_raw",
@@ -468,10 +486,10 @@ def test_exclusion_spends_at_most_its_budget(lift36, sw_free, monkeypatch, caplo
     # each level steps both corners of its boxes
     assert EXCLUDE_BUDGET / 2 < sum(stepped) // 2 * lift36.d <= EXCLUDE_BUDGET
     # Slepian-Wolf with gamma=0 has no partition, and exclusion gives up on it:
-    # the pass iterates both probes, and the answer is the certified fold
+    # the pass iterates the lower probe, and the answer is the certified fold
     caplog.set_level(logging.DEBUG, logger="saturate")
     assert sw_free.partition is None
-    fold, _ = potential_module._bp_fold(sw_free, DEFAULT_MAX_ITER)
+    fold, _, _ = potential_module._bp_fold(sw_free, DEFAULT_MAX_ITER)
     assert st.bp_threshold(sw_free, tol=1e-5) == fold
     assert "dies, stop rule), (eps=" in caplog.text and "excluded" not in caplog.text
 
@@ -503,6 +521,23 @@ def test_full_lift_dies_below_the_fold(lift36):
 def irregular_lift():
     """An irregular 2x4 protograph whose edges fall into 6 classes."""
     return st.make_protograph(st.ProtographSpec(H=np.array([[1, 3, 1, 1], [2, 1, 1, 2]])))
+
+
+@pytest.mark.parametrize("name", [*_PINNED, "ones36", "irregular_lift"])
+def test_fold_point_is_a_sub_solution_above_the_fold(name, request):
+    # the upper probe's certificate: step(x; fold + tol/2) >= x in floats with
+    # max x >= ZERO_TOL, for x the fixed point at the fold; the same x must
+    # fail at fold - tol/2, so a fold placed too low cannot certify its upper side
+    sys = request.getfixturevalue(name)
+    fold, x, _ = potential_module._bp_fold(sys, DEFAULT_MAX_ITER)
+    tols = np.array([1e-5, 1e-6, 1e-7])
+    assert x.max() >= ZERO_TOL
+    for tol in tols:
+        assert np.all(st.step(sys, x, fold + tol / 2) >= x)
+        assert not np.all(st.step(sys, x, fold - tol / 2) >= x)
+    # the plain recursion agrees: all-ones survives at every fold + tol/2
+    limits, _, converged = iterate_batch(sys, np.ones((len(tols), sys.d)), fold + tols / 2)
+    assert converged and np.all(limits.max(axis=-1) >= ZERO_TOL)
 
 
 @pytest.mark.parametrize("name, d", [("lift36", 1), ("ones36", 1), ("irregular_lift", 6)])
